@@ -14,7 +14,6 @@ from .core import (
     SourceParams,
     SpectralFilter,
     energy_matched_idler,
-    evaluate_amplitude,
     gaussian_from_setup,
     grid_for_filters,
     grid_for_gaussian,
@@ -73,6 +72,7 @@ from .reconstruction import (
     AliasingError,
     DelayLattice,
     JsiEstimate,
+    l2_error,
     nyquist_step,
     reconstruct_jsi,
     roundtrip_error,

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config error, 3 fit non-convergence, 4 aliasing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -41,16 +42,23 @@ def _write_report(path: Path, cfg: RunConfig, lines: list[str]) -> None:
 
 def _write_outputs(out: Path, cfg: RunConfig, ig: ifm.Interferogram, csv_name: str) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    ig.metadata["config_sha256"] = cfg.sha256()
+    ig = dataclasses.replace(ig, metadata={**ig.metadata, "config_sha256": cfg.sha256()})
     ig.to_csv(out / csv_name)
     (out / "resolved_config.cfg").write_text(cfg.resolved_text())
+
+
+def _symmetric_positions(half: float, step: float, key: str) -> np.ndarray:
+    """step * k for every integer |k| <= half / step; at least three points."""
+    n = int(np.floor(half / step))
+    if n < 1:
+        raise ConfigError(f"[scan] {key}: half-span is shorter than one scan step")
+    return step * np.arange(-n, n + 1)
 
 
 def _fringe_positions(cfg: RunConfig):
     half = cfg.getfloat("scan", "fringe_halfspan_mm") * 1e-3
     step = cfg.getfloat("scan", "fringe_step_um") * 1e-6
-    n = int(np.floor(half / step))
-    return step * np.arange(-n, n + 1)  # delta_x2 positions, m
+    return _symmetric_positions(half, step, "fringe_halfspan_mm")  # delta_x2 positions, m
 
 
 def cmd_fringe(cfg: RunConfig, out: Path, noiseless: bool, seed: int) -> int:
@@ -107,8 +115,7 @@ def _ideal_dip_profile(cfg: RunConfig, src: core.SourceParams):
     s = sigma_t * np.sqrt(np.pi / 2.0)      # same area as sinc^2
     half = cfg.getfloat("scan", "dip_halfspan_mm") * 1e-3 / core.C
     step = cfg.getfloat("scan", "dip_step_um") * 1e-6 / core.C
-    n = int(np.floor(half / step))
-    dt = step * np.arange(-n, n + 1)
+    dt = _symmetric_positions(half, step, "dip_halfspan_mm")
     vis = np.exp(-0.5 * (dt / s) ** 2)
     return dt, vis
 
@@ -152,14 +159,12 @@ def cmd_scan2d(cfg: RunConfig, out: Path, noiseless: bool, seed: int) -> int:
     src, f1, f2, sampled = _prepare(cfg)
     x1_half = cfg.getfloat("scan", "x1_halfspan_mm") * 1e-3
     x1_step = cfg.getfloat("scan", "x1_step_mm") * 1e-3
-    n1 = int(np.floor(x1_half / x1_step))
-    x1 = x1_step * np.arange(-n1, n1 + 1)
+    x1 = _symmetric_positions(x1_half, x1_step, "x1_halfspan_mm")
     fringe_half = cfg.getfloat("scan", "fringe_halfspan_mm") * 1e-3
     step = cfg.getfloat("scan", "fringe_step_um") * 1e-6
     # the fringe ridge tracks delta_x2 = -delta_x1; cover it for every slice
     half2 = x1_half + fringe_half
-    n2 = int(np.floor(half2 / step))
-    x2 = step * np.arange(-n2, n2 + 1)
+    x2 = _symmetric_positions(half2, step, "fringe_halfspan_mm")
     tau_s = x1 / core.C
     tau_l = np.sort(-x2 / core.C)
     ig = ifm.scan_2d(sampled, sampled,
@@ -221,8 +226,7 @@ def cmd_reconstruct(cfg: RunConfig, out: Path, input_csv: str | None) -> int:
                              (lattice.start1, lattice.step1, lattice.count1),
                              (lattice.start2, lattice.step2, lattice.count2))
             est = rec.reconstruct_jsi(ig, grid, window=window, demodulate=demod)
-            err = rec.roundtrip_error(model, None, None, grid, lattice,
-                                      window=window, demodulate=demod)
+            err = rec.l2_error(est, sampled)
     except rec.AliasingError as exc:
         _write_report(out / "recon_report.txt", cfg,
                       [f"error: {exc}", f"required_step_s: {exc.required_step!r}"])
@@ -234,9 +238,8 @@ def cmd_reconstruct(cfg: RunConfig, out: Path, input_csv: str | None) -> int:
         fh.write(f"# omega1 axis,{grid.omega1_min!r},{grid.d1!r},{grid.n1}\n")
         fh.write(f"# omega2 axis,{grid.omega2_min!r},{grid.d2!r},{grid.n2}\n")
         fh.write(f"# config_sha256={cfg.sha256()}\n")
-        for i in range(grid.n1):
-            for j in range(grid.n2):
-                fh.write(f"{i},{j},{float(est.values[i, j])!r}\n")
+        fh.writelines(f"{i},{j},{v!r}\n" for i, row in enumerate(est.values.tolist())
+                      for j, v in enumerate(row))
     corr = core.jsi_correlation(est.values, grid) if not est.degenerate else float("nan")
     lines = [
         f"lattice_axes: {[(ax.start, ax.step, ax.count) for ax in ig.axes]}",

@@ -83,6 +83,11 @@ DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 
+# keys that divide downstream: zero or a negative value is a config error
+_POSITIVE = (("grid", "n"), ("scan", "fringe_step_um"), ("scan", "dip_step_um"),
+             ("scan", "x1_step_mm"), ("reconstruct", "step_fraction"), ("budget", "car"))
+
+
 class ConfigError(Exception):
     """Invalid or unknown configuration input."""
 
@@ -104,7 +109,10 @@ class RunConfig:
             raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
 
     def getint(self, section: str, key: str) -> int:
-        return int(self.getfloat(section, key))
+        val = self.getfloat(section, key)
+        if not val.is_integer():
+            raise ConfigError(f"[{section}] {key}: not an integer: {self.get(section, key)!r}")
+        return int(val)
 
     def getbool(self, section: str, key: str) -> bool:
         raw = self.get(section, key).strip().lower()
@@ -150,7 +158,11 @@ def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) 
         if section not in sections or key not in sections[section]:
             raise ConfigError(f"override targets unknown key [{section}] {key}")
         sections[section][key] = str(val)
-    return RunConfig(sections)
+    cfg = RunConfig(sections)
+    for section, key in _POSITIVE:
+        if not cfg.getfloat(section, key) > 0:
+            raise ConfigError(f"[{section}] {key}: must be positive, got {cfg.get(section, key)!r}")
+    return cfg
 
 
 def build_source_params(cfg: RunConfig) -> core.SourceParams:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 C = 299792458.0  # vacuum speed of light, m/s
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -201,6 +200,7 @@ class BiphotonAmplitude:
                 raise ValueError("gridded values must match the grid shape")
             self.values = values
             self.grid = grid
+            from scipy.interpolate import RegularGridInterpolator
             self._interp = RegularGridInterpolator(
                 (grid.axis1, grid.axis2), values, bounds_error=True)
         else:
@@ -229,10 +229,6 @@ class BiphotonAmplitude:
         except ValueError as exc:
             raise OutOfDomainError(str(exc)) from None
         return out * np.exp(1j * self.phase)
-
-
-def evaluate_amplitude(model: BiphotonAmplitude, omega1, omega2):
-    return model(omega1, omega2)
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.signal import hilbert
 
 from .core import C, FWHM_TO_SIGMA
 from .interferometer import Interferogram, sinc
 
 _FWHM = 1.0 / FWHM_TO_SIGMA  # 2*sqrt(2 ln 2)
+_XTOL = 1e-8  # relative step tolerance of every fit
 
 
 class FitConvergenceError(RuntimeError):
@@ -97,8 +96,9 @@ def _solve(model, jac, p0, x, y):
     explicitly: it was the LM default before scipy 1.16 changed it to
     'jac', and with 'jac' the edge slices of an envelope scan stall.
     """
+    from scipy.optimize import least_squares
     res = least_squares(lambda p: model(p, x) - y, p0, jac=lambda p: jac(p, x),
-                        method="lm", x_scale=1.0, xtol=1e-8,
+                        method="lm", x_scale=1.0, xtol=_XTOL,
                         ftol=1e-14, gtol=1e-14, max_nfev=200 * (len(p0) + 1))
     if not res.success:
         raise FitConvergenceError(f"fit did not converge: {res.message}",
@@ -215,6 +215,7 @@ def fringe_period(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _fringe_init(x, y, offset, lam0):
+    from scipy.signal import hilbert
     yc = y - offset
     a0 = float(np.median(yc))
     if a0 <= 0:
@@ -273,7 +274,11 @@ def fit_fringe(x, y, period_guess: float | None = None,
 
 
 def fit_dip(x, y) -> DipFit:
-    """Fit a Gaussian dip y = A*(1 - V*exp(-(x-x0)^2/2s^2))."""
+    """Fit a Gaussian dip y = A*(1 - V*exp(-(x-x0)^2/2s^2)).
+
+    When V cannot be told from 0 (|V| within its stderr or below the fit
+    tolerance) the center and fwhm stderr are infinite.
+    """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     if len(x) < 8:
@@ -298,6 +303,9 @@ def fit_dip(x, y) -> DipFit:
     names = ("amplitude", "visibility", "center", "fwhm")
     perr = perr.copy()
     perr[3] *= _FWHM
+    if not abs(v) > max(perr[1], _XTOL):
+        # no dip distinguishable from zero: its center and width are not determined
+        perr[2] = perr[3] = np.inf
     return DipFit(visibility=float(v), fwhm=float(abs(s) * _FWHM), center=float(xc),
                   amplitude=float(a), residual_rms=float(rms),
                   stderr=dict(zip(names, map(float, perr))))

@@ -5,10 +5,13 @@ nonnegative) JSI, so the JSI is recovered by the inverse cosine-kernel sum
 
     J(w1, w2) ~ sum_over_lattice (1 - G)(a, b) * cos(w1*a + w2*b) * da*db
 
-evaluated on a requested frequency band.  The transform is computed
-against absolute frequencies; the optional demodulated path evaluates the
-identical sum through band-center-referenced complex kernels, which only
-relaxes the lattice-step validation to the envelope bandwidth.
+evaluated on a requested frequency band.  The sum has one numeric path:
+Re(E1 @ (1 - G) @ E2) with band-center-referenced kernels
+E1 = exp(i (w1 - wr1) a) * exp(i wr1 a) (and likewise E2), into which the
+window, half-plane fold and cell area are folded, so the lattice-sized
+product stays real.  The `demodulate` flag only chooses the lattice-step
+bound: pi / w_max for the absolute frequencies, or pi over the band
+half-width for a carrier-referenced (demodulated) measurement.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BiphotonAmplitude, FrequencyGrid, SampledAmplitude,
-                   SpectralFilter, jsi, sample_on_grid)
+                   SpectralFilter, sample_on_grid)
 from .interferometer import Interferogram, scan_2d
 
 
@@ -120,6 +123,17 @@ def _window(n: int, kind: str) -> np.ndarray:
     raise ValueError(f"unknown window {kind!r}")
 
 
+def _kernel(omega: np.ndarray, t: np.ndarray, step: float, half: bool,
+            window: str) -> np.ndarray:
+    """exp(i omega t) referenced to the band center, times the window, the
+    half-plane fold (for a start-at-zero axis) and the step of delay axis t."""
+    wr = 0.5 * (omega[0] + omega[-1])
+    weight = _window(len(t), window) * step * np.exp(1j * wr * t)
+    if half:
+        weight *= np.where(np.abs(t) < 1e-9 * step, 1.0, 2.0)
+    return np.exp(1j * np.outer(omega - wr, t)) * weight
+
+
 def reconstruct_jsi(interferogram: Interferogram, band: FrequencyGrid,
                     window: str = "none", demodulate: bool = False) -> JsiEstimate:
     """Inverse cosine-kernel transform of 1 - G onto the band grid.
@@ -128,37 +142,17 @@ def reconstruct_jsi(interferogram: Interferogram, band: FrequencyGrid,
     pre-clip negative mass is reported as a truncation diagnostic.
     """
     lattice = DelayLattice.from_interferogram(interferogram)
-    for i, ax in enumerate(interferogram.axes, start=1):
+    kernels = []
+    for i, (ax, omega) in enumerate(zip(interferogram.axes, (band.axis1, band.axis2)), start=1):
         bound = _axis_bound(band, i, demodulate)
         if ax.step > bound * (1.0 + 1e-9):
             raise AliasingError(ax.name, ax.step, bound)
-
-    a = lattice.axis(1)
-    b = lattice.axis(2)
-    h = (1.0 - interferogram.values).astype(float)
-    w1 = _window(len(a), window)
-    w2 = _window(len(b), window)
-    # fill the missing half-plane for a start-at-zero axis
-    fold1 = np.where(np.abs(a) < 1e-9 * lattice.step1, 1.0, 2.0) \
-        if lattice.axis_mode(1) == "half" else np.ones(len(a))
-    fold2 = np.where(np.abs(b) < 1e-9 * lattice.step2, 1.0, 2.0) \
-        if lattice.axis_mode(2) == "half" else np.ones(len(b))
-    hw = h * (w1 * fold1)[:, None] * (w2 * fold2)[None, :] * lattice.step1 * lattice.step2
-
-    if demodulate:
-        wr1 = 0.5 * (band.omega1_min + band.omega1_max)
-        wr2 = 0.5 * (band.omega2_min + band.omega2_max)
-        carrier = np.exp(1j * wr1 * a)[:, None] * np.exp(1j * wr2 * b)[None, :]
-        hc = hw * carrier
-        e1 = np.exp(1j * np.outer(band.axis1 - wr1, a))   # (n1, na)
-        e2 = np.exp(1j * np.outer(b, band.axis2 - wr2))   # (nb, n2)
-        est = (e1 @ hc @ e2).real
-    else:
-        c1 = np.cos(np.outer(band.axis1, a))
-        s1 = np.sin(np.outer(band.axis1, a))
-        c2 = np.cos(np.outer(b, band.axis2))
-        s2 = np.sin(np.outer(b, band.axis2))
-        est = c1 @ hw @ c2 - s1 @ hw @ s2
+        kernels.append(_kernel(omega, ax.values, ax.step, lattice.axis_mode(i) == "half",
+                               window))
+    (a, b), (c, d) = ((k.real, k.imag) for k in kernels)
+    # Re((A + iB) h (C + iD)^T) = A h C^T - B h D^T, with the large product real
+    p = np.vstack([a, b]) @ (1.0 - interferogram.values)
+    est = p[:band.n1] @ c.T - p[band.n1:] @ d.T
 
     total_abs = np.sum(np.abs(est))
     degenerate = False
@@ -185,8 +179,12 @@ def roundtrip_error(model: BiphotonAmplitude,
     ig = scan_2d(sampled, sampled,
                  (lattice.start1, lattice.step1, lattice.count1),
                  (lattice.start2, lattice.step2, lattice.count2))
-    est = reconstruct_jsi(ig, grid, window=window, demodulate=demodulate)
-    true = jsi(sampled)
-    true = true / (np.sum(true) * grid.measure)
-    diff = est.values - true
-    return float(np.linalg.norm(diff) / np.linalg.norm(true))
+    return l2_error(reconstruct_jsi(ig, grid, window=window, demodulate=demodulate), sampled)
+
+
+def l2_error(est: JsiEstimate, sampled: SampledAmplitude) -> float:
+    """Relative L2 error of a JSI estimate against the JSI of the amplitude
+    it was reconstructed from (both on the estimate's band grid)."""
+    true = sampled.jsi()
+    true = true / (np.sum(true) * est.band.measure)
+    return float(np.linalg.norm(est.values - true) / np.linalg.norm(true))

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from biphoton import cli, core
 from biphoton import interferometer as ifm
+from biphoton import reconstruction as rec
 from biphoton.config import ConfigError, build_jitter, build_model, build_source_params, load_config
 
 
@@ -92,6 +99,20 @@ class TestCliExitCodes:
         assert code == cli.EXIT_ALIASING
         report = read_report(tmp_path / "o" / "recon_report.txt")
         assert "required_step_s" in report
+
+    @pytest.mark.parametrize("override,command,message", [
+        ("grid.n=0", "fringe", "must be positive"),
+        ("scan.dip_step_um=0", "hom-dip", "must be positive"),
+        ("budget.car=0", "budget", "must be positive"),
+        ("grid.n=256.7", "fringe", "not an integer"),
+        ("scan.dip_halfspan_mm=0", "hom-dip", "shorter than one scan step"),
+        ("scan.x1_halfspan_mm=0", "scan2d", "shorter than one scan step"),
+    ])
+    def test_bad_values_are_config_errors(self, tmp_path, capsys, override, command, message):
+        code = cli.main(["--out", str(tmp_path / "o"), "--noiseless",
+                         "--set", override, command])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_reconstruct_rejects_lattice_without_origin(self, tmp_path):
         ax1 = ifm.Axis("delta_tau_S", 0.5e-15, 1e-15, 4)
@@ -201,9 +222,34 @@ class TestReconstructCommand:
         assert float(report["correlation"]) == pytest.approx(-0.9, abs=0.05)
         assert (out / "jsi.csv").exists()
 
+    def test_scans_and_inverts_once(self, tmp_path, monkeypatch):
+        calls, seen = Counter(), {}
+
+        def spy(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                seen[name] = (args, fn(*args, **kwargs))
+                return seen[name][1]
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((core, "sample_on_grid"), (ifm, "scan_2d"),
+                             (rec, "reconstruct_jsi"), (rec, "l2_error")):
+            spy(module, name)
+        out = tmp_path / "o"
+        assert cli.main(["--out", str(out), "reconstruct"]) == cli.EXIT_OK
+        assert calls == {"sample_on_grid": 1, "scan_2d": 1, "reconstruct_jsi": 1,
+                         "l2_error": 1}
+        (model, grid), _ = seen["sample_on_grid"]
+        err = seen["l2_error"][1]
+        lattice = rec.DelayLattice.from_interferogram(seen["scan_2d"][1])
+        expected = rec.roundtrip_error(model, None, None, grid, lattice, demodulate=True)
+        assert err == pytest.approx(expected, rel=1e-9)
+        assert read_report(out / "recon_report.txt")["roundtrip_l2_error"] == f"{err:.6g}"
+
     def test_external_csv_input(self, tmp_path, reference_sampled):
         # reconstruct from a CSV written by the engine
-        from biphoton import reconstruction as rec
         sigma = 7e12
         model = core.BiphotonAmplitude.gaussian(1.23e15, 1.20e15, sigma, sigma, rho=0.0)
         grid = core.grid_for_gaussian(model, n=48)
@@ -237,3 +283,11 @@ class TestScan2dCommand:
         report = read_report(out / "envelope_report.txt")
         assert report["entangled_signature"] == "True"
         assert (out / "scan2d.csv").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, biphoton.cli; biphoton.cli.load_config(); "
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -138,6 +138,7 @@ class TestFitDip:
         fit = fitting.fit_dip(x, np.full(101, 2.0))
         assert abs(fit.visibility) < 1e-3
         assert fit.stderr["fwhm"] > 0 or fit.stderr["visibility"] >= 0
+        assert np.isinf(fit.stderr["center"]) and np.isinf(fit.stderr["fwhm"])
 
     def test_insufficient_points(self):
         with pytest.raises(fitting.InsufficientDataError):

@@ -128,6 +128,17 @@ class TestScans:
                 g = ifm.gamma(reference_sampled, reference_sampled, ig.coords(0)[i], ig.coords(1)[j])
                 assert 1.0 - ig.values[i, j] == pytest.approx(g.real, abs=1e-12)
 
+    def test_scans_match_complex_lattice(self, reference_sampled):
+        # the real-arithmetic scans against 1 - Re of the complex reference
+        ph = reference_sampled
+        ig = ifm.scan_2d(ph, ph, (-2e-12, 1e-13, 41), (-3e-12, 1e-13, 61))
+        ref = 1.0 - ifm.gamma_lattice(ph, ph, ig.coords(0), ig.coords(1)).real
+        assert np.max(np.abs(ig.values - ref)) <= 1e-12
+        row = ifm.scan_1d(ph, ph, "L", ig.coords(0)[7], -3e-12, 1e-13, 61)
+        col = ifm.scan_1d(ph, ph, "S", ig.coords(1)[9], -2e-12, 1e-13, 41)
+        assert np.max(np.abs(row.values - ref[7])) <= 1e-12
+        assert np.max(np.abs(col.values - ref[:, 9])) <= 1e-12
+
     def test_scan_axis_validation(self, small_gaussian):
         _, _, sampled = small_gaussian
         with pytest.raises(ValueError):

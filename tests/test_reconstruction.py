@@ -199,7 +199,7 @@ def test_demodulated_path_agrees_with_direct():
     demod = rec.reconstruct_jsi(ig, grid, demodulate=True)
     rel = (np.linalg.norm(demod.values - direct.values)
            / np.linalg.norm(direct.values))
-    assert rel < 0.01
+    assert rel <= 1e-9
 
 
 def test_pure_math_cosine_series_self_adjoint():
