@@ -29,7 +29,6 @@ from .core import C, FWHM_TO_SIGMA
 from .interferometer import Interferogram, sinc
 
 _FWHM = 1.0 / FWHM_TO_SIGMA  # 2*sqrt(2 ln 2)
-_XTOL = 1e-8  # relative step tolerance of every fit
 
 
 class FitConvergenceError(RuntimeError):
@@ -98,7 +97,7 @@ def _solve(model, jac, p0, x, y):
     """
     from scipy.optimize import least_squares
     res = least_squares(lambda p: model(p, x) - y, p0, jac=lambda p: jac(p, x),
-                        method="lm", x_scale=1.0, xtol=_XTOL,
+                        method="lm", x_scale=1.0, xtol=1e-8,
                         ftol=1e-14, gtol=1e-14, max_nfev=200 * (len(p0) + 1))
     if not res.success:
         raise FitConvergenceError(f"fit did not converge: {res.message}",
@@ -276,8 +275,8 @@ def fit_fringe(x, y, period_guess: float | None = None,
 def fit_dip(x, y) -> DipFit:
     """Fit a Gaussian dip y = A*(1 - V*exp(-(x-x0)^2/2s^2)).
 
-    When V cannot be told from 0 (|V| within its stderr or below the fit
-    tolerance) the center and fwhm stderr are infinite.
+    center and fwhm get an infinite stderr when V cannot be told from 0:
+    |V| within its stderr, or a dip depth |A*V| below the data's rounding.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
@@ -303,8 +302,7 @@ def fit_dip(x, y) -> DipFit:
     names = ("amplitude", "visibility", "center", "fwhm")
     perr = perr.copy()
     perr[3] *= _FWHM
-    if not abs(v) > max(perr[1], _XTOL):
-        # no dip distinguishable from zero: its center and width are not determined
+    if abs(v) <= perr[1] or abs(a * v) <= np.finfo(float).eps * np.max(np.abs(y)):
         perr[2] = perr[3] = np.inf
     return DipFit(visibility=float(v), fwhm=float(abs(s) * _FWHM), center=float(xc),
                   amplitude=float(a), residual_rms=float(rms),

@@ -7,8 +7,7 @@ The numerical kernel is the overlap integral
 
 evaluated as a midpoint-rule double sum, with the normalized coincidence
 rate G = 1 - Re(Gamma) in [0, 2].  Lattice scans reuse the factored form
-E1 @ M @ E2^T, which is the same double sum reassociated; the scans form
-only its real part.
+E1 @ M @ E2^T, which is the same double sum reassociated.
 """
 
 from __future__ import annotations
@@ -116,20 +115,24 @@ def gamma(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
 
 
 def gamma_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
-                  s_delays: np.ndarray, l_delays: np.ndarray) -> np.ndarray:
-    """Gamma on the product lattice s_delays x l_delays.
+                  s_delays: np.ndarray, l_delays: np.ndarray, real: bool = False) -> np.ndarray:
+    """Gamma on the product lattice s_delays x l_delays; only Re(Gamma), as
+    a real array, when `real` is set.
 
     Factored evaluation of the same double sum: exp(-i w1 a) and
-    exp(-i w2 b) are separable, so the sum is two matrix products.
+    exp(-i w2 b) are separable, so the sum is two matrix products.  The
+    first, P = E1 @ M, is small; Re(P @ E2) is then one real product.
     """
     _check_same_grid(phi_a, phi_b)
     g = phi_a.grid
     s = np.atleast_1d(np.asarray(s_delays, float))
     l = np.atleast_1d(np.asarray(l_delays, float))
     m = phi_a.values * np.conj(phi_b.values) * g.measure
-    e1 = np.exp(-1j * np.outer(s, g.axis1))        # (ns, n1)
-    e2 = np.exp(-1j * np.outer(g.axis2, l))        # (n2, nl)
-    return e1 @ m @ e2
+    p = np.exp(-1j * np.outer(s, g.axis1)) @ m     # (ns, n2)
+    phase = np.outer(g.axis2, l)                   # (n2, nl)
+    if real:
+        return np.hstack([p.real, p.imag]) @ np.vstack([np.cos(phase), np.sin(phase)])
+    return p @ np.exp(-1j * phase)
 
 
 def coincidence_rate(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
@@ -191,30 +194,19 @@ def sinc_envelope(width: float):
     return lambda dt: sinc(np.asarray(dt, float) / width)
 
 
-def _rate_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
-                  s_delays: np.ndarray, l_delays: np.ndarray) -> np.ndarray:
-    """G = 1 - Re(Gamma) on the product lattice s_delays x l_delays: with the
-    small P = E1 @ M and E2 = exp(-i w2 l), Re(P @ E2) is one real product."""
-    _check_same_grid(phi_a, phi_b)
-    g = phi_a.grid
-    m = phi_a.values * np.conj(phi_b.values) * g.measure
-    p = np.exp(-1j * np.outer(s_delays, g.axis1)) @ m       # (ns, n2)
-    phase = np.outer(g.axis2, l_delays)                     # (n2, nl)
-    rate = np.hstack([p.real, p.imag]) @ np.vstack([np.cos(phase), np.sin(phase)])
-    return np.subtract(1.0, rate, out=rate)
-
-
 def scan_1d(phi_a: SampledAmplitude, phi_b: SampledAmplitude, axis: str,
             fixed_other_delay: float, start: float, step: float, count: int) -> Interferogram:
     """1D coincidence scan along the S or L delay axis."""
     if axis not in ("S", "L"):
         raise ValueError("axis must be 'S' or 'L'")
     delays = start + step * np.arange(count)
-    fixed = np.array([fixed_other_delay])
     if axis == "L":
-        g, name = _rate_lattice(phi_a, phi_b, fixed, delays)[0], "delta_tau_L"
+        gam = gamma_lattice(phi_a, phi_b, fixed_other_delay, delays, real=True)[0]
+        name = "delta_tau_L"
     else:
-        g, name = _rate_lattice(phi_a, phi_b, delays, fixed)[:, 0], "delta_tau_S"
+        gam = gamma_lattice(phi_a, phi_b, delays, fixed_other_delay, real=True)[:, 0]
+        name = "delta_tau_S"
+    g = 1.0 - gam
     meta = {"fixed_axis": "S" if axis == "L" else "L",
             "fixed_delay": fixed_other_delay}
     return Interferogram((Axis(name, start, step, count),), g, metadata=meta)
@@ -225,7 +217,8 @@ def scan_2d(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
     """Full 2D coincidence lattice over (delta_tau_S, delta_tau_L)."""
     ax_s = Axis("delta_tau_S", *s_axis)
     ax_l = Axis("delta_tau_L", *l_axis)
-    return Interferogram((ax_s, ax_l), _rate_lattice(phi_a, phi_b, ax_s.values, ax_l.values))
+    gam = gamma_lattice(phi_a, phi_b, ax_s.values, ax_l.values, real=True)
+    return Interferogram((ax_s, ax_l), np.subtract(1.0, gam, out=gam))
 
 
 def write_interferogram_csv(ig: Interferogram, path) -> None:

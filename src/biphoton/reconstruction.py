@@ -5,13 +5,10 @@ nonnegative) JSI, so the JSI is recovered by the inverse cosine-kernel sum
 
     J(w1, w2) ~ sum_over_lattice (1 - G)(a, b) * cos(w1*a + w2*b) * da*db
 
-evaluated on a requested frequency band.  The sum has one numeric path:
-Re(E1 @ (1 - G) @ E2) with band-center-referenced kernels
-E1 = exp(i (w1 - wr1) a) * exp(i wr1 a) (and likewise E2), into which the
-window, half-plane fold and cell area are folded, so the lattice-sized
-product stays real.  The `demodulate` flag only chooses the lattice-step
-bound: pi / w_max for the absolute frequencies, or pi over the band
-half-width for a carrier-referenced (demodulated) measurement.
+evaluated on a requested frequency band as Re(E1 @ (1 - G) @ E2^T), with
+band-center-referenced kernels that carry the window, half-plane fold and
+cell area, so the lattice-sized product is real.  `demodulate` only
+relaxes the lattice-step bound from pi / w_max to pi over the band half-width.
 """
 
 from __future__ import annotations
@@ -184,7 +181,9 @@ def roundtrip_error(model: BiphotonAmplitude,
 
 def l2_error(est: JsiEstimate, sampled: SampledAmplitude) -> float:
     """Relative L2 error of a JSI estimate against the JSI of the amplitude
-    it was reconstructed from (both on the estimate's band grid)."""
+    it was reconstructed from, which must be sampled on the estimate's band."""
+    if sampled.grid != est.band:
+        raise ValueError("the amplitude is not sampled on the estimate's band grid")
     true = sampled.jsi()
     true = true / (np.sum(true) * est.band.measure)
     return float(np.linalg.norm(est.values - true) / np.linalg.norm(true))

@@ -186,20 +186,53 @@ def test_demodulation_relaxes_sampling_bound():
     assert not est.degenerate
 
 
+def brute_force_jsi(ig, band, window):
+    """sum h * w * fold * cos(w1 a + w2 b) da db over the lattice, term by
+    term with np.cos, then clipped and normalised to a unit integral."""
+    ax_a, ax_b = ig.axes
+    a, b = ax_a.values, ax_b.values
+    weight = np.ones((len(a), len(b)))
+    if window == "hann":
+        weight *= np.outer(np.hanning(len(a)), np.hanning(len(b)))
+    if a[0] == 0.0:  # half axis: the a < 0 half-plane mirrors the a > 0 one
+        weight *= np.where(a == 0.0, 1.0, 2.0)[:, None]
+    hw = (1.0 - ig.values) * weight * ax_a.step * ax_b.step
+    est = np.array([[np.sum(hw * np.cos(w1 * a[:, None] + w2 * b[None, :]))
+                     for w2 in band.axis2] for w1 in band.axis1])
+    est = np.clip(est, 0.0, None)
+    return est / (np.sum(est) * band.measure)
+
+
 def test_demodulated_path_agrees_with_direct():
-    sigma = 7e12
-    model = core.BiphotonAmplitude.gaussian(1.23e15, 1.20e15, sigma, sigma, rho=-0.5)
-    grid = core.grid_for_gaussian(model, n=48)
-    lattice = make_lattice(grid, sigma, -0.5)
+    # small unit-free band so the lattice stays small enough to sum term by term
+    sigma = 0.7
+    model = core.BiphotonAmplitude.gaussian(12.3, 12.0, sigma, sigma, rho=-0.5)
+    grid = core.grid_for_gaussian(model, n=16)
+    full = make_lattice(grid, sigma, -0.5)
+    sampled = core.sample_on_grid(model, grid)
+    half = (full.count1 - 1) // 2
+    for window, s_axis in (("hann", (full.start1, full.step1, full.count1)),
+                           ("none", (0.0, full.step1, half + 1))):
+        ig = ifm.scan_2d(sampled, sampled, s_axis, (full.start2, full.step2, full.count2))
+        direct = brute_force_jsi(ig, grid, window)
+        for demodulate in (False, True):
+            est = rec.reconstruct_jsi(ig, grid, window=window, demodulate=demodulate)
+            rel = np.linalg.norm(est.values - direct) / np.linalg.norm(direct)
+            assert rel <= 1e-9, (window, demodulate, rel)
+
+
+def test_l2_error_rejects_amplitude_on_another_grid():
+    model = core.BiphotonAmplitude.gaussian(12.3, 12.0, 0.7, 0.7, rho=-0.5)
+    grid = core.grid_for_gaussian(model, n=16)
+    lattice = make_lattice(grid, 0.7, -0.5)
     sampled = core.sample_on_grid(model, grid)
     ig = ifm.scan_2d(sampled, sampled,
                      (lattice.start1, lattice.step1, lattice.count1),
                      (lattice.start2, lattice.step2, lattice.count2))
-    direct = rec.reconstruct_jsi(ig, grid, demodulate=False)
-    demod = rec.reconstruct_jsi(ig, grid, demodulate=True)
-    rel = (np.linalg.norm(demod.values - direct.values)
-           / np.linalg.norm(direct.values))
-    assert rel <= 1e-9
+    est = rec.reconstruct_jsi(ig, grid)
+    assert rec.l2_error(est, sampled) == rec.roundtrip_error(model, None, None, grid, lattice)
+    with pytest.raises(ValueError, match="band grid"):
+        rec.l2_error(est, core.sample_on_grid(model, core.grid_for_gaussian(model, n=20)))
 
 
 def test_pure_math_cosine_series_self_adjoint():
