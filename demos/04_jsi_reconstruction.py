@@ -33,8 +33,7 @@ def main():
                          (lattice.start2, lattice.step2, lattice.count2))
         est = rec.reconstruct_jsi(ig, grid, demodulate=True)
 
-        truth = core.jsi(sampled)
-        err = np.linalg.norm(est.values - truth) / np.linalg.norm(truth)
+        err = rec.l2_error(est, sampled)
         corr = core.jsi_correlation(est.values, grid)
         print(f"rho = {rho:+.1f}: lattice {lattice.count1}x{lattice.count2}, "
               f"relative L2 error {err:.2e}, recovered correlation {corr:+.3f}, "

@@ -2,6 +2,10 @@
 
 Subcommands: fringe | hom-dip | scan2d | reconstruct | budget.
 Exit codes: 0 success, 2 config error, 3 fit non-convergence, 4 aliasing.
+
+Each subcommand is a body `(cfg, args) -> report lines` in `COMMANDS`; a
+body writes its own data file and raises on failure. `main` maps the
+failure to its exit code and writes the report and `resolved_config.cfg`.
 """
 
 from __future__ import annotations
@@ -30,21 +34,18 @@ def _prepare(cfg: RunConfig):
     model = build_model(cfg, src)
     grid = core.grid_for_filters(f1, f2, n=cfg.getint("grid", "n"))
     sampled = core.sample_on_grid(model, grid, f1, f2)
-    return src, f1, f2, sampled
+    return src, sampled
 
 
-def _write_report(path: Path, cfg: RunConfig, lines: list[str]) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# config_sha256={cfg.sha256()}\n")
-        for line in lines:
-            fh.write(line + "\n")
+def _noisy(cfg: RunConfig, ig: ifm.Interferogram, seed: int) -> ifm.Interferogram:
+    """`ig` with Poisson counts drawn for the configured budget and detector."""
+    return detector.rate_to_counts(ig, build_budget(cfg), build_detector(cfg),
+                                   cfg.getfloat("scan", "bin_duration_s"), seed)
 
 
-def _write_outputs(out: Path, cfg: RunConfig, ig: ifm.Interferogram, csv_name: str) -> None:
-    out.mkdir(parents=True, exist_ok=True)
+def _write_csv(out: Path, cfg: RunConfig, ig: ifm.Interferogram, name: str) -> None:
     ig = dataclasses.replace(ig, metadata={**ig.metadata, "config_sha256": cfg.sha256()})
-    ig.to_csv(out / csv_name)
-    (out / "resolved_config.cfg").write_text(cfg.resolved_text())
+    ig.to_csv(out / name)
 
 
 def _symmetric_positions(half: float, step: float, key: str) -> np.ndarray:
@@ -55,39 +56,25 @@ def _symmetric_positions(half: float, step: float, key: str) -> np.ndarray:
     return step * np.arange(-n, n + 1)
 
 
-def _fringe_positions(cfg: RunConfig):
+def _fringe(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
+    _, sampled = _prepare(cfg)
     half = cfg.getfloat("scan", "fringe_halfspan_mm") * 1e-3
     step = cfg.getfloat("scan", "fringe_step_um") * 1e-6
-    return _symmetric_positions(half, step, "fringe_halfspan_mm")  # delta_x2 positions, m
-
-
-def cmd_fringe(cfg: RunConfig, out: Path, noiseless: bool, seed: int) -> int:
-    src, f1, f2, sampled = _prepare(cfg)
-    x2 = _fringe_positions(cfg)
+    x2 = _symmetric_positions(half, step, "fringe_halfspan_mm")  # delta_x2 positions, m
+    bound = rec.nyquist_step(sampled.grid)
+    if step / core.C > bound:
+        raise rec.AliasingError("delta_tau_L", step / core.C, bound)
     # delta_tau_L = -delta_x2/c; scan over an ascending delay axis
     taus = np.sort(-x2 / core.C)
     ig = ifm.scan_1d(sampled, sampled, "L", 0.0, taus[0], taus[1] - taus[0], len(taus))
     x = fitting.delay_to_position(ig.coords(0), "delta_tau_L")
     order = np.argsort(x)
-    if noiseless:
-        y = ig.values[order]
-    else:
-        budget, det = build_budget(cfg), build_detector(cfg)
-        noisy = detector.rate_to_counts(ig, budget, det,
-                                        cfg.getfloat("scan", "bin_duration_s"), seed)
-        acc = detector.accidentals(budget.singles_rate_1, budget.singles_rate_2,
-                                   det.trigger_rate)
-        net = detector.subtract_accidentals(noisy.counts, acc,
-                                            cfg.getfloat("scan", "bin_duration_s"))
-        ig = noisy
-        y = net[order]
-    _write_outputs(out, cfg, ig, "fringe.csv")
-    try:
-        fit = fitting.fit_fringe(x[order], y)
-    except (fitting.FitConvergenceError, fitting.InsufficientDataError,
-            fitting.NoPeriodError) as exc:
-        _write_report(out / "fit_report.txt", cfg, [f"error: {exc}"])
-        return EXIT_FIT
+    y = ig.values
+    if not args.noiseless:
+        ig = _noisy(cfg, ig, args.seed)
+        y = ig.counts - ig.metadata["accidental_counts"]
+    _write_csv(args.out, cfg, ig, "fringe.csv")
+    fit = fitting.fit_fringe(x[order], y[order])
     lines = [
         f"visibility: {fit.visibility:.6f} +- {fit.stderr['visibility']:.6f}",
         f"period_nm: {fit.period * 1e9:.4f} +- {fit.stderr['period'] * 1e9:.4f}",
@@ -97,8 +84,9 @@ def cmd_fringe(cfg: RunConfig, out: Path, noiseless: bool, seed: int) -> int:
         f"phase_rad: {fit.phase:.6f}",
         f"residual_rms: {fit.residual_rms:.6g}",
     ]
-    _write_report(out / "fit_report.txt", cfg, lines)
-    return EXIT_OK
+    if fit.visibility - 1.0 > fit.stderr["visibility"]:
+        lines.append("warning: visibility exceeds 1 by more than its stderr")
+    return lines
 
 
 def _ideal_dip_profile(cfg: RunConfig, src: core.SourceParams):
@@ -120,69 +108,46 @@ def _ideal_dip_profile(cfg: RunConfig, src: core.SourceParams):
     return dt, vis
 
 
-def cmd_hom_dip(cfg: RunConfig, out: Path, noiseless: bool, seed: int) -> int:
-    src = build_source_params(cfg)
-    dt, vis = _ideal_dip_profile(cfg, src)
+def _hom_dip(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
+    dt, vis = _ideal_dip_profile(cfg, build_source_params(cfg))
     jitter = build_jitter(cfg)
-    v_cap = cfg.getfloat("jitter", "v_cap")
-    profile = detector.independent_hom_dip(dt, vis, jitter, v_cap=v_cap)
-    g = 1.0 - profile
-    ax = ifm.Axis("delta_tau", dt[0], dt[1] - dt[0], len(dt))
-    ig = ifm.Interferogram((ax,), g)
-    x = core.C * dt
-    if noiseless:
-        y = g
-    else:
-        budget, det = build_budget(cfg), build_detector(cfg)
-        noisy = detector.rate_to_counts(ig, budget, det,
-                                        cfg.getfloat("scan", "bin_duration_s"), seed)
-        ig = noisy
-        y = noisy.counts
-    _write_outputs(out, cfg, ig, "dip.csv")
-    try:
-        fit = fitting.fit_dip(x, y)
-    except (fitting.FitConvergenceError, fitting.InsufficientDataError) as exc:
-        _write_report(out / "fit_report.txt", cfg, [f"error: {exc}"])
-        return EXIT_FIT
-    lines = [
+    g = 1.0 - detector.independent_hom_dip(dt, vis, jitter, v_cap=cfg.getfloat("jitter", "v_cap"))
+    ig = ifm.Interferogram((ifm.Axis("delta_tau", dt[0], dt[1] - dt[0], len(dt)),), g)
+    y = g
+    if not args.noiseless:
+        ig = _noisy(cfg, ig, args.seed)
+        y = ig.counts
+    _write_csv(args.out, cfg, ig, "dip.csv")
+    fit = fitting.fit_dip(core.C * dt, y)
+    return [
         f"visibility_percent: {fit.visibility * 100:.4f} +- {fit.stderr['visibility'] * 100:.4f}",
         f"fwhm_mm: {fit.fwhm * 1e3:.4f} +- {fit.stderr['fwhm'] * 1e3:.4f}",
         f"center_um: {fit.center * 1e6:.4f}",
         f"jitter_fwhm_ps: {jitter.combined_fwhm * 1e12:.4f}",
         f"residual_rms: {fit.residual_rms:.6g}",
     ]
-    _write_report(out / "fit_report.txt", cfg, lines)
-    return EXIT_OK
 
 
-def cmd_scan2d(cfg: RunConfig, out: Path, noiseless: bool, seed: int) -> int:
-    src, f1, f2, sampled = _prepare(cfg)
+def _scan2d(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
+    src, sampled = _prepare(cfg)
     x1_half = cfg.getfloat("scan", "x1_halfspan_mm") * 1e-3
     x1_step = cfg.getfloat("scan", "x1_step_mm") * 1e-3
     x1 = _symmetric_positions(x1_half, x1_step, "x1_halfspan_mm")
     fringe_half = cfg.getfloat("scan", "fringe_halfspan_mm") * 1e-3
     step = cfg.getfloat("scan", "fringe_step_um") * 1e-6
     # the fringe ridge tracks delta_x2 = -delta_x1; cover it for every slice
-    half2 = x1_half + fringe_half
-    x2 = _symmetric_positions(half2, step, "fringe_halfspan_mm")
+    x2 = _symmetric_positions(x1_half + fringe_half, step, "fringe_halfspan_mm")
     tau_s = x1 / core.C
     tau_l = np.sort(-x2 / core.C)
     ig = ifm.scan_2d(sampled, sampled,
                      (tau_s[0], tau_s[1] - tau_s[0], len(tau_s)),
                      (tau_l[0], tau_l[1] - tau_l[0], len(tau_l)))
-    if not noiseless:
-        budget, det = build_budget(cfg), build_detector(cfg)
-        ig = detector.rate_to_counts(ig, budget, det,
-                                     cfg.getfloat("scan", "bin_duration_s"), seed)
-    _write_outputs(out, cfg, ig, "scan2d.csv")
-    period = src.idler_center_wavelength
-    try:
-        env = fitting.visibility_envelope(ig, axis="L", period_guess=period)
-    except fitting.FitConvergenceError as exc:
-        _write_report(out / "envelope_report.txt", cfg, [f"error: {exc}"])
-        return EXIT_FIT
+    if not args.noiseless:
+        ig = _noisy(cfg, ig, args.seed)
+    _write_csv(args.out, cfg, ig, "scan2d.csv")
+    env = fitting.visibility_envelope(ig, axis="L", period_guess=src.idler_center_wavelength)
     slope = fitting.ridge_slope(env)
-    lines = [
+    return [
         f"peak_visibility: {env.fit.peak_visibility:.6f}",
         f"envelope_center_mm: {env.fit.center * 1e3:.6f}",
         f"envelope_fwhm_mm: {env.fit.fwhm * 1e3:.6f} +- {env.fit.stderr['fwhm'] * 1e3:.6f}",
@@ -190,12 +155,9 @@ def cmd_scan2d(cfg: RunConfig, out: Path, noiseless: bool, seed: int) -> int:
         f"entangled_signature: {abs(slope) > 0.5}",
         f"slices_failed: {len(env.failed)}",
     ]
-    _write_report(out / "envelope_report.txt", cfg, lines)
-    return EXIT_OK
 
 
-def cmd_reconstruct(cfg: RunConfig, out: Path, input_csv: str | None) -> int:
-    band_n = cfg.getint("reconstruct", "band_n")
+def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     window = cfg.get("reconstruct", "window")
     demod = cfg.getbool("reconstruct", "demodulate")
     src = build_source_params(cfg)
@@ -204,37 +166,23 @@ def cmd_reconstruct(cfg: RunConfig, out: Path, input_csv: str | None) -> int:
     sigma = cfg.getfloat("reconstruct", "sigma_rad_per_ps") * 1e12
     rho = cfg.getfloat("reconstruct", "rho")
     model = core.BiphotonAmplitude.gaussian(wc1, wc2, sigma, sigma, rho=rho)
-    grid = core.grid_for_gaussian(model, n=band_n)
-    lines: list[str] = []
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        if input_csv is not None:
-            ig = ifm.read_interferogram_csv(input_csv)
-            rec.DelayLattice.from_interferogram(ig)
-            est = rec.reconstruct_jsi(ig, grid, window=window, demodulate=demod)
-            err = None
-        else:
-            # Gamma decays slowest along the correlation ridge; span the
-            # lattice to cover that axis, not just the marginal width.
-            coh = np.sqrt(2.0) / (sigma * np.sqrt(1.0 - abs(rho)))
-            span = cfg.getfloat("reconstruct", "span_coherence_times")
-            step = cfg.getfloat("reconstruct", "step_fraction") * rec.nyquist_step(grid)
-            half_count = int(np.ceil(span * coh / step))
-            lattice = rec.DelayLattice.symmetric(step, half_count, step, half_count)
-            sampled = core.sample_on_grid(model, grid)
-            ig = ifm.scan_2d(sampled, sampled,
-                             (lattice.start1, lattice.step1, lattice.count1),
-                             (lattice.start2, lattice.step2, lattice.count2))
-            est = rec.reconstruct_jsi(ig, grid, window=window, demodulate=demod)
-            err = rec.l2_error(est, sampled)
-    except rec.AliasingError as exc:
-        _write_report(out / "recon_report.txt", cfg,
-                      [f"error: {exc}", f"required_step_s: {exc.required_step!r}"])
-        return EXIT_ALIASING
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    with open(out / "jsi.csv", "w") as fh:
+    grid = core.grid_for_gaussian(model, n=cfg.getint("reconstruct", "band_n"))
+    if args.input is not None:
+        ig, sampled = ifm.read_interferogram_csv(args.input), None
+    else:
+        # Gamma decays slowest along the correlation ridge; span the
+        # lattice to cover that axis, not just the marginal width.
+        coh = np.sqrt(2.0) / (sigma * np.sqrt(1.0 - abs(rho)))
+        span = cfg.getfloat("reconstruct", "span_coherence_times")
+        step = cfg.getfloat("reconstruct", "step_fraction") * rec.nyquist_step(grid)
+        half_count = int(np.ceil(span * coh / step))
+        lattice = rec.DelayLattice.symmetric(step, half_count, step, half_count)
+        sampled = core.sample_on_grid(model, grid)
+        ig = ifm.scan_2d(sampled, sampled,
+                         (lattice.start1, lattice.step1, lattice.count1),
+                         (lattice.start2, lattice.step2, lattice.count2))
+    est = rec.reconstruct_jsi(ig, grid, window=window, demodulate=demod)
+    with open(args.out / "jsi.csv", "w") as fh:
         fh.write(f"# omega1 axis,{grid.omega1_min!r},{grid.d1!r},{grid.n1}\n")
         fh.write(f"# omega2 axis,{grid.omega2_min!r},{grid.d2!r},{grid.n2}\n")
         fh.write(f"# config_sha256={cfg.sha256()}\n")
@@ -248,16 +196,13 @@ def cmd_reconstruct(cfg: RunConfig, out: Path, input_csv: str | None) -> int:
         f"negativity_fraction: {est.negativity_fraction:.6g}",
         f"correlation: {corr:.4f}",
     ]
-    if err is not None:
-        lines.append(f"roundtrip_l2_error: {err:.6g}")
-    _write_report(out / "recon_report.txt", cfg, lines)
-    (out / "resolved_config.cfg").write_text(cfg.resolved_text())
-    return EXIT_OK
+    if sampled is not None:
+        lines.append(f"roundtrip_l2_error: {rec.l2_error(est, sampled):.6g}")
+    return lines
 
 
-def cmd_budget(cfg: RunConfig, out: Path | None) -> int:
-    budget = build_budget(cfg)
-    det = build_detector(cfg)
+def _budget(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
+    budget, det = build_budget(cfg), build_detector(cfg)
     acc = detector.accidentals(budget.singles_rate_1, budget.singles_rate_2,
                                det.trigger_rate)
     pair_p = detector.pair_probability_from_car(budget.car)
@@ -269,12 +214,18 @@ def cmd_budget(cfg: RunConfig, out: Path | None) -> int:
         f"singles_rate_2_hz: {budget.singles_rate_2!r}",
         f"car: {budget.car!r}",
     ]
-    for line in lines:
-        print(line)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        _write_report(out / "budget_report.txt", cfg, lines)
-    return EXIT_OK
+    print("\n".join(lines))
+    return lines
+
+
+# subcommand -> (body, report file name)
+COMMANDS = {
+    "fringe": (_fringe, "fit_report.txt"),
+    "hom-dip": (_hom_dip, "fit_report.txt"),
+    "scan2d": (_scan2d, "envelope_report.txt"),
+    "reconstruct": (_reconstruct, "recon_report.txt"),
+    "budget": (_budget, "budget_report.txt"),
+}
 
 
 def _parse_overrides(pairs: list[str]) -> dict[tuple[str, str], str]:
@@ -301,41 +252,36 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="SECTION.KEY=VALUE", help="config override")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("fringe", "hom-dip", "scan2d", "budget"):
+    for name in COMMANDS:
         sub.add_parser(name)
-    p_rec = sub.add_parser("reconstruct")
-    p_rec.add_argument("--input", default=None, help="interferogram CSV to invert")
+    sub.choices["reconstruct"].add_argument("--input", default=None,
+                                            help="interferogram CSV to invert")
     args = parser.parse_args(argv)
+    body, report = COMMANDS[args.command]
 
     try:
         overrides = _parse_overrides(args.overrides)
         if args.seed is not None:
             overrides[("run", "seed")] = str(args.seed)
         cfg = load_config(args.config, overrides)
-        seed = cfg.getint("run", "seed")
-    except ConfigError as exc:
+        args.seed = cfg.getint("run", "seed")
+        args.out = Path(args.out)
+        args.out.mkdir(parents=True, exist_ok=True)
+        try:
+            lines, code = body(cfg, args), EXIT_OK
+        except (fitting.FitConvergenceError, fitting.InsufficientDataError,
+                fitting.NoPeriodError) as exc:
+            lines, code = [f"error: {exc}"], EXIT_FIT
+        except rec.AliasingError as exc:
+            lines = [f"error: {exc}", f"required_step_s: {exc.required_step!r}"]
+            code = EXIT_ALIASING
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    out = Path(args.out)
-    try:
-        if args.command == "fringe":
-            return cmd_fringe(cfg, out, args.noiseless, seed)
-        if args.command == "hom-dip":
-            return cmd_hom_dip(cfg, out, args.noiseless, seed)
-        if args.command == "scan2d":
-            return cmd_scan2d(cfg, out, args.noiseless, seed)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(cfg, out, args.input)
-        if args.command == "budget":
-            return cmd_budget(cfg, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    raise AssertionError("unreachable")
+    text = "".join(f"{line}\n" for line in [f"# config_sha256={cfg.sha256()}", *lines])
+    (args.out / report).write_text(text)
+    (args.out / "resolved_config.cfg").write_text(cfg.resolved_text())
+    return code
 
 
 if __name__ == "__main__":

@@ -83,9 +83,12 @@ class Interferogram:
         shape = tuple(ax.count for ax in self.axes)
         if self.values.shape != shape:
             raise ValueError(f"values shape {self.values.shape} does not match axes {shape}")
-        if self.values.min() < -_RANGE_TOL or self.values.max() > 2.0 + _RANGE_TOL:
+        lo, hi = self.values.min(), self.values.max()
+        if lo < -_RANGE_TOL or hi > 2.0 + _RANGE_TOL:
             raise ValueError("G values outside [0, 2]")
-        object.__setattr__(self, "values", np.clip(self.values, 0.0, 2.0))
+        # copy only to clip the tolerance band or to make integer input float
+        if lo < 0.0 or hi > 2.0 or not np.issubdtype(self.values.dtype, np.floating):
+            object.__setattr__(self, "values", np.clip(self.values, 0.0, 2.0))
 
     @property
     def ndim(self) -> int:

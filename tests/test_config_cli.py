@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -100,6 +101,16 @@ class TestCliExitCodes:
         report = read_report(tmp_path / "o" / "recon_report.txt")
         assert "required_step_s" in report
 
+    def test_undersampled_fringe_is_aliasing(self, tmp_path):
+        # 2 um of path per step is above half the shortest wavelength on the grid
+        out = tmp_path / "o"
+        code = cli.main(["--out", str(out), "--noiseless", "--set", "grid.n=64",
+                         "--set", "scan.fringe_step_um=2", "fringe"])
+        assert code == cli.EXIT_ALIASING
+        report = read_report(out / "fit_report.txt")
+        assert float(report["required_step_s"]) * core.C == pytest.approx(0.76e-6, rel=0.01)
+        assert not (out / "fringe.csv").exists()
+
     @pytest.mark.parametrize("override,command,message", [
         ("grid.n=0", "fringe", "must be positive"),
         ("scan.dip_step_um=0", "hom-dip", "must be positive"),
@@ -125,6 +136,32 @@ class TestCliExitCodes:
         assert code == cli.EXIT_CONFIG
 
 
+SMALL_FRINGE = ["--set", "grid.n=64"]
+SMALL_SCAN2D = ["--set", "grid.n=64", "--set", "scan.x1_halfspan_mm=0.6",
+                "--set", "scan.x1_step_mm=0.2", "--set", "scan.fringe_halfspan_mm=0.05"]
+SMALL_RECON = ["--set", "reconstruct.band_n=32", "--set", "reconstruct.rho=0"]
+
+
+@pytest.mark.parametrize("argv,code,report", [
+    ([*SMALL_FRINGE, "fringe"], cli.EXIT_OK, "fit_report.txt"),
+    (["hom-dip"], cli.EXIT_OK, "fit_report.txt"),
+    (["--noiseless", *SMALL_SCAN2D, "scan2d"], cli.EXIT_OK, "envelope_report.txt"),
+    ([*SMALL_RECON, "reconstruct"], cli.EXIT_OK, "recon_report.txt"),
+    (["budget"], cli.EXIT_OK, "budget_report.txt"),
+    (["--set", "scan.dip_halfspan_mm=0.02", "hom-dip"], cli.EXIT_FIT, "fit_report.txt"),
+    ([*SMALL_RECON, "--set", "reconstruct.step_fraction=5",
+      "--set", "reconstruct.demodulate=false", "reconstruct"],
+     cli.EXIT_ALIASING, "recon_report.txt"),
+], ids=["fringe", "hom-dip", "scan2d", "reconstruct", "budget", "fit-error", "aliasing"])
+def test_every_run_writes_report_and_resolved_config(tmp_path, argv, code, report):
+    out = tmp_path / "o"
+    assert cli.main(["--out", str(out), "--seed", "3", *argv]) == code
+    resolved = (out / "resolved_config.cfg").read_text()
+    head = (out / report).read_text().splitlines()[0]
+    assert head == f"# config_sha256={hashlib.sha256(resolved.encode()).hexdigest()}"
+    assert ("error" in read_report(out / report)) == (code != cli.EXIT_OK)
+
+
 class TestFringeCommand:
     def test_noiseless_reference(self, tmp_path):
         out = tmp_path / "o"
@@ -139,6 +176,19 @@ class TestFringeCommand:
         head = (out / "fit_report.txt").read_text().splitlines()[0]
         assert cfg.sha256() in head
         assert cfg.sha256() in (out / "fringe.csv").read_text()
+
+    @pytest.mark.parametrize("argv,flagged", [
+        (["--set", "grid.n=3"], True),   # the coarse grid fits V = 1.0027 +- 0.0001
+        ([], False),
+    ])
+    def test_visibility_above_one_is_flagged(self, tmp_path, argv, flagged):
+        out = tmp_path / "o"
+        assert cli.main(["--out", str(out), "--noiseless", *argv, "fringe"]) == cli.EXIT_OK
+        report = read_report(out / "fit_report.txt")
+        vis, err = map(float, report["visibility"].split("+-"))
+        assert (vis - 1.0 > err) == flagged
+        assert report.get("warning") == (
+            "visibility exceeds 1 by more than its stderr" if flagged else None)
 
     def test_seeded_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -235,6 +235,17 @@ class TestInterferogram:
         with pytest.raises(ValueError, match=r"\[0, 2\]"):
             ifm.Interferogram((ax,), np.array([0.0, 1.0, 2.5]))
 
+    def test_tolerance_band_is_clipped_and_in_range_values_kept(self):
+        ax = ifm.Axis("t", 0.0, 1.0, 3)
+        tol = ifm._RANGE_TOL
+        ig = ifm.Interferogram((ax,), np.array([-0.5 * tol, 1.0, 2.0 + 0.5 * tol]))
+        assert ig.values.tolist() == [0.0, 1.0, 2.0]
+        values = np.array([0.0, 1.0, 2.0])
+        assert ifm.Interferogram((ax,), values).values is values
+        assert ifm.Interferogram((ax,), np.array([0, 1, 2])).values.dtype == np.float64
+        small = np.array([0.0, 1.0, 2.0], dtype=np.float32)
+        assert ifm.Interferogram((ax,), small).values.dtype == np.float32
+
     def test_shape_validation(self):
         ax = ifm.Axis("t", 0.0, 1.0, 3)
         with pytest.raises(ValueError, match="shape"):
