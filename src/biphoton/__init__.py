@@ -52,9 +52,7 @@ from .fitting import (
 )
 from .interferometer import (
     Axis,
-    DelayConfig,
     Interferogram,
-    coincidence_rate,
     gamma,
     gamma_lattice,
     gaussian_envelope,

@@ -45,7 +45,7 @@ def _noisy(cfg: RunConfig, ig: ifm.Interferogram, seed: int) -> ifm.Interferogra
 
 def _write_csv(out: Path, cfg: RunConfig, ig: ifm.Interferogram, name: str) -> None:
     ig = dataclasses.replace(ig, metadata={**ig.metadata, "config_sha256": cfg.sha256()})
-    ig.to_csv(out / name)
+    ifm.write_interferogram_csv(ig, out / name)
 
 
 def _symmetric_positions(half: float, step: float, key: str) -> np.ndarray:
@@ -69,12 +69,10 @@ def _fringe(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     ig = ifm.scan_1d(sampled, sampled, "L", 0.0, taus[0], taus[1] - taus[0], len(taus))
     x = fitting.delay_to_position(ig.coords(0), "delta_tau_L")
     order = np.argsort(x)
-    y = ig.values
     if not args.noiseless:
         ig = _noisy(cfg, ig, args.seed)
-        y = ig.counts - ig.metadata["accidental_counts"]
     _write_csv(args.out, cfg, ig, "fringe.csv")
-    fit = fitting.fit_fringe(x[order], y[order])
+    fit = fitting.fit_fringe(x[order], fitting.fit_data(ig)[order])
     lines = [
         f"visibility: {fit.visibility:.6f} +- {fit.stderr['visibility']:.6f}",
         f"period_nm: {fit.period * 1e9:.4f} +- {fit.stderr['period'] * 1e9:.4f}",
@@ -113,12 +111,10 @@ def _hom_dip(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     jitter = build_jitter(cfg)
     g = 1.0 - detector.independent_hom_dip(dt, vis, jitter, v_cap=cfg.getfloat("jitter", "v_cap"))
     ig = ifm.Interferogram((ifm.Axis("delta_tau", dt[0], dt[1] - dt[0], len(dt)),), g)
-    y = g
     if not args.noiseless:
         ig = _noisy(cfg, ig, args.seed)
-        y = ig.counts
     _write_csv(args.out, cfg, ig, "dip.csv")
-    fit = fitting.fit_dip(core.C * dt, y)
+    fit = fitting.fit_dip(core.C * dt, fitting.fit_data(ig))
     return [
         f"visibility_percent: {fit.visibility * 100:.4f} +- {fit.stderr['visibility'] * 100:.4f}",
         f"fwhm_mm: {fit.fwhm * 1e3:.4f} +- {fit.stderr['fwhm'] * 1e3:.4f}",
@@ -168,7 +164,10 @@ def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     model = core.BiphotonAmplitude.gaussian(wc1, wc2, sigma, sigma, rho=rho)
     grid = core.grid_for_gaussian(model, n=cfg.getint("reconstruct", "band_n"))
     if args.input is not None:
-        ig, sampled = ifm.read_interferogram_csv(args.input), None
+        try:
+            ig, sampled = ifm.read_interferogram_csv(args.input), None
+        except OSError as exc:
+            raise ConfigError(f"--input: {exc}") from None
     else:
         # Gamma decays slowest along the correlation ridge; span the
         # lattice to cover that axis, not just the marginal width.

@@ -8,7 +8,7 @@ lengths set by optical delay lines).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,14 +128,9 @@ def independent_hom_dip(delta_t: np.ndarray, visibility: np.ndarray,
     return v_cap * np.convolve(padded, kernel, mode="valid")
 
 
-def _per_point_poisson(mu: np.ndarray, seed: int) -> np.ndarray:
-    """Poisson draws with a per-point sub-seed, independent of evaluation order."""
-    flat = mu.reshape(-1)
-    out = np.empty(flat.shape, dtype=float)
-    for i, m in enumerate(flat):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        out[i] = rng.poisson(m)
-    return out.reshape(mu.shape)
+def _poisson(mu: np.ndarray, seed: int) -> np.ndarray:
+    """Poisson draws for every entry of `mu` from one seeded generator."""
+    return np.random.default_rng(np.random.SeedSequence(seed)).poisson(mu).astype(float)
 
 
 def rate_to_counts(normalized: Interferogram, budget: SourceBudget,
@@ -143,14 +138,14 @@ def rate_to_counts(normalized: Interferogram, budget: SourceBudget,
     """Synthesize noisy counts for a normalized interferogram.
 
     Expected counts per lattice point are baseline*G + accidentals, with
-    baseline = singles_rate_1 * coincidence_to_singles * bin_duration and
-    a Poisson draw per point from a seed-derived substream.
+    baseline = singles_rate_1 * coincidence_to_singles * bin_duration,
+    drawn for the whole lattice from one generator seeded with `seed`.
     """
     baseline = budget.singles_rate_1 * budget.coincidence_to_singles * bin_duration
     acc = accidentals(budget.singles_rate_1, budget.singles_rate_2,
                       det.trigger_rate) * bin_duration
     mu = baseline * normalized.values + acc
-    counts = _per_point_poisson(mu, seed)
+    counts = _poisson(mu, seed)
     meta = dict(normalized.metadata)
     meta.update(seed=seed, baseline_counts=baseline, accidental_counts=acc,
                 bin_duration_s=bin_duration)

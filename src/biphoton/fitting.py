@@ -330,12 +330,21 @@ def delay_to_position(tau, axis_name: str) -> np.ndarray:
     return C * tau if axis_name.endswith("S") else -C * tau
 
 
+def fit_data(ig: Interferogram) -> np.ndarray:
+    """What a fit of `ig` sees: G, or its counts net of accidentals when it
+    carries counts (metadata read from CSV are strings)."""
+    if ig.counts is None:
+        return ig.values
+    return ig.counts - float(ig.metadata.get("accidental_counts", 0.0))
+
+
 def visibility_envelope(scan2d: Interferogram, axis: str = "L",
                         period_guess: float | None = None) -> EnvelopeResult:
     """Per-slice fringe visibilities of a 2D scan plus a Gaussian envelope fit.
 
-    `axis` names the scanned (fringe) axis; the other axis indexes slices.
-    Slice fit failures are excluded unless more than half of them fail.
+    `axis` names the scanned (fringe) axis; the other axis indexes slices,
+    each fitted to its row of `fit_data(scan2d)`. Slice fit failures are
+    excluded unless more than half of them fail.
     """
     if scan2d.ndim != 2:
         raise ValueError("visibility_envelope needs a 2D interferogram")
@@ -344,9 +353,10 @@ def visibility_envelope(scan2d: Interferogram, axis: str = "L",
     x = delay_to_position(scan2d.coords(fr_idx), scan2d.axes[fr_idx].name)
     xi = delay_to_position(scan2d.coords(fx_idx), scan2d.axes[fx_idx].name)
     order = np.argsort(x)
+    y = fit_data(scan2d)
     coords, vis, centers, failed = [], [], [], []
     for j in range(scan2d.axes[fx_idx].count):
-        ys = scan2d.values[j, :] if fx_idx == 0 else scan2d.values[:, j]
+        ys = y[j, :] if fx_idx == 0 else y[:, j]
         try:
             fit = fit_fringe(x[order], ys[order], period_guess=period_guess)
             coords.append(xi[j])

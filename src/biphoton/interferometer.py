@@ -12,39 +12,13 @@ E1 @ M @ E2^T, which is the same double sum reassociated.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import C, GridMismatchError, SampledAmplitude
+from .core import GridMismatchError, SampledAmplitude
 
 _RANGE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class DelayConfig:
-    """Four path delays; only the per-source differences matter."""
-
-    tau_SA: float
-    tau_SB: float
-    tau_LA: float
-    tau_LB: float
-
-    @property
-    def delta_tau_S(self) -> float:
-        return self.tau_SA - self.tau_SB
-
-    @property
-    def delta_tau_L(self) -> float:
-        return self.tau_LA - self.tau_LB
-
-    @classmethod
-    def from_path_lengths(cls, delta_x1: float, delta_x2: float) -> "DelayConfig":
-        """Path-length convention tau1 = dx1/c -> delta_tau_S and
-        tau2 = -dx2/c -> delta_tau_L."""
-        return cls(tau_SA=delta_x1 / C, tau_SB=0.0,
-                   tau_LA=-delta_x2 / C, tau_LB=0.0)
 
 
 @dataclass(frozen=True)
@@ -97,9 +71,6 @@ class Interferogram:
     def coords(self, i: int) -> np.ndarray:
         return self.axes[i].values
 
-    def to_csv(self, path) -> None:
-        write_interferogram_csv(self, path)
-
 
 def _check_same_grid(phi_a: SampledAmplitude, phi_b: SampledAmplitude) -> None:
     if phi_a.grid != phi_b.grid:
@@ -136,12 +107,6 @@ def gamma_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
     if real:
         return np.hstack([p.real, p.imag]) @ np.vstack([np.cos(phase), np.sin(phase)])
     return p @ np.exp(-1j * phase)
-
-
-def coincidence_rate(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
-                     delta_tau_S: float, delta_tau_L: float) -> float:
-    """Normalized coincidence rate G = 1 - Re(Gamma), in [0, 2]."""
-    return 1.0 - gamma(phi_a, phi_b, delta_tau_S, delta_tau_L).real
 
 
 def symmetrized_gamma(phi: SampledAmplitude, tau1: float, tau2: float) -> complex:
@@ -227,52 +192,45 @@ def scan_2d(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
 def write_interferogram_csv(ig: Interferogram, path) -> None:
     """CSV schema: '# axis<i> name,start,step,count' headers, optional
     '# key=value' metadata lines, then 'coord1[,coord2],G[,counts]' rows."""
-    buf = io.StringIO()
-    for i, ax in enumerate(ig.axes, start=1):
-        buf.write(f"# axis{i} {ax.name},{ax.start!r},{ax.step!r},{ax.count}\n")
-    for key in sorted(ig.metadata):
-        buf.write(f"# {key}={ig.metadata[key]}\n")
-    flat = ig.values.reshape(-1)
-    counts = None if ig.counts is None else ig.counts.reshape(-1)
-    if ig.ndim == 1:
-        coords = [(v,) for v in ig.coords(0)]
-    else:
-        c1, c2 = np.meshgrid(ig.coords(0), ig.coords(1), indexing="ij")
-        coords = list(zip(c1.reshape(-1), c2.reshape(-1)))
-    for i, cs in enumerate(coords):
-        row = ",".join(repr(float(c)) for c in cs) + f",{float(flat[i])!r}"
-        if counts is not None:
-            row += f",{float(counts[i])!r}"
-        buf.write(row + "\n")
+    head = [f"# axis{i} {ax.name},{ax.start!r},{ax.step!r},{ax.count}\n"
+            for i, ax in enumerate(ig.axes, start=1)]
+    head += [f"# {key}={ig.metadata[key]}\n" for key in sorted(ig.metadata)]
+    columns = [*np.meshgrid(*(ax.values for ax in ig.axes), indexing="ij"), ig.values]
+    if ig.counts is not None:
+        columns.append(ig.counts)
+    rows = np.column_stack([c.reshape(-1) for c in columns]).astype(float).tolist()
     with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+        fh.writelines(head)
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def read_interferogram_csv(path) -> Interferogram:
+    """Inverse of write_interferogram_csv: '#' headers first, then the rows."""
     axes: list[Axis] = []
     metadata: dict = {}
-    rows: list[list[float]] = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("axis"):
-                    _, spec = body.split(" ", 1)
-                    name, start, step, count = spec.split(",")
-                    axes.append(Axis(name, float(start), float(step), int(count)))
-                elif "=" in body:
-                    key, val = body.split("=", 1)
-                    metadata[key.strip()] = val.strip()
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
+            if line and not line.startswith("#"):
+                break
+            body = line[1:].strip()
+            if body.startswith("axis"):
+                _, spec = body.split(" ", 1)
+                name, start, step, count = spec.split(",")
+                axes.append(Axis(name, float(start), float(step), int(count)))
+            elif "=" in body:
+                key, val = body.split("=", 1)
+                metadata[key.strip()] = val.strip()
+        else:
+            raise ValueError(f"{path}: no data rows")
     if not axes:
         raise ValueError(f"{path}: no axis headers found")
+    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     shape = tuple(ax.count for ax in axes)
-    data = np.asarray(rows)
     ncoord = len(axes)
+    if data.shape[0] != np.prod(shape) or data.shape[1] not in (ncoord + 1, ncoord + 2):
+        raise ValueError(f"{path}: {data.shape[0]} rows of {data.shape[1]} columns"
+                         f" do not match axes {shape} and G[,counts]")
     values = data[:, ncoord].reshape(shape)
     counts = data[:, ncoord + 1].reshape(shape) if data.shape[1] > ncoord + 1 else None
     return Interferogram(tuple(axes), values, counts=counts, metadata=metadata)

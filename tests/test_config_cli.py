@@ -135,6 +135,20 @@ class TestCliExitCodes:
                          "--input", str(path)])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("content,message", [
+        (None, "No such file"),
+        ("# axis1 delta_tau_S,-1e-15,1e-15,3\n# axis2 delta_tau_L,-1e-15,1e-15,3\n",
+         "no data rows"),
+    ])
+    def test_unreadable_reconstruct_input(self, tmp_path, capsys, content, message):
+        path = tmp_path / "ig.csv"
+        if content is not None:
+            path.write_text(content)
+        code = cli.main(["--out", str(tmp_path / "o"), "reconstruct", "--input", str(path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and message in err[0]
+
 
 SMALL_FRINGE = ["--set", "grid.n=64"]
 SMALL_SCAN2D = ["--set", "grid.n=64", "--set", "scan.x1_halfspan_mm=0.6",
@@ -220,6 +234,17 @@ class TestHomDipCommand:
         fwhm = float(report["fwhm_mm"].split("+-")[0])
         assert abs(vis - 4.48) <= 1.0
         assert abs(fwhm - 0.95) / 0.95 <= 0.15
+
+    def test_noisy_fit_sees_net_counts(self, tmp_path):
+        # accidentals fill the dip: fitting raw counts put V ~25 stderr low
+        reports = {}
+        for flags in (["--noiseless"], ["--seed", "7"]):
+            out = tmp_path / flags[-1].strip("-")
+            assert cli.main(["--out", str(out), *flags, "hom-dip"]) == cli.EXIT_OK
+            reports[flags[0]] = read_report(out / "fit_report.txt")
+        ideal = float(reports["--noiseless"]["visibility_percent"].split("+-")[0])
+        vis, err = map(float, reports["--seed"]["visibility_percent"].split("+-"))
+        assert abs(vis - ideal) < 3 * err
 
     def test_zero_jitter_cap(self, tmp_path):
         out = tmp_path / "o"
@@ -323,16 +348,25 @@ class TestReconstructCommand:
 
 
 class TestScan2dCommand:
+    REDUCED = ["--set", "scan.x1_halfspan_mm=0.6", "--set", "scan.x1_step_mm=0.2",
+               "--set", "scan.fringe_halfspan_mm=0.05", "scan2d"]
+
     def test_reduced_scan_entangled_signature(self, tmp_path):
         out = tmp_path / "o"
-        code = cli.main(["--out", str(out), "--noiseless",
-                         "--set", "scan.x1_halfspan_mm=0.6",
-                         "--set", "scan.x1_step_mm=0.2",
-                         "--set", "scan.fringe_halfspan_mm=0.05", "scan2d"])
+        code = cli.main(["--out", str(out), "--noiseless", *self.REDUCED])
         assert code == cli.EXIT_OK
         report = read_report(out / "envelope_report.txt")
         assert report["entangled_signature"] == "True"
         assert (out / "scan2d.csv").exists()
+
+    def test_noisy_scan_fits_the_counts(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["--out", str(a), "--noiseless", *self.REDUCED]) == cli.EXIT_OK
+        assert cli.main(["--out", str(b), "--seed", "7", *self.REDUCED]) == cli.EXIT_OK
+        noiseless = (a / "envelope_report.txt").read_text().splitlines()[1:]
+        noisy = (b / "envelope_report.txt").read_text().splitlines()[1:]
+        assert noisy != noiseless
+        assert read_report(b / "envelope_report.txt")["entangled_signature"] == "True"
 
 
 def test_cli_import_loads_no_scipy():

@@ -13,7 +13,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(biphoton.__file__).resolve().parents[1])
 
 
-@pytest.mark.parametrize("script", ["02_independent_photon_hom.py", "04_jsi_reconstruction.py"])
+@pytest.mark.parametrize("script", ["01_nonlocal_fringe_scan.py", "02_independent_photon_hom.py",
+                                    "04_jsi_reconstruction.py"])
 def test_demo_runs(tmp_path, script):
     env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)], cwd=tmp_path,

@@ -86,7 +86,7 @@ class TestFitFringe:
         baseline = 4465.0 * 10.0  # counts per bin at the background level
         pulls = []
         for seed in range(10):
-            counts = detector._per_point_poisson(baseline * truth, seed=seed)
+            counts = detector._poisson(baseline * truth, seed=seed)
             fit = fitting.fit_fringe(x, counts)
             pulls.append((fit.visibility - 0.995) / fit.stderr["visibility"])
         pulls = np.asarray(pulls)
@@ -99,7 +99,7 @@ class TestFitFringe:
         baseline = 2e4
         vs, errs = [], []
         for seed in range(50):
-            counts = detector._per_point_poisson(baseline * truth, seed=1000 + seed)
+            counts = detector._poisson(baseline * truth, seed=1000 + seed)
             fit = fitting.fit_fringe(x, counts)
             vs.append(fit.visibility)
             errs.append(fit.stderr["visibility"])
@@ -111,7 +111,7 @@ class TestFitFringe:
         truth = fringe_model(x, 1.0, 0.9, 44.9e-6, 1570e-9, 0.0, 0.0)
         clean_rms = fitting.fit_fringe(x, 1e4 * truth).residual_rms
         for seed in (1, 2, 3):
-            counts = detector._per_point_poisson(1e4 * truth, seed=seed)
+            counts = detector._poisson(1e4 * truth, seed=seed)
             assert fitting.fit_fringe(x, counts).residual_rms >= clean_rms
 
 
@@ -147,7 +147,7 @@ class TestFitDip:
     def test_noise_consistency_of_stderr(self):
         x = np.linspace(-3e-3, 3e-3, 61)
         truth = dip_model(x, 2000.0, 0.33, 0.1e-3, 0.95e-3)
-        fits = [fitting.fit_dip(x, detector._per_point_poisson(truth, seed=2000 + seed))
+        fits = [fitting.fit_dip(x, detector._poisson(truth, seed=2000 + seed))
                 for seed in range(50)]
         for name in ("amplitude", "visibility", "center", "fwhm"):
             ratio = (np.std([getattr(f, name) for f in fits])

@@ -5,18 +5,6 @@ from biphoton import core, fitting
 from biphoton import interferometer as ifm
 
 
-class TestDelayConfig:
-    def test_deltas_recomputed(self):
-        d = ifm.DelayConfig(3e-12, 1e-12, 5e-12, 2e-12)
-        assert d.delta_tau_S == pytest.approx(2e-12)
-        assert d.delta_tau_L == pytest.approx(3e-12)
-
-    def test_path_length_signs(self):
-        d = ifm.DelayConfig.from_path_lengths(1e-3, 2e-3)
-        assert d.delta_tau_S == pytest.approx(1e-3 / core.C)
-        assert d.delta_tau_L == pytest.approx(-2e-3 / core.C)
-
-
 class TestGamma:
     def test_zero_delay_is_one(self, small_gaussian):
         _, _, sampled = small_gaussian
@@ -75,12 +63,12 @@ class TestGamma:
 class TestCoincidenceRate:
     def test_zero_delay_null(self, small_gaussian):
         _, _, sampled = small_gaussian
-        assert ifm.coincidence_rate(sampled, sampled, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert 1.0 - ifm.gamma(sampled, sampled, 0.0, 0.0).real == pytest.approx(0.0, abs=1e-12)
 
     def test_far_delay_background(self, small_gaussian):
         model, _, sampled = small_gaussian
         far = 50.0 / model.sigma1
-        assert ifm.coincidence_rate(sampled, sampled, far, far) == pytest.approx(1.0, abs=1e-3)
+        assert 1.0 - ifm.gamma(sampled, sampled, far, far).real == pytest.approx(1.0, abs=1e-3)
 
     def test_range_bounded(self, reference_sampled):
         taus = np.linspace(-1e-12, 1e-12, 41)
@@ -263,7 +251,7 @@ class TestInterferogram:
         counts = np.round(1000 * values)
         ig = ifm.Interferogram((ax,), values, counts=counts, metadata={"seed": "7"})
         path = tmp_path / "ig.csv"
-        ig.to_csv(path)
+        ifm.write_interferogram_csv(ig, path)
         back = ifm.read_interferogram_csv(path)
         assert back.axes == ig.axes
         assert np.array_equal(back.values, ig.values)
@@ -278,8 +266,43 @@ class TestInterferogram:
         assert back.axes == ig.axes
         assert np.array_equal(back.values, ig.values)
 
+    def test_csv_format_is_pinned(self, tmp_path):
+        ax = ifm.Axis("delta_tau_L", -1e-13, 1e-13, 3)
+        ig = ifm.Interferogram((ax,), np.array([1.0, 0.1, 1.0]),
+                               counts=np.array([4465, 523, 4470]),
+                               metadata={"seed": 7, "accidental_counts": 21.6125})
+        ifm.write_interferogram_csv(ig, tmp_path / "1d.csv")
+        assert (tmp_path / "1d.csv").read_text() == (
+            "# axis1 delta_tau_L,-1e-13,1e-13,3\n"
+            "# accidental_counts=21.6125\n"
+            "# seed=7\n"
+            "-1e-13,1.0,4465.0\n"
+            "0.0,0.1,523.0\n"
+            "1e-13,1.0,4470.0\n")
+        axes = (ifm.Axis("delta_tau_S", 0.0, 0.5, 2), ifm.Axis("delta_tau_L", 1.0, 0.25, 2))
+        ig = ifm.Interferogram(axes, np.array([[0.0, 0.5], [1.5, 2.0]], dtype=np.float32))
+        ifm.write_interferogram_csv(ig, tmp_path / "2d.csv")
+        assert (tmp_path / "2d.csv").read_text() == (
+            "# axis1 delta_tau_S,0.0,0.5,2\n"
+            "# axis2 delta_tau_L,1.0,0.25,2\n"
+            "0.0,1.0,0.0\n"
+            "0.0,1.25,0.5\n"
+            "0.5,1.0,1.5\n"
+            "0.5,1.25,2.0\n")
+
     def test_csv_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.0,1.0\n")
         with pytest.raises(ValueError, match="axis"):
+            ifm.read_interferogram_csv(path)
+
+    @pytest.mark.parametrize("rows,message", [
+        ("0.0,1.0\n1.0,1.0\n", "do not match axes"),
+        ("0.0,1.0\n1.0,1.0\n2.0,1.0,5.0,5.0\n", "columns"),
+        ("0.0\n1.0\n2.0\n", "do not match axes"),
+    ])
+    def test_csv_rows_must_fill_the_lattice(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("# axis1 t,0.0,1.0,3\n# seed=1\n" + rows)
+        with pytest.raises(ValueError, match=message):
             ifm.read_interferogram_csv(path)
