@@ -213,14 +213,24 @@ def fringe_period(x: np.ndarray, y: np.ndarray) -> float:
     return float(1.0 / freq)
 
 
+def _analytic_signal(x: np.ndarray) -> np.ndarray:
+    """x + i H[x] from the one-sided spectrum of x (as scipy.signal.hilbert)."""
+    n = len(x)
+    one_sided = np.zeros(n)
+    one_sided[0] = 1.0
+    one_sided[1:(n + 1) // 2] = 2.0
+    if n % 2 == 0:
+        one_sided[n // 2] = 1.0
+    return np.fft.ifft(np.fft.fft(x) * one_sided)
+
+
 def _fringe_init(x, y, offset, lam0):
-    from scipy.signal import hilbert
     yc = y - offset
     a0 = float(np.median(yc))
     if a0 <= 0:
         a0 = float(np.mean(yc)) or 1.0
-    osc = yc - a0
-    env = np.abs(hilbert(osc))
+    analytic = _analytic_signal(yc - a0)
+    env = np.abs(analytic)
     # smooth the analytic envelope over ~one period
     w = max(3, min(len(x), int(round(lam0 / (x[1] - x[0])))))
     env_s = np.convolve(env, np.ones(w) / w, mode="same")
@@ -241,7 +251,7 @@ def _fringe_init(x, y, offset, lam0):
     else:
         half_dist = 0.25 * (x[-1] - x[0])
     sx0 = max(half_dist / 1.895, lam0)
-    phi0 = float(np.angle(-hilbert(osc)[i0]))
+    phi0 = float(np.angle(-analytic[i0]))
     return a0, v0, sx0, x0, phi0
 
 

@@ -1,14 +1,29 @@
 """Joint-spectral-intensity estimation from a full 2D interferogram.
 
-For identical sources 1 - G equals the cosine transform of the (real,
+For identical sources h = 1 - G equals the cosine transform of the (real,
 nonnegative) JSI, so the JSI is recovered by the inverse cosine-kernel sum
 
-    J(w1, w2) ~ sum_over_lattice (1 - G)(a, b) * cos(w1*a + w2*b) * da*db
+    J(w1, w2) ~ sum_over_lattice h(a, b) * w(a) w(b) * cos(w1*a + w2*b) * da*db
 
-evaluated on a requested frequency band as Re(E1 @ (1 - G) @ E2^T), with
-band-center-referenced kernels that carry the window, half-plane fold and
-cell area, so the lattice-sized product is real.  `demodulate` only
-relaxes the lattice-step bound from pi / w_max to pi over the band half-width.
+evaluated on a requested frequency band as Re(E1 @ h @ E2^T), with
+band-center-referenced kernels that carry the window w, fold weight and
+cell area, so the lattice-sized product is real.
+
+cos is even and the window symmetric, so the terms at (a, b) and (-a, -b)
+share one kernel value.  A lattice symmetric on both axes is folded onto
+a >= 0 as h = 1 - (G(a, b) + G(-a, -b)) / 2, which is exact for any data,
+noisy or not; a lattice with an axis that starts at 0 is that half already
+(its other half-plane is taken to be the point reflection of the measured
+one).  The sum then runs over the half axis only, with weight 2 off 0, and
+the half axis takes the right half of the symmetric window over its
+mirrored axis.  The folded rows are formed a fixed number at a time in one
+reused buffer and their products accumulated, so no lattice-sized
+temporary is made and the large product is half the unfolded one.
+
+`check_sampling` refuses a lattice step that aliases the band: pi / w_max
+per axis, or with `demodulate` pi over the band half-width per axis plus
+bandpass sampling on at least one axis, which keeps the mirror band at
+-w_c off the band.
 """
 
 from __future__ import annotations
@@ -103,13 +118,44 @@ def nyquist_step(band: FrequencyGrid) -> float:
     return np.pi / w_max
 
 
-def _axis_bound(band: FrequencyGrid, i: int, demodulate: bool) -> float:
-    lo, hi = ((band.omega1_min, band.omega1_max) if i == 1
-              else (band.omega2_min, band.omega2_max))
+def _bandpass_step(lo: float, hi: float, step: float) -> float:
+    """Largest step <= `step` whose sampling rate w_s = 2 pi / step puts no
+    multiple k w_s inside the open range (2 lo, 2 hi) of the sum frequency
+    w + w' (not positive when no step does, i.e. when lo < 0).
+
+    The passing steps are the windows k pi / lo <= step <= (k + 1) pi / hi,
+    k = 0 .. lo / (hi - lo); each also meets w_s >= hi - lo."""
+    k = min(np.floor(step * lo / np.pi), np.floor(lo / (hi - lo)))
+    return float(min(step, (k + 1) * np.pi / hi))
+
+
+def check_sampling(band: FrequencyGrid, axes, demodulate: bool) -> None:
+    """Raise AliasingError unless the delay axes (axis 1, axis 2) of a lattice
+    sample `band` without aliasing.
+
+    Without demodulation every axis needs step <= pi / w_max of its band.
+    With it, every axis needs w_s = 2 pi / step >= 2 h (h the band
+    half-width), which keeps the difference frequency w - w' of the cosine
+    kernel from aliasing, and at least one axis needs
+    min_k |2 w_c - k w_s| >= 2 h, which keeps the sum frequency w + w' (the
+    mirror band at -w_c) off the band: bandpass sampling.  The condition is
+    sufficient, not necessary.  The error's `required_step` passes when it
+    replaces the step of the axis it names.
+    """
+    edges = ((band.omega1_min, band.omega1_max), (band.omega2_min, band.omega2_max))
+    for ax, (lo, hi) in zip(axes, edges):
+        if demodulate:
+            bound = 2.0 * np.pi / (hi - lo)
+            required = _bandpass_step(lo, hi, bound)
+        else:
+            bound = required = np.pi / max(abs(lo), abs(hi))
+        if ax.step > bound * (1.0 + 1e-9):
+            raise AliasingError(ax.name, ax.step, required)
     if demodulate:
-        half = 0.5 * (hi - lo)
-        return np.pi / half
-    return np.pi / max(abs(lo), abs(hi))
+        passing = [_bandpass_step(lo, hi, ax.step) for ax, (lo, hi) in zip(axes, edges)]
+        if all(ax.step > p * (1.0 + 1e-9) for ax, p in zip(axes, passing)):
+            i = int(np.argmax(passing))
+            raise AliasingError(axes[i].name, axes[i].step, passing[i])
 
 
 def _window(n: int, kind: str) -> np.ndarray:
@@ -120,15 +166,15 @@ def _window(n: int, kind: str) -> np.ndarray:
     raise ValueError(f"unknown window {kind!r}")
 
 
-def _kernel(omega: np.ndarray, t: np.ndarray, step: float, half: bool,
-            window: str) -> np.ndarray:
-    """exp(i omega t) referenced to the band center, times the window, the
-    half-plane fold (for a start-at-zero axis) and the step of delay axis t."""
+def _kernel(omega: np.ndarray, t: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """exp(i omega t) referenced to the band center, times the per-delay
+    weight (window, fold and step)."""
     wr = 0.5 * (omega[0] + omega[-1])
-    weight = _window(len(t), window) * step * np.exp(1j * wr * t)
-    if half:
-        weight *= np.where(np.abs(t) < 1e-9 * step, 1.0, 2.0)
-    return np.exp(1j * np.outer(omega - wr, t)) * weight
+    return np.exp(1j * np.outer(omega - wr, t)) * (weight * np.exp(1j * wr * t))
+
+
+# folded lattice rows formed and multiplied per step of the inverse
+_BLOCK_ROWS = 128
 
 
 def reconstruct_jsi(interferogram: Interferogram, band: FrequencyGrid,
@@ -139,17 +185,38 @@ def reconstruct_jsi(interferogram: Interferogram, band: FrequencyGrid,
     pre-clip negative mass is reported as a truncation diagnostic.
     """
     lattice = DelayLattice.from_interferogram(interferogram)
-    kernels = []
-    for i, (ax, omega) in enumerate(zip(interferogram.axes, (band.axis1, band.axis2)), start=1):
-        bound = _axis_bound(band, i, demodulate)
-        if ax.step > bound * (1.0 + 1e-9):
-            raise AliasingError(ax.name, ax.step, bound)
-        kernels.append(_kernel(omega, ax.values, ax.step, lattice.axis_mode(i) == "half",
-                               window))
-    (a, b), (c, d) = ((k.real, k.imag) for k in kernels)
-    # Re((A + iB) h (C + iD)^T) = A h C^T - B h D^T, with the large product real
-    p = np.vstack([a, b]) @ (1.0 - interferogram.values)
-    est = p[:band.n1] @ c.T - p[band.n1:] @ d.T
+    check_sampling(band, interferogram.axes, demodulate)
+    modes = (lattice.axis_mode(1), lattice.axis_mode(2))
+    g = interferogram.values
+    (ax_a, ax_b), (om_a, om_b) = interferogram.axes, (band.axis1, band.axis2)
+    if modes[1] == "half":  # sum along the half axis: work on the transpose
+        g, ax_a, ax_b, om_a, om_b = g.T, ax_b, ax_a, om_b, om_a
+    if "half" in modes:  # h = 1 - (G + G) / 2 = 1 - G exactly
+        i0, mirror = 0, g
+    else:  # the point reflections G(-a, -b) of the rows a >= 0
+        i0 = ax_a.count // 2
+        mirror = g[i0::-1, ::-1]
+    rows, t = g[i0:], ax_a.values[i0:]
+    n = len(t)
+    fold = np.full(n, 2.0)
+    fold[0] = 1.0
+    ka = _kernel(om_a, t, _window(2 * n - 1, window)[n - 1:] * fold * ax_a.step)
+    cd = _kernel(om_b, ax_b.values, _window(ax_b.count, window) * ax_b.step)
+    # Re((A + iB) h (C + iD)^T) = A h C^T - B h D^T, accumulated over blocks
+    # of folded rows; the lattice-sized product h [C^T D^T] is real
+    m = len(om_b)
+    cd = np.vstack([cd.real, cd.imag]).T
+    buf = np.empty((min(n, _BLOCK_ROWS), g.shape[1]))
+    est = np.zeros((len(om_a), m))
+    for r in range(0, n, _BLOCK_ROWS):
+        h = buf[:min(_BLOCK_ROWS, n - r)]
+        np.add(rows[r:r + len(h)], mirror[r:r + len(h)], out=h)
+        h *= -0.5
+        h += 1.0
+        q = h @ cd
+        est += ka.real[:, r:r + len(h)] @ q[:, :m] - ka.imag[:, r:r + len(h)] @ q[:, m:]
+    if modes[1] == "half":
+        est = est.T
 
     total_abs = np.sum(np.abs(est))
     degenerate = False

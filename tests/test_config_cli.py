@@ -101,6 +101,21 @@ class TestCliExitCodes:
         report = read_report(tmp_path / "o" / "recon_report.txt")
         assert "required_step_s" in report
 
+    def test_mirror_band_aliasing_is_refused(self, tmp_path):
+        # 36 x nyquist_step is under pi over the band half-width, but on both
+        # axes the mirror band aliases onto the band (inverted anyway, the
+        # JSI comes back with L2 error 0.69 and correlation -0.71)
+        code = cli.main(["--out", str(tmp_path / "o"),
+                         "--set", "reconstruct.step_fraction=36", "reconstruct"])
+        assert code == cli.EXIT_ALIASING
+        report = read_report(tmp_path / "o" / "recon_report.txt")
+        # the top of axis 1's last bandpass window, 18 x nyquist_step, passes
+        assert float(report["required_step_s"]) == pytest.approx(4.4662e-14, rel=1e-4)
+        assert cli.main(["--out", str(tmp_path / "p"),
+                         "--set", "reconstruct.step_fraction=18", "reconstruct"]) == cli.EXIT_OK
+        report = read_report(tmp_path / "p" / "recon_report.txt")
+        assert float(report["roundtrip_l2_error"]) <= 1e-6
+
     def test_undersampled_fringe_is_aliasing(self, tmp_path):
         # 2 um of path per step is above half the shortest wavelength on the grid
         out = tmp_path / "o"

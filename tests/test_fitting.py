@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,6 +37,23 @@ class TestFringePeriod:
         x = np.array([0.0, 1e-6, 3e-6, 4e-6])
         with pytest.raises(ValueError, match="uniform"):
             fitting.fringe_period(x, np.zeros(4))
+
+
+class TestAnalyticSignal:
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_matches_scipy_hilbert(self, n):
+        from scipy.signal import hilbert
+        x = np.random.default_rng(n).normal(size=n)
+        assert np.max(np.abs(fitting._analytic_signal(x) - hilbert(x))) <= 1e-12
+
+    def test_fringe_fit_loads_no_scipy_signal(self):
+        src = str(Path(fitting.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("import sys, numpy as np; from biphoton import fitting; "
+                "x = np.linspace(-20e-6, 20e-6, 400); "
+                "fitting.fit_fringe(x, 1 - 0.9 * np.sinc(x / 8e-6) * np.cos(2 * np.pi * x / 1.5e-6)); "
+                "assert 'scipy.signal' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestFitFringe:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -188,15 +190,21 @@ def test_demodulation_relaxes_sampling_bound():
 
 def brute_force_jsi(ig, band, window):
     """sum h * w * fold * cos(w1 a + w2 b) da db over the lattice, term by
-    term with np.cos, then clipped and normalised to a unit integral."""
+    term with np.cos, then clipped and normalised to a unit integral.  A half
+    axis (one that starts at 0) stands for its mirrored axis: it takes the
+    right half of the window over that axis and weight 2 off 0."""
     ax_a, ax_b = ig.axes
     a, b = ax_a.values, ax_b.values
-    weight = np.ones((len(a), len(b)))
-    if window == "hann":
-        weight *= np.outer(np.hanning(len(a)), np.hanning(len(b)))
-    if a[0] == 0.0:  # half axis: the a < 0 half-plane mirrors the a > 0 one
-        weight *= np.where(a == 0.0, 1.0, 2.0)[:, None]
-    hw = (1.0 - ig.values) * weight * ax_a.step * ax_b.step
+    weights = []
+    for t in (a, b):
+        n = len(t)
+        if t[0] == 0.0:
+            w = np.hanning(2 * n - 1)[n - 1:] if window == "hann" else np.ones(n)
+            w = w * np.where(t == 0.0, 1.0, 2.0)
+        else:
+            w = np.hanning(n) if window == "hann" else np.ones(n)
+        weights.append(w)
+    hw = (1.0 - ig.values) * np.outer(*weights) * ax_a.step * ax_b.step
     est = np.array([[np.sum(hw * np.cos(w1 * a[:, None] + w2 * b[None, :]))
                      for w2 in band.axis2] for w1 in band.axis1])
     est = np.clip(est, 0.0, None)
@@ -261,3 +269,111 @@ def test_pure_math_cosine_series_self_adjoint():
     est = rec.reconstruct_jsi(ig, band)
     rel = np.linalg.norm(est.values - true) / np.linalg.norm(true)
     assert rel < 1e-4
+
+
+def small_band(rho=-0.5):
+    """The unit-free 12.3/12.0 band of the brute-force tests: its grid, the
+    sampled amplitude and a symmetric lattice for it."""
+    model = core.BiphotonAmplitude.gaussian(12.3, 12.0, 0.7, 0.7, rho=rho)
+    grid = core.grid_for_gaussian(model, n=16)
+    return grid, core.sample_on_grid(model, grid), make_lattice(grid, 0.7, rho)
+
+
+def test_hann_on_half_lattice_matches_symmetric():
+    # the half axis takes the right half of the window over its mirrored
+    # axis, so Hann keeps the a = 0 row instead of zeroing it
+    grid, sampled, full = small_band()
+    half = (full.count1 - 1) // 2
+    l_axis = (full.start2, full.step2, full.count2)
+    sym, half_est = (rec.reconstruct_jsi(ifm.scan_2d(sampled, sampled, s_axis, l_axis), grid,
+                                         window="hann")
+                     for s_axis in ((full.start1, full.step1, full.count1),
+                                    (0.0, full.step1, half + 1)))
+    assert not half_est.degenerate
+    rel = np.linalg.norm(half_est.values - sym.values) / np.linalg.norm(sym.values)
+    assert rel <= 1e-12
+
+
+@pytest.mark.parametrize("half_axis", [None, 1, 2], ids=["symmetric", "half-S", "half-L"])
+@pytest.mark.parametrize("demodulate", [False, True])
+@pytest.mark.parametrize("window", ["none", "hann"])
+def test_fold_matches_brute_force_on_noisy_lattice(window, demodulate, half_axis):
+    # seeded noise makes G far from point-symmetric: the fold of the
+    # symmetric lattice must still equal the unfolded sum
+    grid, sampled, full = small_band()
+    axes = [(full.start1, full.step1, full.count1), (full.start2, full.step2, full.count2)]
+    if half_axis is not None:
+        axes[half_axis - 1] = (0.0, full.step1, (full.count1 - 1) // 2 + 1)
+    ig = ifm.scan_2d(sampled, sampled, *axes)
+    noise = np.random.default_rng(11).normal(0.0, 0.05, ig.values.shape)
+    noisy = ifm.Interferogram(ig.axes, np.clip(ig.values + noise, 0.0, 2.0))
+    if half_axis is None:
+        assert np.max(np.abs(noisy.values - noisy.values[::-1, ::-1])) > 0.1
+    est = rec.reconstruct_jsi(noisy, grid, window=window, demodulate=demodulate)
+    direct = brute_force_jsi(noisy, grid, window)
+    assert np.linalg.norm(est.values - direct) / np.linalg.norm(direct) <= 1e-9
+
+
+def test_inverse_allocates_a_fraction_of_the_lattice():
+    # folded rows are formed in one fixed-size buffer: no lattice-sized temporary
+    grid, sampled, _ = small_band()
+    step = 0.9 * rec.nyquist_step(grid)
+    axis = (-500 * step, step, 1001)
+    ig = ifm.scan_2d(sampled, sampled, axis, axis)
+    tracemalloc.start()
+    try:
+        rec.reconstruct_jsi(ig, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * ig.values.nbytes
+
+
+# a band narrow beside its center: steps far above nyquist_step fall in or
+# between the bandpass windows, where the mirror band does or does not alias
+SWEEP_MODEL = core.BiphotonAmplitude.gaussian(12.3, 12.0, 0.2, 0.2, rho=0.0)
+SWEEP_GRID = core.grid_for_gaussian(SWEEP_MODEL, n=48)
+SWEEP_FRACTIONS = np.geomspace(1.5, 8.0, 24).round(3).tolist()
+
+
+def sweep_axes(fraction):
+    lattice = make_lattice(SWEEP_GRID, 0.2, 0.0, span=6.0, step_fraction=fraction)
+    return ((lattice.start1, lattice.step1, lattice.count1),
+            (lattice.start2, lattice.step2, lattice.count2))
+
+
+@pytest.mark.parametrize("fraction", SWEEP_FRACTIONS)
+def test_bandpass_guard_accepts_only_accurate_steps(fraction):
+    sampled = core.sample_on_grid(SWEEP_MODEL, SWEEP_GRID)
+    ig = ifm.scan_2d(sampled, sampled, *sweep_axes(fraction))
+    try:
+        est = rec.reconstruct_jsi(ig, SWEEP_GRID, demodulate=True)
+    except rec.AliasingError as exc:
+        # the required step passes in place of the named axis's step
+        axes = [ifm.Axis(ax.name, ax.start, exc.required_step, ax.count)
+                if ax.name == exc.axis_name else ax for ax in ig.axes]
+        assert exc.required_step < ig.axes[0].step
+        rec.check_sampling(SWEEP_GRID, axes, demodulate=True)
+    else:
+        assert rec.l2_error(est, sampled) <= 1e-6
+
+
+def test_bandpass_sweep_accepts_and_refuses():
+    accepted = 0
+    for fraction in SWEEP_FRACTIONS:
+        axes = [ifm.Axis(name, *ax) for name, ax in zip("SL", sweep_axes(fraction))]
+        try:
+            rec.check_sampling(SWEEP_GRID, axes, demodulate=True)
+            accepted += 1
+        except rec.AliasingError:
+            pass
+    assert 0 < accepted < len(SWEEP_FRACTIONS)
+
+
+@pytest.mark.parametrize("band", [SWEEP_GRID, small_band()[0],
+                                  core.FrequencyGrid(8, 8, 1.0e15, 1.3e15, 1.1e15, 1.2e15)])
+def test_nyquist_step_passes_both_checks(band):
+    step = rec.nyquist_step(band)
+    axes = (ifm.Axis("S", -step, step, 3), ifm.Axis("L", -step, step, 3))
+    for demodulate in (False, True):
+        rec.check_sampling(band, axes, demodulate)
