@@ -6,6 +6,12 @@ uniform delay lattice and inverting it recovers the JSI without a
 spectrometer.  The demo runs the round trip for a separable source and for
 a strongly frequency-anticorrelated one and compares the recovered
 spectral correlation coefficients.
+
+For identical sources M = |Phi|^2 is real, so G is point-symmetric,
+G(-a, -b) = G(a, b): the lattice half with a >= 0 holds every value the
+inverse needs.  The demo scans only that half, as `biphoton reconstruct`
+does, which halves the forward product, the lattice memory and, in the
+laboratory, the acquisition time; the inverse reads it as a half lattice.
 """
 
 import numpy as np
@@ -25,7 +31,7 @@ def main():
         # half-span must grow as the correlation strengthens.
         slow = np.sqrt(2.0) / (sigma * np.sqrt(1.0 - abs(rho)))
         half = int(np.ceil(5.0 * slow / step))
-        lattice = rec.DelayLattice.symmetric(step, half, step, half)
+        lattice = rec.DelayLattice.half(step, half)
 
         sampled = core.sample_on_grid(model, grid)
         ig = ifm.scan_2d(sampled, sampled,

@@ -175,7 +175,8 @@ def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
         span = cfg.getfloat("reconstruct", "span_coherence_times")
         step = cfg.getfloat("reconstruct", "step_fraction") * rec.nyquist_step(grid)
         half_count = int(np.ceil(span * coh / step))
-        lattice = rec.DelayLattice.symmetric(step, half_count, step, half_count)
+        # M = |Phi|^2 is real, so G(-a, -b) = G(a, b): scan a >= 0 only
+        lattice = rec.DelayLattice.half(step, half_count)
         sampled = core.sample_on_grid(model, grid)
         ig = ifm.scan_2d(sampled, sampled,
                          (lattice.start1, lattice.step1, lattice.count1),

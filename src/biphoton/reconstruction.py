@@ -80,6 +80,11 @@ class DelayLattice:
         return cls(-step1 * half_count1, step1, 2 * half_count1 + 1,
                    -step2 * half_count2, step2, 2 * half_count2 + 1)
 
+    @classmethod
+    def half(cls, step: float, half_count: int) -> "DelayLattice":
+        """The a >= 0 half of symmetric(step, half_count, step, half_count)."""
+        return cls(0.0, step, half_count + 1, -step * half_count, step, 2 * half_count + 1)
+
     def axis(self, i: int) -> np.ndarray:
         start, step, count = ((self.start1, self.step1, self.count1) if i == 1
                               else (self.start2, self.step2, self.count2))

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -312,10 +314,12 @@ class TestReconstructCommand:
         assert float(report["correlation"]) == pytest.approx(-0.9, abs=0.05)
         assert (out / "jsi.csv").exists()
 
-    def test_scans_and_inverts_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def spy(monkeypatch, *targets):
+        """Wrap each (module, name): count its calls, keep its last args and result."""
         calls, seen = Counter(), {}
 
-        def spy(module, name):
+        def wrap(module, name):
             fn = getattr(module, name)
 
             def wrapper(*args, **kwargs):
@@ -324,19 +328,35 @@ class TestReconstructCommand:
                 return seen[name][1]
             monkeypatch.setattr(module, name, wrapper)
 
-        for module, name in ((core, "sample_on_grid"), (ifm, "scan_2d"),
-                             (rec, "reconstruct_jsi"), (rec, "l2_error")):
-            spy(module, name)
+        for module, name in targets:
+            wrap(module, name)
+        return calls, seen
+
+    def test_scans_and_inverts_once(self, tmp_path, monkeypatch):
+        calls, seen = self.spy(monkeypatch, (core, "sample_on_grid"), (ifm, "scan_2d"),
+                               (rec, "reconstruct_jsi"), (rec, "l2_error"))
         out = tmp_path / "o"
         assert cli.main(["--out", str(out), "reconstruct"]) == cli.EXIT_OK
         assert calls == {"sample_on_grid": 1, "scan_2d": 1, "reconstruct_jsi": 1,
                          "l2_error": 1}
-        (model, grid), _ = seen["sample_on_grid"]
+        (model, grid), sampled = seen["sample_on_grid"]
         err = seen["l2_error"][1]
         lattice = rec.DelayLattice.from_interferogram(seen["scan_2d"][1])
         expected = rec.roundtrip_error(model, None, None, grid, lattice, demodulate=True)
         assert err == pytest.approx(expected, rel=1e-9)
         assert read_report(out / "recon_report.txt")["roundtrip_l2_error"] == f"{err:.6g}"
+        # the scan covers the a >= 0 half: first axis from 0, second symmetric
+        cfg = load_config()
+        coh = np.sqrt(2.0) / (model.sigma1 * np.sqrt(1.0 - abs(model.rho)))
+        step = cfg.getfloat("reconstruct", "step_fraction") * rec.nyquist_step(grid)
+        half_count = int(np.ceil(cfg.getfloat("reconstruct", "span_coherence_times") * coh / step))
+        _, _, s_axis, l_axis = seen["scan_2d"][0]
+        assert s_axis == (0.0, step, half_count + 1)
+        assert l_axis == (-step * half_count, step, 2 * half_count + 1)
+        # the premise: G(-a, -b) = G(a, b) on the symmetric lattice, to the
+        # rounding of the phases w * a (~ 4e-13 rad at a ~ 3 ps)
+        g = ifm.scan_2d(sampled, sampled, l_axis, l_axis).values
+        assert np.max(np.abs(g - g[::-1, ::-1])) <= 1e-12
 
     def test_external_csv_input(self, tmp_path, reference_sampled):
         # reconstruct from a CSV written by the engine
@@ -360,6 +380,35 @@ class TestReconstructCommand:
         assert code == cli.EXIT_OK
         report = read_report(out / "recon_report.txt")
         assert abs(float(report["correlation"])) < 0.05
+
+    @pytest.mark.parametrize("demodulate", ["true", "false"])
+    @pytest.mark.parametrize("window", ["none", "hann"])
+    def test_half_lattice_jsi_equals_symmetric(self, tmp_path, monkeypatch, window, demodulate):
+        _, seen = self.spy(monkeypatch, (ifm, "scan_2d"))
+        out = tmp_path / "o"
+        args = ["--set", "reconstruct.band_n=32", "--set", f"reconstruct.window={window}",
+                "--set", f"reconstruct.demodulate={demodulate}"]
+        assert cli.main(["--out", str(out), *args, "reconstruct"]) == cli.EXIT_OK
+        sampled, _, _, l_axis = seen["scan_2d"][0]
+        grid = sampled.grid
+        jsi = np.loadtxt(out / "jsi.csv", delimiter=",", comments="#")[:, 2]
+        full = rec.reconstruct_jsi(ifm.scan_2d(sampled, sampled, l_axis, l_axis), grid,
+                                   window=window, demodulate=demodulate == "true")
+        ref = full.values.reshape(-1)
+        assert np.linalg.norm(jsi - ref) / np.linalg.norm(ref) <= 1e-12
+
+    def test_peak_memory_is_a_fraction_of_the_symmetric_lattice(self, tmp_path):
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = cli.main(["--out", str(out), "--set", "reconstruct.band_n=32", "reconstruct"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_OK
+        axes = ast.literal_eval(read_report(out / "recon_report.txt")["lattice_axes"])
+        count = axes[-1][2]  # the symmetric axis
+        assert peak <= 0.6 * count * count * 8
 
 
 class TestScan2dCommand:

@@ -314,6 +314,15 @@ def test_fold_matches_brute_force_on_noisy_lattice(window, demodulate, half_axis
     assert np.linalg.norm(est.values - direct) / np.linalg.norm(direct) <= 1e-9
 
 
+@pytest.mark.parametrize("half_axis", [False, True], ids=["symmetric", "half"])
+def test_kernel_matches_complex_exponential(half_axis):
+    grid, _, full = small_band()
+    t = full.axis(1)[(full.count1 - 1) // 2:] if half_axis else full.axis(1)
+    weight = np.hanning(len(t) + 2)[1:-1] * full.step1
+    direct = weight * np.exp(1j * np.outer(grid.axis1, t))
+    assert np.max(np.abs(rec._kernel(grid.axis1, t, weight) - direct)) <= 1e-12
+
+
 def test_inverse_allocates_a_fraction_of_the_lattice():
     # folded rows are formed in one fixed-size buffer: no lattice-sized temporary
     grid, sampled, _ = small_band()
