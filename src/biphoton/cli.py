@@ -193,11 +193,11 @@ def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
         f"lattice_axes: {[(ax.start, ax.step, ax.count) for ax in ig.axes]}",
         f"window: {window}",
         f"demodulated: {demod}",
-        f"negativity_fraction: {est.negativity_fraction:.6g}",
+        f"negativity_fraction: {est.negativity_fraction:.3g}",
         f"correlation: {corr:.4f}",
     ]
     if sampled is not None:
-        lines.append(f"roundtrip_l2_error: {rec.l2_error(est, sampled):.6g}")
+        lines.append(f"roundtrip_l2_error: {rec.l2_error(est, sampled):.3g}")
     return lines
 
 

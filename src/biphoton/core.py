@@ -99,6 +99,29 @@ class FrequencyGrid:
                              self.omega2_min, self.omega2_max)
 
 
+def phasors(omega: np.ndarray, t) -> np.ndarray:
+    """exp(-i outer(t, omega)), shape (len(t), n), for a uniform omega axis:
+    the broadcast product of tables at every b-th frequency and at the
+    offsets k dw, k < b = ceil(sqrt(n)), i.e. n/b + b exponentials per delay.
+    The large phases p = fl(t omega) of the first table carry their rounding
+    error e (Dekker's exact product) as exp(-i p) (1 - i e)."""
+    omega = np.asarray(omega, float)
+    t = np.atleast_1d(np.asarray(t, float))[:, None]
+    n = len(omega)
+    b = int(np.ceil(np.sqrt(n)))
+    (th, tl), (wh, wl) = _split(t), _split(omega[::b])
+    p = t * omega[::b]
+    coarse = np.exp(-1j * p) * (1.0 - 1j * (((th * wh - p) + th * wl + tl * wh) + tl * wl))
+    fine = np.exp(-1j * t * (np.arange(b) * ((omega[-1] - omega[0]) / max(n - 1, 1))))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(t), -1)[:, :n]
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo exactly, each with at most 26 significant bits."""
+    hi = 134217729.0 * a - (134217729.0 * a - a)  # 2**27 + 1
+    return hi, a - hi
+
+
 @dataclass(frozen=True)
 class SpectralFilter:
     """Per-arm passband applied before detection.

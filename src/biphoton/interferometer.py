@@ -7,7 +7,8 @@ The numerical kernel is the overlap integral
 
 evaluated as a midpoint-rule double sum, with the normalized coincidence
 rate G = 1 - Re(Gamma) in [0, 2].  Lattice scans reuse the factored form
-E1 @ M @ E2^T, which is the same double sum reassociated.
+E1 @ M @ E2^T, the same double sum reassociated; core.phasors builds the
+exp(-i w t) tables E1, E2 from sqrt(n)-sized ones.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GridMismatchError, SampledAmplitude
+from .core import GridMismatchError, SampledAmplitude, phasors
 
 _RANGE_TOL = 1e-9
 
@@ -29,6 +30,9 @@ class Axis:
     count: int
 
     def __post_init__(self):
+        # plain Python numbers, so the CSV header reads back with float()/int()
+        for key, cast in (("start", float), ("step", float), ("count", int)):
+            object.__setattr__(self, key, cast(getattr(self, key)))
         if self.count < 2:
             raise ValueError("axis needs at least 2 points")
         if self.step <= 0:
@@ -94,19 +98,18 @@ def gamma_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
     a real array, when `real` is set.
 
     Factored evaluation of the same double sum: exp(-i w1 a) and
-    exp(-i w2 b) are separable, so the sum is two matrix products.  The
-    first, P = E1 @ M, is small; Re(P @ E2) is then one real product.
+    exp(-i w2 b) are separable phasor tables E1, E2, so the sum is two
+    matrix products.  P = E1 @ M is small; Re(P @ E2^T) is one real product
+    of conj(P) and E2 viewed as (re, im) pairs, with no stacked copy.
     """
     _check_same_grid(phi_a, phi_b)
     g = phi_a.grid
-    s = np.atleast_1d(np.asarray(s_delays, float))
-    l = np.atleast_1d(np.asarray(l_delays, float))
     m = phi_a.values * np.conj(phi_b.values) * g.measure
-    p = np.exp(-1j * np.outer(s, g.axis1)) @ m     # (ns, n2)
-    phase = np.outer(g.axis2, l)                   # (n2, nl)
+    p = phasors(g.axis1, s_delays) @ m             # (ns, n2)
+    e2 = phasors(g.axis2, l_delays)                # (nl, n2)
     if real:
-        return np.hstack([p.real, p.imag]) @ np.vstack([np.cos(phase), np.sin(phase)])
-    return p @ np.exp(-1j * phase)
+        return np.conj(p).view(float) @ e2.view(float).T
+    return p @ e2.T
 
 
 def symmetrized_gamma(phi: SampledAmplitude, tau1: float, tau2: float) -> complex:
@@ -120,9 +123,7 @@ def symmetrized_gamma(phi: SampledAmplitude, tau1: float, tau2: float) -> comple
     if g.n1 != g.n2 or g.omega1_min != g.omega2_min or g.omega1_max != g.omega2_max:
         raise GridMismatchError("symmetrized overlap needs a square grid with identical axes")
     m = phi.values * np.conj(phi.values.T) * g.measure
-    e1 = np.exp(-1j * g.axis1 * tau1)
-    e2 = np.exp(-1j * g.axis2 * tau2)
-    return complex(e1 @ m @ e2)
+    return complex(phasors(g.axis1, tau1)[0] @ m @ phasors(g.axis2, tau2)[0])
 
 
 def sinc(u):

@@ -6,8 +6,8 @@ nonnegative) JSI, so the JSI is recovered by the inverse cosine-kernel sum
     J(w1, w2) ~ sum_over_lattice h(a, b) * w(a) w(b) * cos(w1*a + w2*b) * da*db
 
 evaluated on a requested frequency band as Re(E1 @ h @ E2^T), with
-band-center-referenced kernels that carry the window w, fold weight and
-cell area, so the lattice-sized product is real.
+kernels built by core.phasors from sqrt(n)-sized tables that carry the
+window w, fold weight and cell area, so the lattice-sized product is real.
 
 cos is even and the window symmetric, so the terms at (a, b) and (-a, -b)
 share one kernel value.  A lattice symmetric on both axes is folded onto
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BiphotonAmplitude, FrequencyGrid, SampledAmplitude,
-                   SpectralFilter, sample_on_grid)
+                   SpectralFilter, phasors, sample_on_grid)
 from .interferometer import Interferogram, scan_2d
 
 
@@ -172,10 +172,8 @@ def _window(n: int, kind: str) -> np.ndarray:
 
 
 def _kernel(omega: np.ndarray, t: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """exp(i omega t) referenced to the band center, times the per-delay
-    weight (window, fold and step)."""
-    wr = 0.5 * (omega[0] + omega[-1])
-    return np.exp(1j * np.outer(omega - wr, t)) * (weight * np.exp(1j * wr * t))
+    """exp(i omega t) times the per-delay weight (window, fold and step)."""
+    return np.conj(phasors(omega, t)).T * weight
 
 
 # folded lattice rows formed and multiplied per step of the inverse

@@ -344,7 +344,7 @@ class TestReconstructCommand:
         lattice = rec.DelayLattice.from_interferogram(seen["scan_2d"][1])
         expected = rec.roundtrip_error(model, None, None, grid, lattice, demodulate=True)
         assert err == pytest.approx(expected, rel=1e-9)
-        assert read_report(out / "recon_report.txt")["roundtrip_l2_error"] == f"{err:.6g}"
+        assert read_report(out / "recon_report.txt")["roundtrip_l2_error"] == f"{err:.3g}"
         # the scan covers the a >= 0 half: first axis from 0, second symmetric
         cfg = load_config()
         coh = np.sqrt(2.0) / (model.sigma1 * np.sqrt(1.0 - abs(model.rho)))
@@ -431,6 +431,25 @@ class TestScan2dCommand:
         noisy = (b / "envelope_report.txt").read_text().splitlines()[1:]
         assert noisy != noiseless
         assert read_report(b / "envelope_report.txt")["entangled_signature"] == "True"
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["--set", "scan.fringe_halfspan_mm=0.05", "fringe"], "fringe.csv"),
+    (["hom-dip"], "dip.csv"),
+    (TestScan2dCommand.REDUCED, "scan2d.csv"),
+], ids=["fringe", "hom-dip", "scan2d"])
+def test_cli_csv_reads_back(tmp_path, monkeypatch, argv, name):
+    # the axis header must hold plain numbers that read_interferogram_csv parses
+    written = []
+    write = ifm.write_interferogram_csv
+    monkeypatch.setattr(ifm, "write_interferogram_csv",
+                        lambda ig, path: (written.append(ig), write(ig, path)))
+    assert cli.main(["--out", str(tmp_path), *argv]) == cli.EXIT_OK
+    back = ifm.read_interferogram_csv(tmp_path / name)
+    (ig,) = written
+    assert back.axes == ig.axes
+    assert np.array_equal(back.values, ig.values)
+    assert np.array_equal(back.counts, ig.counts)
 
 
 def test_cli_import_loads_no_scipy():

@@ -45,6 +45,40 @@ class TestFrequencyGrid:
         assert (r.omega1_min, r.omega1_max) == (0.0, 4.0)
 
 
+class TestPhasors:
+    @pytest.mark.parametrize("n", [2, 3, 96, 97, 256])
+    def test_matches_complex_exponential(self, n):
+        # an exactly uniform axis near 1.2e15 rad/s (integers times 2**30):
+        # the tables and the reference differ only by the rounding of the
+        # phases, which reach ~4e3 rad
+        omega = 2.0**30 * (1_100_000 + 64 * np.arange(n))
+        tmax = 4e3 / omega[-1]
+        t = np.concatenate([[0.0, tmax, -tmax],
+                            np.random.default_rng(n).uniform(-tmax, tmax, 200)])
+        for delays in (0.7 * tmax, -tmax, t, -np.sort(t)):
+            expect = np.exp(-1j * np.outer(delays, omega))
+            got = core.phasors(omega, delays)
+            assert got.shape == expect.shape
+            assert np.max(np.abs(got - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 96, 97, 256])
+    def test_grid_axis_as_accurate_as_direct(self, n):
+        # a grid axis carries its own rounding (~1 ulp of omega, ~1e-12 rad
+        # at these delays), which exp(-i t omega) follows and the tables do
+        # not: both are measured against the ideal midpoint axis in long double
+        grid = core.FrequencyGrid(n, n, 1.1e15, 1.3e15, 1.1e15, 1.3e15)
+        ld = np.longdouble
+        ideal = ld(grid.omega1_min) + (np.arange(n).astype(ld) + ld(0.5)) * (
+            (ld(grid.omega1_max) - ld(grid.omega1_min)) / n)
+        tmax = 4e3 / grid.omega1_max
+        t = np.random.default_rng(n).uniform(-tmax, tmax, 200)
+        phase = np.outer(t.astype(ld), ideal)
+        exact = np.cos(phase) - 1j * np.sin(phase)
+        err = np.max(np.abs(core.phasors(grid.axis1, t) - exact))
+        direct = np.max(np.abs(np.exp(-1j * np.outer(t, grid.axis1)) - exact))
+        assert err <= 1.5 * direct
+
+
 class TestSpectralFilter:
     def test_rectangular_exact_passband(self):
         f = core.SpectralFilter("rectangular", 10.0, 4.0)

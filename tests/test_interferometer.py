@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from biphoton import core, fitting
 from biphoton import interferometer as ifm
+from biphoton import reconstruction as rec
+from biphoton.config import build_source_params, load_config
 
 
 class TestGamma:
@@ -43,6 +47,61 @@ class TestGamma:
             for j, b in enumerate(l):
                 assert lat[i, j] == pytest.approx(
                     ifm.gamma(reference_sampled, reference_sampled, a, b), abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["reconstruct", "fringe"])
+    def test_lattice_as_accurate_as_direct_phases(self, case, reference_sampled):
+        # Re(Gamma) from the phasor tables and from the former cos/sin of
+        # outer(omega, t), each against long-double phases on the ideal
+        # midpoint axes, on a subset of the default reconstruct half lattice
+        # (phases to ~4e3 rad) and of the default fringe scan
+        if case == "reconstruct":
+            cfg = load_config()
+            src = build_source_params(cfg)
+            sigma = cfg.getfloat("reconstruct", "sigma_rad_per_ps") * 1e12
+            rho = cfg.getfloat("reconstruct", "rho")
+            model = core.BiphotonAmplitude.gaussian(
+                core.omega_from_wavelength(src.signal_center_wavelength),
+                core.omega_from_wavelength(src.idler_center_wavelength), sigma, sigma, rho=rho)
+            grid = core.grid_for_gaussian(model, n=cfg.getint("reconstruct", "band_n"))
+            ph = core.sample_on_grid(model, grid)
+            coh = np.sqrt(2.0) / (sigma * np.sqrt(1.0 - abs(rho)))
+            step = cfg.getfloat("reconstruct", "step_fraction") * rec.nyquist_step(grid)
+            half_count = np.ceil(cfg.getfloat("reconstruct", "span_coherence_times") * coh / step)
+            lattice = rec.DelayLattice.half(step, int(half_count))
+            s, l = lattice.axis(1)[::36], lattice.axis(2)[::7]
+        else:
+            ph, grid = reference_sampled, reference_sampled.grid
+            s, l = np.array([0.0]), 5e-16 * np.arange(-866, 867, 3)
+        ld = np.longdouble
+
+        def exact(lo, hi, n, t):
+            axis = ld(lo) + (np.arange(n).astype(ld) + ld(0.5)) * ((ld(hi) - ld(lo)) / n)
+            phase = np.outer(t.astype(ld), axis)
+            return np.cos(phase) - 1j * np.sin(phase)
+
+        m = ph.values * np.conj(ph.values) * grid.measure
+        e1 = exact(grid.omega1_min, grid.omega1_max, grid.n1, s)
+        e2 = exact(grid.omega2_min, grid.omega2_max, grid.n2, l)
+        ref = ((e1 @ m.astype(np.clongdouble)) @ e2.T).real
+        p = np.exp(-1j * np.outer(s, grid.axis1)) @ m
+        phase = np.outer(grid.axis2, l)
+        direct = np.hstack([p.real, p.imag]) @ np.vstack([np.cos(phase), np.sin(phase)])
+        got = ifm.gamma_lattice(ph, ph, s, l, real=True)
+        assert np.max(np.abs(got - ref)) <= np.max(np.abs(direct - ref))
+
+    def test_lattice_peak_memory_is_about_one_phasor_table(self):
+        # the 1-D scan holds one complex (n2 x nl) table and no stacked copy
+        model = core.BiphotonAmplitude.gaussian(1.23e15, 1.20e15, 5e12, 5e12, rho=-0.5)
+        grid = core.grid_for_gaussian(model, n=64)
+        ph = core.sample_on_grid(model, grid)
+        l = np.linspace(-2e-12, 2e-12, 2001)
+        tracemalloc.start()
+        try:
+            ifm.gamma_lattice(ph, ph, 0.0, l, real=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * grid.n2 * len(l) * np.dtype(complex).itemsize
 
     def test_grid_mismatch_rejected(self, small_gaussian):
         model, grid, sampled = small_gaussian
