@@ -9,7 +9,6 @@ from .core import (
     EmptySupportError,
     FrequencyGrid,
     GridMismatchError,
-    OutOfDomainError,
     SampledAmplitude,
     SourceParams,
     SpectralFilter,

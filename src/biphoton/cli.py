@@ -48,6 +48,13 @@ def _write_csv(out: Path, cfg: RunConfig, ig: ifm.Interferogram, name: str) -> N
     ifm.write_interferogram_csv(ig, out / name)
 
 
+def _num(value: float, spec: str) -> str:
+    """format(value, spec), without the sign of a value that prints as zero:
+    a -0.000000 is rounding noise, not a result."""
+    text = format(value, spec)
+    return text.lstrip("-") if set(text) <= set("-0.") else text
+
+
 def _symmetric_positions(half: float, step: float, key: str) -> np.ndarray:
     """step * k for every integer |k| <= half / step; at least three points."""
     n = int(np.floor(half / step))
@@ -78,8 +85,8 @@ def _fringe(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
         f"period_nm: {fit.period * 1e9:.4f} +- {fit.stderr['period'] * 1e9:.4f}",
         f"sigma_x_mm: {fit.sigma_x * 1e3:.6f} +- {fit.stderr['sigma_x'] * 1e3:.6f}",
         f"pi_sigma_x_mm: {np.pi * fit.sigma_x * 1e3:.6f}",
-        f"center_um: {fit.center * 1e6:.4f}",
-        f"phase_rad: {fit.phase:.6f}",
+        f"center_um: {_num(fit.center * 1e6, '.4f')}",
+        f"phase_rad: {_num(fit.phase, '.6f')}",
         f"residual_rms: {fit.residual_rms:.6g}",
     ]
     if fit.visibility - 1.0 > fit.stderr["visibility"]:
@@ -116,9 +123,9 @@ def _hom_dip(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     _write_csv(args.out, cfg, ig, "dip.csv")
     fit = fitting.fit_dip(core.C * dt, fitting.fit_data(ig))
     return [
-        f"visibility_percent: {fit.visibility * 100:.4f} +- {fit.stderr['visibility'] * 100:.4f}",
+        f"visibility_percent: {_num(fit.visibility * 100, '.4f')} +- {fit.stderr['visibility'] * 100:.4f}",
         f"fwhm_mm: {fit.fwhm * 1e3:.4f} +- {fit.stderr['fwhm'] * 1e3:.4f}",
-        f"center_um: {fit.center * 1e6:.4f}",
+        f"center_um: {_num(fit.center * 1e6, '.4f')}",
         f"jitter_fwhm_ps: {jitter.combined_fwhm * 1e12:.4f}",
         f"residual_rms: {fit.residual_rms:.6g}",
     ]
@@ -145,9 +152,9 @@ def _scan2d(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     slope = fitting.ridge_slope(env)
     return [
         f"peak_visibility: {env.fit.peak_visibility:.6f}",
-        f"envelope_center_mm: {env.fit.center * 1e3:.6f}",
+        f"envelope_center_mm: {_num(env.fit.center * 1e3, '.6f')}",
         f"envelope_fwhm_mm: {env.fit.fwhm * 1e3:.6f} +- {env.fit.stderr['fwhm'] * 1e3:.6f}",
-        f"ridge_slope: {slope:.4f}",
+        f"ridge_slope: {_num(slope, '.4f')}",
         f"entangled_signature: {abs(slope) > 0.5}",
         f"slices_failed: {len(env.failed)}",
     ]
@@ -194,7 +201,7 @@ def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
         f"window: {window}",
         f"demodulated: {demod}",
         f"negativity_fraction: {est.negativity_fraction:.3g}",
-        f"correlation: {corr:.4f}",
+        f"correlation: {_num(corr, '.4f')}",
     ]
     if sampled is not None:
         lines.append(f"roundtrip_l2_error: {rec.l2_error(est, sampled):.3g}")

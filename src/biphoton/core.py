@@ -17,10 +17,6 @@ C = 299792458.0  # vacuum speed of light, m/s
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
 
-class OutOfDomainError(ValueError):
-    """A gridded amplitude was queried outside its frequency grid."""
-
-
 class EmptySupportError(ValueError):
     """Filtering removed all spectral support (passband misses the model)."""
 
@@ -197,14 +193,12 @@ def grid_for_gaussian(model: "BiphotonAmplitude", n: int = 256,
 class BiphotonAmplitude:
     """Complex joint spectral amplitude Phi(omega1, omega2) of a photon pair.
 
-    Two models: a correlated 2D gaussian (centers, widths, correlation
-    coefficient rho, global phase) or an arbitrary complex array on a
-    FrequencyGrid.
+    One model: a correlated 2D gaussian (centers, widths, correlation
+    coefficient rho, global phase).
     """
 
     def __init__(self, kind: str, *, omega_c1=None, omega_c2=None,
-                 sigma1=None, sigma2=None, rho=0.0, phase=0.0,
-                 values=None, grid=None):
+                 sigma1=None, sigma2=None, rho=0.0, phase=0.0):
         self.kind = kind
         self.phase = float(phase)
         if kind == "gaussian":
@@ -217,15 +211,6 @@ class BiphotonAmplitude:
             self.sigma1 = float(sigma1)
             self.sigma2 = float(sigma2)
             self.rho = float(rho)
-        elif kind == "gridded":
-            values = np.asarray(values, dtype=complex)
-            if values.shape != (grid.n1, grid.n2):
-                raise ValueError("gridded values must match the grid shape")
-            self.values = values
-            self.grid = grid
-            from scipy.interpolate import RegularGridInterpolator
-            self._interp = RegularGridInterpolator(
-                (grid.axis1, grid.axis2), values, bounds_error=True)
         else:
             raise ValueError(f"unknown model kind {kind!r}")
 
@@ -234,24 +219,12 @@ class BiphotonAmplitude:
         return cls("gaussian", omega_c1=omega_c1, omega_c2=omega_c2,
                    sigma1=sigma1, sigma2=sigma2, rho=rho, phase=phase)
 
-    @classmethod
-    def gridded(cls, values, grid: FrequencyGrid, phase=0.0):
-        return cls("gridded", values=values, grid=grid, phase=phase)
-
     def __call__(self, omega1, omega2) -> np.ndarray:
         """Evaluate Phi(omega1, omega2) (broadcasting)."""
-        if self.kind == "gaussian":
-            u1 = (np.asarray(omega1, float) - self.omega_c1) / self.sigma1
-            u2 = (np.asarray(omega2, float) - self.omega_c2) / self.sigma2
-            q = (u1 * u1 - 2.0 * self.rho * u1 * u2 + u2 * u2) / (2.0 * (1.0 - self.rho**2))
-            return np.exp(-q) * np.exp(1j * self.phase)
-        pts = np.stack(np.broadcast_arrays(np.asarray(omega1, float),
-                                           np.asarray(omega2, float)), axis=-1)
-        try:
-            out = self._interp(pts)
-        except ValueError as exc:
-            raise OutOfDomainError(str(exc)) from None
-        return out * np.exp(1j * self.phase)
+        u1 = (np.asarray(omega1, float) - self.omega_c1) / self.sigma1
+        u2 = (np.asarray(omega2, float) - self.omega_c2) / self.sigma2
+        q = (u1 * u1 - 2.0 * self.rho * u1 * u2 + u2 * u2) / (2.0 * (1.0 - self.rho**2))
+        return np.exp(-q) * np.exp(1j * self.phase)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,15 @@ A, B and V are not jointly identifiable (only A+B and A*V enter the
 model), so a free offset must be supplied by the caller as a known
 background level.
 
-Every fit is a Levenberg-Marquardt solve with an analytic Jacobian. The
-`stderr` of each fit is the 1-sigma uncertainty of each parameter: the
-square root of the diagonal of the covariance built from the SVD of the
-column-scaled Jacobian at the optimum, multiplied by the reduced
-chi-square (residual sum of squares over n_data - n_params). A parameter
-that the data do not constrain (one that loads on a singular direction
-of the scaled Jacobian) gets an infinite stderr.
+Every fit is a Levenberg-Marquardt solve (`_solve`, numpy only) with an
+analytic Jacobian and Marquardt's column-norm scaling, so its steps do
+not depend on the units of the parameters. The `stderr` of each fit is
+the 1-sigma uncertainty of each parameter: the square root of the
+diagonal of the covariance built from the SVD of the column-scaled
+Jacobian at the optimum, multiplied by the reduced chi-square (residual
+sum of squares over n_data - n_params). A parameter that the data do not
+constrain (one that loads on a singular direction of the scaled
+Jacobian) gets an infinite stderr.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .core import C, FWHM_TO_SIGMA
 from .interferometer import Interferogram, sinc
 
 _FWHM = 1.0 / FWHM_TO_SIGMA  # 2*sqrt(2 ln 2)
+
+# Levenberg-Marquardt stopping rules (see _solve)
+_XTOL, _FTOL, _GTOL = 1e-8, 1e-14, 1e-14
 
 
 class FitConvergenceError(RuntimeError):
@@ -91,24 +96,74 @@ class EnvelopeResult:
 def _solve(model, jac, p0, x, y):
     """Levenberg-Marquardt fit of model(p, x) to y with the analytic jac(p, x).
 
-    Returns (params, 1-sigma stderr, residual rms). `x_scale=1.0` is passed
-    explicitly: it was the LM default before scipy 1.16 changed it to
-    'jac', and with 'jac' the edge slices of an envelope scan stall.
+    Returns (params, 1-sigma stderr, residual rms). Each step d solves
+    (J^T J + lam diag(J^T J)) d = -J^T r, with r = model(p, x) - y. With
+    Marquardt's diag(J^T J) the step does not depend on the parameter units
+    (counts ~1e4, lengths ~1e-6 m): in the scaled z = |J columns| d it is
+    (Js^T Js + lam I) z = -Js^T r, Js = J / |J columns|, solved through the
+    eigendecomposition of the small Js^T Js, so trying another lam costs no
+    new factorization. Directions with eigenvalues below eps max(m, n) of
+    the largest get no step.
+
+    The first step is Gauss-Newton (lam = 0). A step that lowers the cost
+    |r|^2 is taken, and lam is multiplied by max(1/3, 1 - (2 rho - 1)^3),
+    rho being the ratio of the actual to the predicted cost reduction; a
+    step that does not is retried with lam raised nu-fold, nu doubling on
+    each retry (Nielsen's rule; lam starts from 1e-3 of the largest
+    eigenvalue). The fit converges when the scaled step |z| is at most
+    _XTOL |p| in the same scale, when a step lowers the cost by a fraction
+    _FTOL or less, or when the scaled gradient max |Js^T r| / |r| is at most
+    _GTOL. It raises FitConvergenceError after 200 (len(p0) + 1) model
+    evaluations, or on a non-finite residual or Jacobian at the iterate.
+    The stderr comes from `_covariance_diag` at the returned point.
     """
-    from scipy.optimize import least_squares
-    res = least_squares(lambda p: model(p, x) - y, p0, jac=lambda p: jac(p, x),
-                        method="lm", x_scale=1.0, xtol=1e-8,
-                        ftol=1e-14, gtol=1e-14, max_nfev=200 * (len(p0) + 1))
-    if not res.success:
-        raise FitConvergenceError(f"fit did not converge: {res.message}",
-                                  last_params=res.x)
-    n_data = len(y)
-    dof = max(n_data - len(p0), 1)
-    s2 = 2.0 * res.cost / dof
-    var = _covariance_diag(res.jac)
-    stderr = np.sqrt(np.where(np.isinf(var), np.inf, var * s2))
-    rms = np.sqrt(2.0 * res.cost / n_data)
-    return res.x, stderr, rms
+    p = np.asarray(p0, float)
+    max_nfev = 200 * (len(p) + 1)
+    r, j = model(p, x) - y, jac(p, x)
+    nfev, lam, done = 1, 0.0, False
+    while True:
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(j))):
+            raise FitConvergenceError("fit did not converge: non-finite residual "
+                                      "or Jacobian", last_params=p)
+        cost = r @ r
+        if done:
+            break
+        norms = np.linalg.norm(j, axis=0)
+        scale = np.where(norms > 0, norms, 1.0)
+        js = j / scale
+        grad = js.T @ r
+        if np.max(np.abs(grad)) <= _GTOL * np.sqrt(cost):
+            break
+        w, v = np.linalg.eigh(js.T @ js)
+        gv = v.T @ grad
+        keep = w > np.finfo(float).eps * max(j.shape) * w[-1]
+        xtol = _XTOL * np.linalg.norm(scale * p)
+        nu = 2.0
+        while True:  # raise lam until a step lowers the cost
+            if nfev >= max_nfev:
+                raise FitConvergenceError(
+                    f"fit did not converge in {max_nfev} evaluations", last_params=p)
+            f = np.where(keep, 1.0 / (w + lam), 0.0)
+            z = -v @ (f * gv)
+            trial = p + z / scale
+            r_trial = model(trial, x) - y
+            nfev += 1
+            cost_trial = r_trial @ r_trial  # nan if not finite: never lower
+            small = np.linalg.norm(z) <= xtol
+            if cost_trial < cost or small:
+                break
+            lam, nu = max(nu * lam, 1e-3 * w[-1]), 2.0 * nu
+        if not cost_trial < cost:  # the step shrank to xtol without a descent
+            break
+        done = small or cost - cost_trial <= _FTOL * cost
+        rho = (cost - cost_trial) / np.sum(gv * gv * f * (2.0 - w * f))
+        lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        p, r = trial, r_trial
+        j = jac(p, x)
+    dof = max(len(y) - len(p), 1)
+    var = _covariance_diag(j)
+    stderr = np.sqrt(np.where(np.isinf(var), np.inf, var * cost / dof))
+    return p, stderr, np.sqrt(cost / len(y))
 
 
 def _covariance_diag(jac):

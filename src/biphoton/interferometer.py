@@ -13,6 +13,7 @@ exp(-i w t) tables E1, E2 from sqrt(n)-sized ones.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,13 +197,13 @@ def write_interferogram_csv(ig: Interferogram, path) -> None:
     head = [f"# axis{i} {ax.name},{ax.start!r},{ax.step!r},{ax.count}\n"
             for i, ax in enumerate(ig.axes, start=1)]
     head += [f"# {key}={ig.metadata[key]}\n" for key in sorted(ig.metadata)]
-    columns = [*np.meshgrid(*(ax.values for ax in ig.axes), indexing="ij"), ig.values]
-    if ig.counts is not None:
-        columns.append(ig.counts)
-    rows = np.column_stack([c.reshape(-1) for c in columns]).astype(float).tolist()
+    # each coordinate is formatted once; the lattice order is row-major
+    coords = itertools.product(*(map(repr, ax.values.tolist()) for ax in ig.axes))
+    columns = [ig.values] if ig.counts is None else [ig.values, ig.counts]
+    data = zip(*(map(repr, np.asarray(c, float).reshape(-1).tolist()) for c in columns))
     with open(path, "w") as fh:
         fh.writelines(head)
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        fh.writelines(",".join((*c, *d)) + "\n" for c, d in zip(coords, data))
 
 
 def read_interferogram_csv(path) -> Interferogram:

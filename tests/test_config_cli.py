@@ -173,7 +173,8 @@ SMALL_SCAN2D = ["--set", "grid.n=64", "--set", "scan.x1_halfspan_mm=0.6",
 SMALL_RECON = ["--set", "reconstruct.band_n=32", "--set", "reconstruct.rho=0"]
 
 
-@pytest.mark.parametrize("argv,code,report", [
+# one short run of every subcommand, and of each failure exit code
+RUNS = [
     ([*SMALL_FRINGE, "fringe"], cli.EXIT_OK, "fit_report.txt"),
     (["hom-dip"], cli.EXIT_OK, "fit_report.txt"),
     (["--noiseless", *SMALL_SCAN2D, "scan2d"], cli.EXIT_OK, "envelope_report.txt"),
@@ -183,7 +184,11 @@ SMALL_RECON = ["--set", "reconstruct.band_n=32", "--set", "reconstruct.rho=0"]
     ([*SMALL_RECON, "--set", "reconstruct.step_fraction=5",
       "--set", "reconstruct.demodulate=false", "reconstruct"],
      cli.EXIT_ALIASING, "recon_report.txt"),
-], ids=["fringe", "hom-dip", "scan2d", "reconstruct", "budget", "fit-error", "aliasing"])
+]
+RUN_IDS = ["fringe", "hom-dip", "scan2d", "reconstruct", "budget", "fit-error", "aliasing"]
+
+
+@pytest.mark.parametrize("argv,code,report", RUNS, ids=RUN_IDS)
 def test_every_run_writes_report_and_resolved_config(tmp_path, argv, code, report):
     out = tmp_path / "o"
     assert cli.main(["--out", str(out), "--seed", "3", *argv]) == code
@@ -191,6 +196,14 @@ def test_every_run_writes_report_and_resolved_config(tmp_path, argv, code, repor
     head = (out / report).read_text().splitlines()[0]
     assert head == f"# config_sha256={hashlib.sha256(resolved.encode()).hexdigest()}"
     assert ("error" in read_report(out / report)) == (code != cli.EXIT_OK)
+
+
+@pytest.mark.parametrize("value,spec,text", [
+    (-1e-9, ".4f", "0.0000"), (-0.0, ".3g", "0"), (-1e-4, ".4f", "-0.0001"),
+    (-2.5, ".1f", "-2.5"), (-np.inf, ".4f", "-inf"), (1e-9, ".4f", "0.0000"),
+])
+def test_num_drops_only_the_sign_of_a_printed_zero(value, spec, text):
+    assert cli._num(value, spec) == text
 
 
 class TestFringeCommand:
@@ -207,6 +220,14 @@ class TestFringeCommand:
         head = (out / "fit_report.txt").read_text().splitlines()[0]
         assert cfg.sha256() in head
         assert cfg.sha256() in (out / "fringe.csv").read_text()
+
+    def test_noiseless_report_prints_no_negative_zero(self, tmp_path):
+        # center and phase are zero up to rounding noise on the noiseless scan
+        out = tmp_path / "o"
+        assert cli.main(["--out", str(out), "--noiseless", "fringe"]) == cli.EXIT_OK
+        report = read_report(out / "fit_report.txt")
+        assert report["center_um"] == "0.0000"
+        assert report["phase_rad"] == "0.000000"
 
     @pytest.mark.parametrize("argv,flagged", [
         (["--set", "grid.n=3"], True),   # the coarse grid fits V = 1.0027 +- 0.0001
@@ -450,6 +471,20 @@ def test_cli_csv_reads_back(tmp_path, monkeypatch, argv, name):
     assert back.axes == ig.axes
     assert np.array_equal(back.values, ig.values)
     assert np.array_equal(back.counts, ig.counts)
+
+
+def test_every_run_works_without_scipy(tmp_path):
+    # scipy is a test dependency only: with it unimportable, every run
+    # above still ends with its own exit code
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    runs = [["--out", str(tmp_path / name), "--seed", "3", *argv]
+            for name, (argv, _, _) in zip(RUN_IDS, RUNS)]
+    code = ("import sys; sys.modules['scipy'] = None; from biphoton import cli; "
+            f"print([cli.main(argv) for argv in {runs!r}])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == str([c for _, c, _ in RUNS])
 
 
 def test_cli_import_loads_no_scipy():

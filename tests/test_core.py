@@ -132,21 +132,6 @@ class TestGaussianAmplitude:
             core.BiphotonAmplitude.gaussian(0.0, 0.0, 1.0, 1.0, rho=1.0)
 
 
-def test_gridded_amplitude_out_of_domain():
-    grid = core.FrequencyGrid(8, 8, 0.0, 1.0, 0.0, 1.0)
-    vals = np.ones((8, 8), dtype=complex)
-    m = core.BiphotonAmplitude.gridded(vals, grid)
-    assert m(0.5, 0.5) == pytest.approx(1.0)
-    with pytest.raises(core.OutOfDomainError):
-        m(2.0, 0.5)
-
-
-def test_gridded_shape_mismatch():
-    grid = core.FrequencyGrid(8, 8, 0.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        core.BiphotonAmplitude.gridded(np.ones((4, 8), dtype=complex), grid)
-
-
 class TestSampling:
     def test_unfiltered_norm(self, small_gaussian):
         _, grid, sampled = small_gaussian

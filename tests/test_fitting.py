@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biphoton import core, detector, fitting
+from biphoton import cli, core, detector, fitting
 from biphoton import interferometer as ifm
 
 FWHM = 2.0 * np.sqrt(2.0 * np.log(2.0))
@@ -46,13 +46,14 @@ class TestAnalyticSignal:
         x = np.random.default_rng(n).normal(size=n)
         assert np.max(np.abs(fitting._analytic_signal(x) - hilbert(x))) <= 1e-12
 
-    def test_fringe_fit_loads_no_scipy_signal(self):
+    def test_fringe_fit_loads_no_scipy(self):
         src = str(Path(fitting.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         code = ("import sys, numpy as np; from biphoton import fitting; "
                 "x = np.linspace(-20e-6, 20e-6, 400); "
                 "fitting.fit_fringe(x, 1 - 0.9 * np.sinc(x / 8e-6) * np.cos(2 * np.pi * x / 1.5e-6)); "
-                "assert 'scipy.signal' not in sys.modules")
+                "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], "
+                "sorted(m for m in sys.modules if 'scipy' in m)")
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
@@ -240,6 +241,71 @@ class TestCovariance:
         var = fitting._covariance_diag(np.column_stack([a, b, 2e-6 * b, np.zeros(100)]))
         assert np.isfinite(var[0])
         assert np.all(np.isinf(var[1:]))
+
+
+SMALL_SCAN2D = ["--set", "grid.n=64", "--set", "scan.x1_halfspan_mm=0.6",
+                "--set", "scan.x1_step_mm=0.2", "--set", "scan.fringe_halfspan_mm=0.05"]
+
+
+class TestSolver:
+    @staticmethod
+    def cli_problems(tmp_path, monkeypatch, argv, model):
+        """The (model, jac, p0, x, y) of every `model` fit in a CLI run."""
+        calls = []
+        solve = fitting._solve
+        with monkeypatch.context() as patch:
+            patch.setattr(fitting, "_solve", lambda *a: (calls.append(a), solve(*a))[1])
+            assert cli.main(["--out", str(tmp_path), "--seed", "3", *argv]) == cli.EXIT_OK
+        return [call for call in calls if call[0] is model]
+
+    # fringe, dip and envelope-peak fits of the CLI, with and without counts.
+    # The scan2d slices are left out: on their nearly degenerate
+    # center/phase pairs the reference stops short of the minimum.
+    @pytest.mark.parametrize("argv,model", [
+        (["--set", "grid.n=64", "fringe"], fitting._fringe),
+        (["--noiseless", "--set", "grid.n=64", "fringe"], fitting._fringe),
+        (["hom-dip"], fitting._dip),
+        (["--noiseless", "hom-dip"], fitting._dip),
+        ([*SMALL_SCAN2D, "scan2d"], fitting._peak),
+        (["--noiseless", *SMALL_SCAN2D, "scan2d"], fitting._peak),
+    ], ids=["fringe", "fringe-noiseless", "dip", "dip-noiseless", "peak", "peak-noiseless"])
+    def test_matches_minpack_reference(self, tmp_path, monkeypatch, argv, model):
+        from scipy.optimize import least_squares
+        problems = self.cli_problems(tmp_path, monkeypatch, argv, model)
+        assert problems
+        for _, jac, p0, x, y in problems:
+            params, stderr, rms = fitting._solve(model, jac, p0, x, y)
+            ref = least_squares(lambda p: model(p, x) - y, p0, jac=lambda p: jac(p, x),
+                                method="lm", x_scale=1.0, xtol=1e-8, ftol=1e-14,
+                                gtol=1e-14, max_nfev=200 * (len(p0) + 1))
+            assert ref.success
+            ref_stderr = np.sqrt(fitting._covariance_diag(ref.jac) * 2.0 * ref.cost
+                                 / (len(y) - len(p0)))
+            assert np.all(np.abs(params - ref.x) <= 1e-3 * stderr)
+            np.testing.assert_allclose(stderr, ref_stderr, rtol=1e-6)
+            assert rms == pytest.approx(np.sqrt(2.0 * ref.cost / len(y)), rel=1e-9)
+
+    def test_non_finite_model_raises(self):
+        x = np.linspace(-1e-3, 1e-3, 50)
+        with pytest.raises(fitting.FitConvergenceError, match="non-finite") as err:
+            fitting._solve(lambda p, x: np.full_like(x, np.nan), fitting._peak_jac,
+                           np.array([1.0, 0.0, 1e-3]), x, np.zeros_like(x))
+        np.testing.assert_array_equal(err.value.last_params, [1.0, 0.0, 1e-3])
+
+    def test_evaluation_cap_raises(self):
+        # each evaluation shrinks the residual by 3% whatever p is: every step
+        # is taken, and no stopping rule comes near its tolerance
+        calls = []
+
+        def model(p, x):
+            calls.append(p[0])
+            return np.array([0.97 ** len(calls)])
+
+        with pytest.raises(fitting.FitConvergenceError, match="400 evaluations") as err:
+            fitting._solve(model, lambda p, x: np.ones((1, 1)), np.array([0.0]),
+                           np.zeros(1), np.zeros(1))
+        assert len(calls) == 200 * (1 + 1)
+        assert err.value.last_params[0] == calls[-1]
 
 
 class TestDelayToPosition:
