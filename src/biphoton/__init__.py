@@ -18,11 +18,8 @@ from .core import (
     grid_for_gaussian,
     jsi,
     jsi_correlation,
-    marginal_spectrum,
     omega_from_wavelength,
     sample_on_grid,
-    two_photon_coherence_length,
-    wavelength_from_omega,
 )
 from .detector import (
     DetectorConfig,
@@ -33,7 +30,6 @@ from .detector import (
     pair_probability_from_car,
     rate_to_counts,
     subtract_accidentals,
-    synth_counts,
 )
 from .fitting import (
     DipFit,
@@ -54,15 +50,11 @@ from .interferometer import (
     Interferogram,
     gamma,
     gamma_lattice,
-    gaussian_envelope,
     hom_fringe_analytic,
-    hom_generalized,
     read_interferogram_csv,
     scan_1d,
     scan_2d,
     sinc,
-    sinc_envelope,
-    symmetrized_gamma,
     write_interferogram_csv,
 )
 from .reconstruction import (

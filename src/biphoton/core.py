@@ -8,8 +8,7 @@ joint spectral intensity integrates to one under the grid measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +27,6 @@ class GridMismatchError(ValueError):
 def omega_from_wavelength(lam: float) -> float:
     """Angular frequency (rad/s) for a vacuum wavelength (m)."""
     return 2.0 * np.pi * C / lam
-
-
-def wavelength_from_omega(omega: float) -> float:
-    return 2.0 * np.pi * C / omega
 
 
 def bandwidth_omega_from_wavelength(center_lam: float, bw_lam: float) -> float:
@@ -182,8 +177,6 @@ def grid_for_filters(filter1: SpectralFilter, filter2: SpectralFilter,
 def grid_for_gaussian(model: "BiphotonAmplitude", n: int = 256,
                       span_sigmas: float = 5.0) -> FrequencyGrid:
     """Grid covering +-span_sigmas of an unfiltered gaussian model."""
-    if model.kind != "gaussian":
-        raise ValueError("grid_for_gaussian requires a gaussian model")
     h1 = span_sigmas * model.sigma1
     h2 = span_sigmas * model.sigma2
     return FrequencyGrid(n, n, model.omega_c1 - h1, model.omega_c1 + h1,
@@ -197,27 +190,21 @@ class BiphotonAmplitude:
     coefficient rho, global phase).
     """
 
-    def __init__(self, kind: str, *, omega_c1=None, omega_c2=None,
-                 sigma1=None, sigma2=None, rho=0.0, phase=0.0):
-        self.kind = kind
+    def __init__(self, omega_c1, omega_c2, sigma1, sigma2, rho=0.0, phase=0.0):
+        if sigma1 <= 0 or sigma2 <= 0:
+            raise ValueError("sigma1, sigma2 must be positive")
+        if not -1.0 < rho < 1.0:
+            raise ValueError("rho must lie strictly inside (-1, 1)")
+        self.omega_c1 = float(omega_c1)
+        self.omega_c2 = float(omega_c2)
+        self.sigma1 = float(sigma1)
+        self.sigma2 = float(sigma2)
+        self.rho = float(rho)
         self.phase = float(phase)
-        if kind == "gaussian":
-            if sigma1 <= 0 or sigma2 <= 0:
-                raise ValueError("sigma1, sigma2 must be positive")
-            if not -1.0 < rho < 1.0:
-                raise ValueError("rho must lie strictly inside (-1, 1)")
-            self.omega_c1 = float(omega_c1)
-            self.omega_c2 = float(omega_c2)
-            self.sigma1 = float(sigma1)
-            self.sigma2 = float(sigma2)
-            self.rho = float(rho)
-        else:
-            raise ValueError(f"unknown model kind {kind!r}")
 
     @classmethod
     def gaussian(cls, omega_c1, omega_c2, sigma1, sigma2, rho=0.0, phase=0.0):
-        return cls("gaussian", omega_c1=omega_c1, omega_c2=omega_c2,
-                   sigma1=sigma1, sigma2=sigma2, rho=rho, phase=phase)
+        return cls(omega_c1, omega_c2, sigma1, sigma2, rho, phase)
 
     def __call__(self, omega1, omega2) -> np.ndarray:
         """Evaluate Phi(omega1, omega2) (broadcasting)."""
@@ -239,9 +226,6 @@ class SampledAmplitude:
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"sampled amplitude not normalized (norm={norm})")
 
-    def jsi(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
-
 
 def sample_on_grid(model: BiphotonAmplitude, grid: FrequencyGrid,
                    filter1: SpectralFilter | None = None,
@@ -261,16 +245,7 @@ def sample_on_grid(model: BiphotonAmplitude, grid: FrequencyGrid,
 
 def jsi(sampled: SampledAmplitude) -> np.ndarray:
     """Joint spectral intensity |Phi|^2 on the sampling grid."""
-    return sampled.jsi()
-
-
-def marginal_spectrum(jsi_values: np.ndarray, grid: FrequencyGrid, arm: int) -> np.ndarray:
-    """Marginal of the JSI for one arm; integrates to 1 under its measure."""
-    if arm == 1:
-        return jsi_values.sum(axis=1) * grid.d2
-    if arm == 2:
-        return jsi_values.sum(axis=0) * grid.d1
-    raise ValueError("arm must be 1 or 2")
+    return np.abs(sampled.values) ** 2
 
 
 def jsi_correlation(jsi_values: np.ndarray, grid: FrequencyGrid) -> float:
@@ -302,14 +277,6 @@ class SourceParams:
         if abs(lhs - rhs) / rhs > 1e-4:
             raise ValueError("center wavelengths violate energy conservation "
                              f"(relative error {abs(lhs - rhs) / rhs:.2e})")
-
-
-def two_photon_coherence_length(src: SourceParams,
-                                gvd_spreads: Sequence[float] = ()) -> float:
-    """Pair-level coherence length: c times the pump duration combined in
-    quadrature with any user-supplied GVD timing spreads (seconds)."""
-    t = np.sqrt(src.pump_pulse_fwhm**2 + sum(g * g for g in gvd_spreads))
-    return C * float(t)
 
 
 def gaussian_from_setup(omega_c1: float, omega_c2: float,

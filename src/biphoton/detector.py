@@ -83,21 +83,9 @@ def pair_probability_from_car(car: float) -> float:
     return 1.0 / car
 
 
-def synth_counts(mean_rate: float, bin_duration: float, trials: int, seed: int) -> np.ndarray:
-    """Independent Poisson counts with mean mean_rate*bin_duration."""
-    if mean_rate < 0:
-        raise ValueError("mean_rate must be nonnegative")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return rng.poisson(mean_rate * bin_duration, size=trials)
-
-
-def subtract_accidentals(raw, accidental_rate: float, bin_duration: float) -> np.ndarray:
-    """Net counts raw - accidental_rate*bin_duration (never clipped)."""
-    if bin_duration <= 0:
-        raise ValueError("bin_duration must be positive")
-    return np.asarray(raw, dtype=float) - accidental_rate * bin_duration
+def subtract_accidentals(raw, accidental_counts: float) -> np.ndarray:
+    """Net counts raw - accidental_counts (never clipped)."""
+    return np.asarray(raw, dtype=float) - accidental_counts
 
 
 def independent_hom_dip(delta_t: np.ndarray, visibility: np.ndarray,

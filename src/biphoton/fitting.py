@@ -23,11 +23,12 @@ Jacobian) gets an infinite stderr.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import C, FWHM_TO_SIGMA
+from .detector import subtract_accidentals
 from .interferometer import Interferogram, sinc
 
 _FWHM = 1.0 / FWHM_TO_SIGMA  # 2*sqrt(2 ln 2)
@@ -175,25 +176,26 @@ def _covariance_diag(jac):
     """
     norms = np.linalg.norm(jac, axis=0)
     free = norms > 0
+    var = np.full(jac.shape[1], np.inf)
+    if not free.any():
+        return var
     _, s, vt = np.linalg.svd(jac[:, free] / norms[free], full_matrices=False)
     keep = s > np.finfo(float).eps * max(jac.shape) * s[0]
-    var = np.full(jac.shape[1], np.inf)
     var[free] = np.sum((vt[keep] / s[keep, None]) ** 2, axis=0) / norms[free] ** 2
     dropped = np.any(np.abs(vt[~keep]) > np.sqrt(np.finfo(float).eps), axis=0)
     var[np.flatnonzero(free)[dropped]] = np.inf
     return var
 
 
-def _dsinc(u):
-    """Derivative of the unnormalized sinc, (cos u - sinc u)/u, with 0 at u = 0.
+def _dsinc(u, sinc_u):
+    """Derivative of the unnormalized sinc, (cos u - sinc u)/u, with 0 at u = 0,
+    given sinc_u = sinc(u).
 
     A two-term series replaces the quotient for |u| < 1e-2, where it cancels.
     """
-    u = np.asarray(u, float)
     small = np.abs(u) < 1e-2
     safe = np.where(small, 1.0, u)
-    return np.where(small, -u / 3.0 * (1.0 - u * u / 10.0),
-                    (np.cos(safe) - sinc(safe)) / safe)
+    return np.where(small, -u / 3.0 * (1.0 - u * u / 10.0), (np.cos(safe) - sinc_u) / safe)
 
 
 def _fringe(p, x):
@@ -205,7 +207,8 @@ def _fringe_jac(p, x):
     a, v, sx, lam, xc, phi = p
     d = x - xc
     u = d / sx
-    s, ds = sinc(u), _dsinc(u)
+    s = sinc(u)
+    ds = _dsinc(u, s)
     k = 2.0 * np.pi / lam
     c, sn = np.cos(k * d + phi), np.sin(k * d + phi)
     av = a * v
@@ -400,7 +403,7 @@ def fit_data(ig: Interferogram) -> np.ndarray:
     carries counts (metadata read from CSV are strings)."""
     if ig.counts is None:
         return ig.values
-    return ig.counts - float(ig.metadata.get("accidental_counts", 0.0))
+    return subtract_accidentals(ig.counts, float(ig.metadata.get("accidental_counts", 0.0)))
 
 
 def visibility_envelope(scan2d: Interferogram, axis: str = "L",

@@ -113,20 +113,6 @@ def gamma_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
     return p @ e2.T
 
 
-def symmetrized_gamma(phi: SampledAmplitude, tau1: float, tau2: float) -> complex:
-    """Overlap of Phi with its argument-swapped conjugate.
-
-    Requires a square grid with identical axes so Phi(w2, w1) lives on the
-    same lattice.  For asymmetric (nondegenerate) amplitudes its magnitude
-    at zero delay is below 1, unlike gamma(phi, phi, 0, 0).
-    """
-    g = phi.grid
-    if g.n1 != g.n2 or g.omega1_min != g.omega2_min or g.omega1_max != g.omega2_max:
-        raise GridMismatchError("symmetrized overlap needs a square grid with identical axes")
-    m = phi.values * np.conj(phi.values.T) * g.measure
-    return complex(phasors(g.axis1, tau1)[0] @ m @ phasors(g.axis2, tau2)[0])
-
-
 def sinc(u):
     """Unnormalized sinc: sin(u)/u with sinc(0) = 1."""
     return np.sinc(np.asarray(u, float) / np.pi)
@@ -141,27 +127,6 @@ def hom_fringe_analytic(V: float, sigma_x: float, lam: float, delta_x2) -> np.nd
         raise ValueError("sigma_x and lam must be positive")
     dx = np.asarray(delta_x2, float)
     return 0.5 * (1.0 - V * sinc(dx / sigma_x) * np.cos(2.0 * np.pi * dx / lam))
-
-
-def hom_generalized(V: float, envelope, delta_omega: float, delta_t, theta: float) -> np.ndarray:
-    """Generalized HOM coincidence probability with beating and phase:
-    P = (1 - V * f(dt) * cos(delta_omega*dt) * cos(theta)) / 2."""
-    if not 0.0 <= V <= 1.0:
-        raise ValueError("V must be in [0, 1]")
-    dt = np.asarray(delta_t, float)
-    f = np.asarray(envelope(dt), float)
-    return 0.5 * (1.0 - V * f * np.cos(delta_omega * dt) * np.cos(theta))
-
-
-def gaussian_envelope(fwhm: float):
-    """Gaussian envelope f(dt) with f(0)=1 and the given FWHM."""
-    s = fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-    return lambda dt: np.exp(-0.5 * (np.asarray(dt, float) / s) ** 2)
-
-
-def sinc_envelope(width: float):
-    """sinc envelope f(dt) = sinc(dt/width), f(0)=1."""
-    return lambda dt: sinc(np.asarray(dt, float) / width)
 
 
 def scan_1d(phi_a: SampledAmplitude, phi_b: SampledAmplitude, axis: str,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BiphotonAmplitude, FrequencyGrid, SampledAmplitude,
-                   SpectralFilter, phasors, sample_on_grid)
+                   SpectralFilter, jsi, phasors, sample_on_grid)
 from .interferometer import Interferogram, scan_2d
 
 
@@ -254,6 +254,6 @@ def l2_error(est: JsiEstimate, sampled: SampledAmplitude) -> float:
     it was reconstructed from, which must be sampled on the estimate's band."""
     if sampled.grid != est.band:
         raise ValueError("the amplitude is not sampled on the estimate's band grid")
-    true = sampled.jsi()
+    true = jsi(sampled)
     true = true / (np.sum(true) * est.band.measure)
     return float(np.linalg.norm(est.values - true) / np.linalg.norm(true))

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from biphoton import core
+from biphoton import config, core
 
 
 def test_wavelength_omega_round_trip():
     lam = 1550e-9
-    assert core.wavelength_from_omega(core.omega_from_wavelength(lam)) == pytest.approx(lam, rel=1e-15)
+    assert 2 * np.pi * core.C / core.omega_from_wavelength(lam) == pytest.approx(lam, rel=1e-15)
 
 
 def test_energy_matched_idler_conserves_energy():
@@ -123,7 +123,7 @@ class TestGaussianAmplitude:
         m = core.BiphotonAmplitude.gaussian(0.0, 0.0, 1.0, 1.0, rho=-0.9)
         grid = core.grid_for_gaussian(m, n=64, span_sigmas=4.0)
         sampled = core.sample_on_grid(m, grid)
-        assert core.jsi_correlation(sampled.jsi(), grid) == pytest.approx(-0.9, abs=1e-3)
+        assert core.jsi_correlation(core.jsi(sampled), grid) == pytest.approx(-0.9, abs=1e-3)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -141,13 +141,13 @@ class TestSampling:
     def test_filtered_norm_and_support(self, reference_setup, reference_sampled):
         _, f1, f2, _ = reference_setup
         grid = reference_sampled.grid
-        norm = np.sum(reference_sampled.jsi()) * grid.measure
+        norm = np.sum(core.jsi(reference_sampled)) * grid.measure
         assert abs(norm - 1.0) < 1e-10
         # support confined to the passband rectangle
         in1 = f1.transmission(grid.axis1).astype(bool)
         in2 = f2.transmission(grid.axis2).astype(bool)
         outside = ~np.outer(in1, in2)
-        assert np.all(reference_sampled.jsi()[outside] == 0.0)
+        assert np.all(core.jsi(reference_sampled)[outside] == 0.0)
 
     def test_empty_support_raises(self):
         m = core.BiphotonAmplitude.gaussian(1.23e15, 1.20e15, 5e12, 5e12)
@@ -172,9 +172,7 @@ class TestJsiAndMarginals:
     def test_separable_factorizes(self, small_gaussian):
         _, grid, sampled = small_gaussian
         j = core.jsi(sampled)
-        m1 = core.marginal_spectrum(j, grid, 1)
-        m2 = core.marginal_spectrum(j, grid, 2)
-        outer = np.outer(m1, m2)
+        outer = np.outer(j.sum(axis=1) * grid.d2, j.sum(axis=0) * grid.d1)
         assert np.max(np.abs(j - outer)) <= 1e-8 * j.max()
 
     def test_correlated_does_not_factorize(self):
@@ -182,15 +180,15 @@ class TestJsiAndMarginals:
         grid = core.grid_for_gaussian(m, n=64, span_sigmas=4.0)
         sampled = core.sample_on_grid(m, grid)
         j = core.jsi(sampled)
-        outer = np.outer(core.marginal_spectrum(j, grid, 1),
-                         core.marginal_spectrum(j, grid, 2))
+        outer = np.outer(j.sum(axis=1) * grid.d2, j.sum(axis=0) * grid.d1)
         assert np.max(np.abs(j - outer)) > 1e-3 * j.max()
 
     def test_marginals_integrate_to_one(self, reference_sampled):
         grid = reference_sampled.grid
-        j = reference_sampled.jsi()
-        assert np.sum(core.marginal_spectrum(j, grid, 1)) * grid.d1 == pytest.approx(1.0, abs=1e-10)
-        assert np.sum(core.marginal_spectrum(j, grid, 2)) * grid.d2 == pytest.approx(1.0, abs=1e-10)
+        j = core.jsi(reference_sampled)
+        m1, m2 = j.sum(axis=1) * grid.d2, j.sum(axis=0) * grid.d1
+        assert np.sum(m1) * grid.d1 == pytest.approx(1.0, abs=1e-10)
+        assert np.sum(m2) * grid.d2 == pytest.approx(1.0, abs=1e-10)
 
     def test_truncated_gaussian_marginal_oracle(self):
         # separable gaussian with an asymmetric filter on arm 1 only
@@ -198,7 +196,7 @@ class TestJsiAndMarginals:
         grid = core.grid_for_gaussian(m, n=128, span_sigmas=6.0)
         filt = core.SpectralFilter("rectangular", 1.23e15 + 2e12, 6e12)
         sampled = core.sample_on_grid(m, grid, filt, None)
-        got = core.marginal_spectrum(sampled.jsi(), grid, 1)
+        got = core.jsi(sampled).sum(axis=1) * grid.d2
         # 1D truncated-gaussian quadrature on the same axis
         w = grid.axis1
         oracle = np.exp(-((w - 1.23e15) / 5e12) ** 2) * filt.transmission(w)
@@ -210,7 +208,7 @@ class TestJsiAndMarginals:
         f = core.SpectralFilter("rectangular", 1.2e15, 1e13)
         grid = core.grid_for_filters(f, f, n=128)
         sampled = core.sample_on_grid(flat, grid, f, f)
-        m1 = core.marginal_spectrum(sampled.jsi(), grid, 1)
+        m1 = core.jsi(sampled).sum(axis=1) * grid.d2
         width = np.count_nonzero(m1) * grid.d1
         assert width == pytest.approx(f.bandwidth, rel=1e-12)
 
@@ -218,8 +216,8 @@ class TestJsiAndMarginals:
         m = core.BiphotonAmplitude.gaussian(0.0, 0.0, 1.0, 1.0, rho=-0.9)
         grid = core.grid_for_gaussian(m, n=128, span_sigmas=5.0)
         sampled = core.sample_on_grid(m, grid)
-        j = sampled.jsi()
-        m1 = core.marginal_spectrum(j, grid, 1)
+        j = core.jsi(sampled)
+        m1 = j.sum(axis=1) * grid.d2
         w = grid.axis1
         marg_std = np.sqrt(np.sum(m1 * w**2) * grid.d1 - (np.sum(m1 * w) * grid.d1) ** 2)
         row = j[:, grid.n2 // 2]  # conditional slice at omega2 ~ center
@@ -241,15 +239,19 @@ def test_grid_refinement_changes_integrals_little():
     assert abs(b - a) / a < 1e-4
 
 
-def test_two_photon_coherence_length_examples(reference_setup):
-    src, _, _, _ = reference_setup
-    assert core.two_photon_coherence_length(src) == pytest.approx(core.C * 3.5e-12)
-    with_gvd = core.two_photon_coherence_length(src, (2.34e-12, 2.34e-12))
+def test_two_photon_coherence_length_examples():
+    # the pump duration combined in quadrature with the GVD timing spreads
+    def coherence_time(pump_fwhm_ps="3.5", gvd_terms="2"):
+        cfg = config.load_config(overrides={("jitter", "include_pump"): "true",
+                                            ("source", "pump_fwhm_ps"): pump_fwhm_ps,
+                                            ("jitter", "gvd_terms"): gvd_terms})
+        return config.build_jitter(cfg).combined_fwhm
+
+    assert coherence_time(gvd_terms="0") == pytest.approx(3.5e-12)
+    with_gvd = core.C * coherence_time()
     assert with_gvd == pytest.approx(core.C * np.sqrt(3.5e-12**2 + 2 * 2.34e-12**2))
     assert abs(with_gvd - 1.26e-3) / 1.26e-3 < 0.15
-    short = core.SourceParams(775e-9, 1e-20, src.signal_center_wavelength,
-                              src.idler_center_wavelength)
-    assert core.two_photon_coherence_length(short, (2.34e-12,)) == pytest.approx(core.C * 2.34e-12)
+    assert coherence_time(pump_fwhm_ps="1e-8", gvd_terms="1") == pytest.approx(2.34e-12)
 
 
 def test_gaussian_from_setup_envelope_width():

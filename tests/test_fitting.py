@@ -241,6 +241,8 @@ class TestCovariance:
         var = fitting._covariance_diag(np.column_stack([a, b, 2e-6 * b, np.zeros(100)]))
         assert np.isfinite(var[0])
         assert np.all(np.isinf(var[1:]))
+        # every column zero: nothing is constrained, and the SVD is empty
+        assert np.all(np.isinf(fitting._covariance_diag(np.zeros((10, 3)))))
 
 
 SMALL_SCAN2D = ["--set", "grid.n=64", "--set", "scan.x1_halfspan_mm=0.6",
@@ -340,7 +342,7 @@ class TestVisibilityEnvelope:
         model = core.BiphotonAmplitude.gaussian(1.2312e15, 1.2e15, 2.5e14, 2.5e14, rho=0.0)
         grid = core.grid_for_gaussian(model, n=256)
         sampled = core.sample_on_grid(model, grid)
-        lam2 = core.wavelength_from_omega(1.2e15)
+        lam2 = 2 * np.pi * core.C / 1.2e15
         # single-photon coherence length is 2c/sigma ~ 2.4 um; stay well inside
         x1 = 0.04e-6 * np.arange(-5, 6)
         step = lam2 / 20.0
