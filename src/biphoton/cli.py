@@ -63,14 +63,19 @@ def _symmetric_positions(half: float, step: float, key: str) -> np.ndarray:
     return step * np.arange(-n, n + 1)
 
 
+def _check_fringe_step(step: float, grid: core.FrequencyGrid) -> None:
+    """Refuse a delta_x2 step (m) whose delay step undersamples the grid's band."""
+    bound = rec.nyquist_step(grid)
+    if step / core.C > bound:
+        raise rec.AliasingError("delta_tau_L", step / core.C, bound)
+
+
 def _fringe(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     _, sampled = _prepare(cfg)
     half = cfg.getfloat("scan", "fringe_halfspan_mm") * 1e-3
     step = cfg.getfloat("scan", "fringe_step_um") * 1e-6
     x2 = _symmetric_positions(half, step, "fringe_halfspan_mm")  # delta_x2 positions, m
-    bound = rec.nyquist_step(sampled.grid)
-    if step / core.C > bound:
-        raise rec.AliasingError("delta_tau_L", step / core.C, bound)
+    _check_fringe_step(step, sampled.grid)
     # delta_tau_L = -delta_x2/c; scan over an ascending delay axis
     taus = np.sort(-x2 / core.C)
     ig = ifm.scan_1d(sampled, sampled, "L", 0.0, taus[0], taus[1] - taus[0], len(taus))
@@ -140,6 +145,7 @@ def _scan2d(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     step = cfg.getfloat("scan", "fringe_step_um") * 1e-6
     # the fringe ridge tracks delta_x2 = -delta_x1; cover it for every slice
     x2 = _symmetric_positions(x1_half + fringe_half, step, "fringe_halfspan_mm")
+    _check_fringe_step(step, sampled.grid)
     tau_s = x1 / core.C
     tau_l = np.sort(-x2 / core.C)
     ig = ifm.scan_2d(sampled, sampled,
@@ -189,12 +195,11 @@ def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
                          (lattice.start1, lattice.step1, lattice.count1),
                          (lattice.start2, lattice.step2, lattice.count2))
     est = rec.reconstruct_jsi(ig, grid, window=window, demodulate=demod)
-    with open(args.out / "jsi.csv", "w") as fh:
-        fh.write(f"# omega1 axis,{grid.omega1_min!r},{grid.d1!r},{grid.n1}\n")
-        fh.write(f"# omega2 axis,{grid.omega2_min!r},{grid.d2!r},{grid.n2}\n")
-        fh.write(f"# config_sha256={cfg.sha256()}\n")
-        fh.writelines(f"{i},{j},{v!r}\n" for i, row in enumerate(est.values.tolist())
-                      for j, v in enumerate(row))
+    ifm.write_csv(args.out / "jsi.csv",
+                  [f"omega1 axis,{grid.omega1_min!r},{grid.d1!r},{grid.n1}",
+                   f"omega2 axis,{grid.omega2_min!r},{grid.d2!r},{grid.n2}",
+                   f"config_sha256={cfg.sha256()}"],
+                  [est.values.reshape(-1)])
     corr = core.jsi_correlation(est.values, grid) if not est.degenerate else float("nan")
     lines = [
         f"lattice_axes: {[(ax.start, ax.step, ax.count) for ax in ig.axes]}",

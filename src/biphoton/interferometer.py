@@ -9,11 +9,14 @@ evaluated as a midpoint-rule double sum, with the normalized coincidence
 rate G = 1 - Re(Gamma) in [0, 2].  Lattice scans reuse the factored form
 E1 @ M @ E2^T, the same double sum reassociated; core.phasors builds the
 exp(-i w t) tables E1, E2 from sqrt(n)-sized ones.
+
+Interferograms are stored as CSV format 2: '#' headers that define the
+axes, then one 'G[,counts]' row per lattice point with integer counts.
+Format-1 files, whose rows lead with the coordinates, still read.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +24,7 @@ import numpy as np
 from .core import GridMismatchError, SampledAmplitude, phasors
 
 _RANGE_TOL = 1e-9
+_BLOCK_ROWS = 1 << 9       # rows per block of a CSV write; larger blocks raise peak RSS
 
 
 @dataclass(frozen=True)
@@ -156,23 +160,47 @@ def scan_2d(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
     return Interferogram((ax_s, ax_l), np.subtract(1.0, gam, out=gam))
 
 
-def write_interferogram_csv(ig: Interferogram, path) -> None:
-    """CSV schema: '# axis<i> name,start,step,count' headers, optional
-    '# key=value' metadata lines, then 'coord1[,coord2],G[,counts]' rows."""
-    head = [f"# axis{i} {ax.name},{ax.start!r},{ax.step!r},{ax.count}\n"
-            for i, ax in enumerate(ig.axes, start=1)]
-    head += [f"# {key}={ig.metadata[key]}\n" for key in sorted(ig.metadata)]
-    # each coordinate is formatted once; the lattice order is row-major
-    coords = itertools.product(*(map(repr, ax.values.tolist()) for ax in ig.axes))
-    columns = [ig.values] if ig.counts is None else [ig.values, ig.counts]
-    data = zip(*(map(repr, np.asarray(c, float).reshape(-1).tolist()) for c in columns))
+def write_csv(path, headers: list[str], columns: list[np.ndarray]) -> None:
+    """Format-2 CSV: '# format=2', a '# <header>' line per header, then one
+    row per index of the equal-length 1-D `columns`, each value its repr.
+
+    Rows go out in blocks of _BLOCK_ROWS; each column of a block is
+    formatted by one repr(list), which is split back into its items.
+    """
     with open(path, "w") as fh:
-        fh.writelines(head)
-        fh.writelines(",".join((*c, *d)) + "\n" for c, d in zip(coords, data))
+        fh.write("# format=2\n")
+        fh.writelines(f"# {line}\n" for line in headers)
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            cells = [repr(c[lo:lo + _BLOCK_ROWS].tolist())[1:-1].split(", ") for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))))
+            fh.write("\n")
+
+
+def write_interferogram_csv(ig: Interferogram, path) -> None:
+    """CSV schema (format 2): '# format=2', '# axis<i> name,start,step,count'
+    headers, sorted '# key=value' metadata lines, then one 'G[,counts]' row
+    per lattice point in row-major order; the coordinates of a row are
+    start + k * step of its axes, and counts are written as integers."""
+    head = [f"axis{i} {ax.name},{ax.start!r},{ax.step!r},{ax.count}"
+            for i, ax in enumerate(ig.axes, start=1)]
+    head += [f"{key}={ig.metadata[key]}" for key in sorted(ig.metadata)]
+    columns = [ig.values.reshape(-1)]
+    if ig.counts is not None:
+        counts = ig.counts.reshape(-1)
+        with np.errstate(invalid="ignore"):
+            ints = counts.astype(np.int64)
+        if not np.array_equal(ints, counts):
+            raise ValueError("counts must be integers")
+        columns.append(ints)
+    write_csv(path, head, columns)
 
 
 def read_interferogram_csv(path) -> Interferogram:
-    """Inverse of write_interferogram_csv: '#' headers first, then the rows."""
+    """Inverse of write_interferogram_csv: '#' headers first, then the rows.
+
+    Files without a '# format' header are format 1, whose rows lead with
+    the coordinates: 'coord1[,coord2],G[,counts]'.
+    """
     axes: list[Axis] = []
     metadata: dict = {}
     with open(path) as fh:
@@ -192,9 +220,12 @@ def read_interferogram_csv(path) -> Interferogram:
             raise ValueError(f"{path}: no data rows")
     if not axes:
         raise ValueError(f"{path}: no axis headers found")
+    fmt = metadata.pop("format", "1")
+    if fmt not in ("1", "2"):
+        raise ValueError(f"{path}: unknown format {fmt!r}")
     data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     shape = tuple(ax.count for ax in axes)
-    ncoord = len(axes)
+    ncoord = len(axes) if fmt == "1" else 0
     if data.shape[0] != np.prod(shape) or data.shape[1] not in (ncoord + 1, ncoord + 2):
         raise ValueError(f"{path}: {data.shape[0]} rows of {data.shape[1]} columns"
                          f" do not match axes {shape} and G[,counts]")

@@ -156,6 +156,7 @@ class TestCliExitCodes:
         (None, "No such file"),
         ("# axis1 delta_tau_S,-1e-15,1e-15,3\n# axis2 delta_tau_L,-1e-15,1e-15,3\n",
          "no data rows"),
+        ("# format=3\n# axis1 delta_tau_S,-1e-15,1e-15,3\n1.0\n1.0\n1.0\n", "unknown format"),
     ])
     def test_unreadable_reconstruct_input(self, tmp_path, capsys, content, message):
         path = tmp_path / "ig.csv"
@@ -402,6 +403,39 @@ class TestReconstructCommand:
         report = read_report(out / "recon_report.txt")
         assert abs(float(report["correlation"])) < 0.05
 
+    def test_format_1_and_format_2_inputs_give_one_report(self, tmp_path):
+        sigma = 7e12
+        model = core.BiphotonAmplitude.gaussian(1.23e15, 1.20e15, sigma, sigma, rho=0.0)
+        grid = core.grid_for_gaussian(model, n=32)
+        step = 0.9 * rec.nyquist_step(grid)
+        lat = rec.DelayLattice.symmetric(step, 40, step, 40)
+        sampled = core.sample_on_grid(model, grid)
+        ig = ifm.scan_2d(sampled, sampled, (lat.start1, lat.step1, lat.count1),
+                         (lat.start2, lat.step2, lat.count2))
+        ig = ifm.Interferogram(ig.axes, ig.values, counts=np.round(1e4 * ig.values),
+                               metadata={"seed": 3})
+        fmt2 = tmp_path / "fmt2.csv"
+        ifm.write_interferogram_csv(ig, fmt2)
+        # the rows of the format-1 writer: coordinates first, counts as floats
+        coords = [c.reshape(-1) for c in np.meshgrid(*(ax.values for ax in ig.axes),
+                                                     indexing="ij")]
+        columns = [*coords, ig.values.reshape(-1), ig.counts.reshape(-1)]
+        fmt1 = tmp_path / "fmt1.csv"
+        fmt1.write_text("".join(
+            [f"# axis{i} {ax.name},{ax.start!r},{ax.step!r},{ax.count}\n"
+             for i, ax in enumerate(ig.axes, start=1)]
+            + ["# seed=3\n"]
+            + [",".join(map(repr, row)) + "\n" for row in zip(*(c.tolist() for c in columns))]))
+        reports = []
+        for path in (fmt1, fmt2):
+            out = tmp_path / path.stem
+            assert cli.main(["--out", str(out), "--set", "reconstruct.band_n=32",
+                             "--set", "reconstruct.rho=0", "reconstruct",
+                             "--input", str(path)]) == cli.EXIT_OK
+            reports.append((out / "recon_report.txt").read_bytes())
+        assert reports[0] == reports[1]
+        assert fmt2.stat().st_size < fmt1.stat().st_size
+
     @pytest.mark.parametrize("demodulate", ["true", "false"])
     @pytest.mark.parametrize("window", ["none", "hann"])
     def test_half_lattice_jsi_equals_symmetric(self, tmp_path, monkeypatch, window, demodulate):
@@ -412,7 +446,7 @@ class TestReconstructCommand:
         assert cli.main(["--out", str(out), *args, "reconstruct"]) == cli.EXIT_OK
         sampled, _, _, l_axis = seen["scan_2d"][0]
         grid = sampled.grid
-        jsi = np.loadtxt(out / "jsi.csv", delimiter=",", comments="#")[:, 2]
+        jsi = np.loadtxt(out / "jsi.csv", comments="#")
         full = rec.reconstruct_jsi(ifm.scan_2d(sampled, sampled, l_axis, l_axis), grid,
                                    window=window, demodulate=demodulate == "true")
         ref = full.values.reshape(-1)
@@ -443,6 +477,16 @@ class TestScan2dCommand:
         report = read_report(out / "envelope_report.txt")
         assert report["entangled_signature"] == "True"
         assert (out / "scan2d.csv").exists()
+
+    def test_undersampled_fringe_step_is_aliasing(self, tmp_path):
+        # the step `fringe` refuses is refused here too, before any scan is written
+        out = tmp_path / "o"
+        code = cli.main(["--out", str(out), "--noiseless", "--set", "grid.n=64",
+                         "--set", "scan.fringe_step_um=2", *self.REDUCED])
+        assert code == cli.EXIT_ALIASING
+        report = read_report(out / "envelope_report.txt")
+        assert float(report["required_step_s"]) * core.C == pytest.approx(0.76e-6, rel=0.01)
+        assert not (out / "scan2d.csv").exists()
 
     def test_noisy_scan_fits_the_counts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -291,26 +291,40 @@ class TestInterferogram:
         with pytest.raises(ValueError):
             ifm.Axis("t", 0.0, 1.0, 1)
 
+    @staticmethod
+    def round_trip(ig, path):
+        ifm.write_interferogram_csv(ig, path)
+        back = ifm.read_interferogram_csv(path)
+        assert back.axes == ig.axes
+        assert np.array_equal(back.values, ig.values)
+        assert (back.counts is None) == (ig.counts is None)
+        if ig.counts is not None:
+            assert np.array_equal(back.counts, ig.counts)
+        assert back.metadata == ig.metadata
+
     def test_csv_round_trip_1d(self, tmp_path):
         ax = ifm.Axis("delta_tau_L", -1.5e-13, 1e-14, 31)
         values = 1.0 - 0.9 * np.cos(1e14 * ax.values)
         counts = np.round(1000 * values)
         ig = ifm.Interferogram((ax,), values, counts=counts, metadata={"seed": "7"})
-        path = tmp_path / "ig.csv"
-        ifm.write_interferogram_csv(ig, path)
-        back = ifm.read_interferogram_csv(path)
-        assert back.axes == ig.axes
-        assert np.array_equal(back.values, ig.values)
-        assert np.array_equal(back.counts, ig.counts)
-        assert back.metadata["seed"] == "7"
+        self.round_trip(ig, tmp_path / "ig.csv")
 
     def test_csv_round_trip_2d(self, tmp_path, reference_sampled):
         ig = ifm.scan_2d(reference_sampled, reference_sampled, (-1e-13, 5e-14, 4), (-1e-13, 5e-14, 5))
-        path = tmp_path / "ig2.csv"
-        ifm.write_interferogram_csv(ig, path)
-        back = ifm.read_interferogram_csv(path)
-        assert back.axes == ig.axes
-        assert np.array_equal(back.values, ig.values)
+        self.round_trip(ig, tmp_path / "ig2.csv")
+
+    def test_csv_round_trip_float32(self, tmp_path):
+        ax = ifm.Axis("delta_tau", 0.0, 0.25, 5)
+        values = np.array([0.1, 0.7, 1.3, 1.9, 2.0], dtype=np.float32)
+        ig = ifm.Interferogram((ax,), values, metadata={"note": "float32"})
+        self.round_trip(ig, tmp_path / "f32.csv")
+
+    def test_csv_round_trip_spans_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ifm, "_BLOCK_ROWS", 4)
+        axes = (ifm.Axis("delta_tau_S", 0.0, 1e-15, 3), ifm.Axis("delta_tau_L", -2e-15, 1e-15, 5))
+        values = np.linspace(0.0, 2.0, 15).reshape(3, 5)
+        ig = ifm.Interferogram(axes, values, counts=np.arange(15.0).reshape(3, 5) * 97)
+        self.round_trip(ig, tmp_path / "blocks.csv")
 
     def test_csv_format_is_pinned(self, tmp_path):
         ax = ifm.Axis("delta_tau_L", -1e-13, 1e-13, 3)
@@ -319,22 +333,58 @@ class TestInterferogram:
                                metadata={"seed": 7, "accidental_counts": 21.6125})
         ifm.write_interferogram_csv(ig, tmp_path / "1d.csv")
         assert (tmp_path / "1d.csv").read_text() == (
+            "# format=2\n"
             "# axis1 delta_tau_L,-1e-13,1e-13,3\n"
             "# accidental_counts=21.6125\n"
             "# seed=7\n"
-            "-1e-13,1.0,4465.0\n"
-            "0.0,0.1,523.0\n"
-            "1e-13,1.0,4470.0\n")
+            "1.0,4465\n"
+            "0.1,523\n"
+            "1.0,4470\n")
         axes = (ifm.Axis("delta_tau_S", 0.0, 0.5, 2), ifm.Axis("delta_tau_L", 1.0, 0.25, 2))
         ig = ifm.Interferogram(axes, np.array([[0.0, 0.5], [1.5, 2.0]], dtype=np.float32))
         ifm.write_interferogram_csv(ig, tmp_path / "2d.csv")
         assert (tmp_path / "2d.csv").read_text() == (
+            "# format=2\n"
             "# axis1 delta_tau_S,0.0,0.5,2\n"
             "# axis2 delta_tau_L,1.0,0.25,2\n"
-            "0.0,1.0,0.0\n"
-            "0.0,1.25,0.5\n"
-            "0.5,1.0,1.5\n"
-            "0.5,1.25,2.0\n")
+            "0.0\n"
+            "0.5\n"
+            "1.5\n"
+            "2.0\n")
+
+    def test_csv_format_1_still_reads(self, tmp_path):
+        # the bytes the format-1 writer produced for the two pinned cases above
+        path = tmp_path / "1d.csv"
+        path.write_text("# axis1 delta_tau_L,-1e-13,1e-13,3\n"
+                        "# accidental_counts=21.6125\n"
+                        "# seed=7\n"
+                        "-1e-13,1.0,4465.0\n"
+                        "0.0,0.1,523.0\n"
+                        "1e-13,1.0,4470.0\n")
+        back = ifm.read_interferogram_csv(path)
+        assert back.axes == (ifm.Axis("delta_tau_L", -1e-13, 1e-13, 3),)
+        assert back.values.tolist() == [1.0, 0.1, 1.0]
+        assert back.counts.tolist() == [4465, 523, 4470]
+        assert back.metadata == {"accidental_counts": "21.6125", "seed": "7"}
+        path = tmp_path / "2d.csv"
+        path.write_text("# axis1 delta_tau_S,0.0,0.5,2\n"
+                        "# axis2 delta_tau_L,1.0,0.25,2\n"
+                        "0.0,1.0,0.0\n"
+                        "0.0,1.25,0.5\n"
+                        "0.5,1.0,1.5\n"
+                        "0.5,1.25,2.0\n")
+        back = ifm.read_interferogram_csv(path)
+        assert back.axes == (ifm.Axis("delta_tau_S", 0.0, 0.5, 2),
+                             ifm.Axis("delta_tau_L", 1.0, 0.25, 2))
+        assert back.values.tolist() == [[0.0, 0.5], [1.5, 2.0]]
+        assert back.counts is None and back.metadata == {}
+
+    @pytest.mark.parametrize("bad", [523.5, np.nan, np.inf])
+    def test_csv_non_integral_counts_rejected(self, tmp_path, bad):
+        ax = ifm.Axis("t", 0.0, 1.0, 3)
+        ig = ifm.Interferogram((ax,), np.ones(3), counts=np.array([4465.0, bad, 4470.0]))
+        with pytest.raises(ValueError, match="integers"):
+            ifm.write_interferogram_csv(ig, tmp_path / "bad.csv")
 
     def test_csv_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
