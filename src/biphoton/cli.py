@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -188,12 +189,13 @@ def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
         span = cfg.getfloat("reconstruct", "span_coherence_times")
         step = cfg.getfloat("reconstruct", "step_fraction") * rec.nyquist_step(grid)
         half_count = int(np.ceil(span * coh / step))
-        # M = |Phi|^2 is real, so G(-a, -b) = G(a, b): scan a >= 0 only
+        # M = |Phi|^2 is real, so G(-a, -b) = G(a, b): scan a >= 0 only,
+        # evaluated block by block inside the inverse
         lattice = rec.DelayLattice.half(step, half_count)
         sampled = core.sample_on_grid(model, grid)
-        ig = ifm.scan_2d(sampled, sampled,
-                         (lattice.start1, lattice.step1, lattice.count1),
-                         (lattice.start2, lattice.step2, lattice.count2))
+        ig = ifm.LatticeScan(sampled, sampled,
+                             (lattice.start1, lattice.step1, lattice.count1),
+                             (lattice.start2, lattice.step2, lattice.count2))
     est = rec.reconstruct_jsi(ig, grid, window=window, demodulate=demod)
     ifm.write_csv(args.out / "jsi.csv",
                   [f"omega1 axis,{grid.omega1_min!r},{grid.d1!r},{grid.n1}",
@@ -252,7 +254,10 @@ def _parse_overrides(pairs: list[str]) -> dict[tuple[str, str], str]:
     return overrides
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves it
+    unchanged, and `--set` collects into a fresh list on every call."""
     parser = argparse.ArgumentParser(
         prog="biphoton",
         description="Two-photon interference simulation and analysis toolkit")
@@ -261,18 +266,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--noiseless", action="store_true",
                         help="skip counting-noise synthesis")
-    parser.add_argument("--set", dest="overrides", action="append", default=[],
+    parser.add_argument("--set", dest="overrides", action="append", default=None,
                         metavar="SECTION.KEY=VALUE", help="config override")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sub.add_parser(name)
     sub.choices["reconstruct"].add_argument("--input", default=None,
                                             help="interferogram CSV to invert")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     body, report = COMMANDS[args.command]
 
     try:
-        overrides = _parse_overrides(args.overrides)
+        overrides = _parse_overrides(args.overrides or [])
         if args.seed is not None:
             overrides[("run", "seed")] = str(args.seed)
         cfg = load_config(args.config, overrides)

@@ -8,7 +8,9 @@ The numerical kernel is the overlap integral
 evaluated as a midpoint-rule double sum, with the normalized coincidence
 rate G = 1 - Re(Gamma) in [0, 2].  Lattice scans reuse the factored form
 E1 @ M @ E2^T, the same double sum reassociated; core.phasors builds the
-exp(-i w t) tables E1, E2 from sqrt(n)-sized ones.
+exp(-i w t) tables E1, E2 from sqrt(n)-sized ones.  The factors P = E1 @ M
+and E2 are small, so a `LatticeScan` keeps only them and evaluates the
+lattice-sized product Re(P @ E2^T) a block of S rows at a time.
 
 Interferograms are stored as CSV format 2: '#' headers that define the
 axes, then one 'G[,counts]' row per lattice point with integer counts.
@@ -66,12 +68,7 @@ class Interferogram:
         shape = tuple(ax.count for ax in self.axes)
         if self.values.shape != shape:
             raise ValueError(f"values shape {self.values.shape} does not match axes {shape}")
-        lo, hi = self.values.min(), self.values.max()
-        if lo < -_RANGE_TOL or hi > 2.0 + _RANGE_TOL:
-            raise ValueError("G values outside [0, 2]")
-        # copy only to clip the tolerance band or to make integer input float
-        if lo < 0.0 or hi > 2.0 or not np.issubdtype(self.values.dtype, np.floating):
-            object.__setattr__(self, "values", np.clip(self.values, 0.0, 2.0))
+        object.__setattr__(self, "values", _checked_g(self.values))
 
     @property
     def ndim(self) -> int:
@@ -79,6 +76,21 @@ class Interferogram:
 
     def coords(self, i: int) -> np.ndarray:
         return self.axes[i].values
+
+
+def _checked_g(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`values`, validated against the physical range [0, 2] (NaN fails too).
+
+    Values within _RANGE_TOL outside the range are clipped, and integer
+    input is made float, into `out` (a new array when None); otherwise
+    `values` itself is returned.
+    """
+    lo, hi = values.min(), values.max()
+    if not (lo >= -_RANGE_TOL and hi <= 2.0 + _RANGE_TOL):
+        raise ValueError("G values outside [0, 2]")
+    if lo < 0.0 or hi > 2.0 or not np.issubdtype(values.dtype, np.floating):
+        return np.clip(values, 0.0, 2.0, out=out)
+    return values
 
 
 def _check_same_grid(phi_a: SampledAmplitude, phi_b: SampledAmplitude) -> None:
@@ -107,14 +119,19 @@ def gamma_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
     matrix products.  P = E1 @ M is small; Re(P @ E2^T) is one real product
     of conj(P) and E2 viewed as (re, im) pairs, with no stacked copy.
     """
-    _check_same_grid(phi_a, phi_b)
-    g = phi_a.grid
-    m = phi_a.values * np.conj(phi_b.values) * g.measure
-    p = phasors(g.axis1, s_delays) @ m             # (ns, n2)
-    e2 = phasors(g.axis2, l_delays)                # (nl, n2)
+    p, e2 = _lattice_factors(phi_a, phi_b, s_delays, l_delays)
     if real:
         return np.conj(p).view(float) @ e2.view(float).T
     return p @ e2.T
+
+
+def _lattice_factors(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
+                     s_delays: np.ndarray, l_delays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P = E1 @ M, shape (ns, n2), and E2, shape (nl, n2): Gamma = P @ E2^T."""
+    _check_same_grid(phi_a, phi_b)
+    g = phi_a.grid
+    m = phi_a.values * np.conj(phi_b.values) * g.measure
+    return phasors(g.axis1, s_delays) @ m, phasors(g.axis2, l_delays)
 
 
 def sinc(u):
@@ -160,6 +177,30 @@ def scan_2d(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
     return Interferogram((ax_s, ax_l), np.subtract(1.0, gam, out=gam))
 
 
+class LatticeScan:
+    """scan_2d's lattice, evaluated a block of S rows at a time.
+
+    It holds only the factors conj(P) and E2 of gamma_lattice's real
+    product, as (re, im) pairs, so no lattice-sized array exists until a
+    caller asks for rows, into a buffer it owns.
+    """
+
+    ndim = 2
+
+    def __init__(self, phi_a: SampledAmplitude, phi_b: SampledAmplitude,
+                 s_axis: tuple[float, float, int], l_axis: tuple[float, float, int]):
+        self.axes = (Axis("delta_tau_S", *s_axis), Axis("delta_tau_L", *l_axis))
+        p, e2 = _lattice_factors(phi_a, phi_b, *(ax.values for ax in self.axes))
+        self._p, self._e2 = np.conj(p).view(float), e2.view(float)
+
+    def rows(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """G = 1 - Re(Gamma) of S rows lo:hi, written into `out` and
+        validated like Interferogram values."""
+        np.matmul(self._p[lo:hi], self._e2.T, out=out)
+        np.subtract(1.0, out, out=out)
+        return _checked_g(out, out=out)
+
+
 def write_csv(path, headers: list[str], columns: list[np.ndarray]) -> None:
     """Format-2 CSV: '# format=2', a '# <header>' line per header, then one
     row per index of the equal-length 1-D `columns`, each value its repr.
@@ -199,7 +240,8 @@ def read_interferogram_csv(path) -> Interferogram:
     """Inverse of write_interferogram_csv: '#' headers first, then the rows.
 
     Files without a '# format' header are format 1, whose rows lead with
-    the coordinates: 'coord1[,coord2],G[,counts]'.
+    the coordinates: 'coord1[,coord2],G[,counts]'.  G must lie in [0, 2]
+    and counts must be finite and nonnegative (ValueError otherwise).
     """
     axes: list[Axis] = []
     metadata: dict = {}
@@ -231,4 +273,6 @@ def read_interferogram_csv(path) -> Interferogram:
                          f" do not match axes {shape} and G[,counts]")
     values = data[:, ncoord].reshape(shape)
     counts = data[:, ncoord + 1].reshape(shape) if data.shape[1] > ncoord + 1 else None
+    if counts is not None and not (counts.min() >= 0.0 and counts.max() < np.inf):
+        raise ValueError(f"{path}: counts must be finite and nonnegative")
     return Interferogram(tuple(axes), values, counts=counts, metadata=metadata)

@@ -18,7 +18,10 @@ one).  The sum then runs over the half axis only, with weight 2 off 0, and
 the half axis takes the right half of the symmetric window over its
 mirrored axis.  The folded rows are formed a fixed number at a time in one
 reused buffer and their products accumulated, so no lattice-sized
-temporary is made and the large product is half the unfolded one.
+temporary is made and the large product is half the unfolded one.  The
+rows come from the interferogram's values, or, for an
+interferometer.LatticeScan (the noiseless `reconstruct`), are evaluated
+straight into that buffer, so no lattice-sized array exists at all.
 
 `check_sampling` refuses a lattice step that aliases the band: pi / w_max
 per axis, or with `demodulate` pi over the band half-width per axis plus
@@ -35,7 +38,7 @@ import numpy as np
 
 from .core import (BiphotonAmplitude, FrequencyGrid, SampledAmplitude,
                    SpectralFilter, jsi, phasors, sample_on_grid)
-from .interferometer import Interferogram, scan_2d
+from .interferometer import Interferogram, LatticeScan, scan_2d
 
 
 class AliasingError(ValueError):
@@ -100,7 +103,7 @@ class DelayLattice:
         return "invalid"
 
     @classmethod
-    def from_interferogram(cls, ig: Interferogram) -> "DelayLattice":
+    def from_interferogram(cls, ig: Interferogram | LatticeScan) -> "DelayLattice":
         if ig.ndim != 2:
             raise ValueError("reconstruction needs a 2D interferogram")
         a1, a2 = ig.axes
@@ -180,9 +183,13 @@ def _kernel(omega: np.ndarray, t: np.ndarray, weight: np.ndarray) -> np.ndarray:
 _BLOCK_ROWS = 128
 
 
-def reconstruct_jsi(interferogram: Interferogram, band: FrequencyGrid,
+def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyGrid,
                     window: str = "none", demodulate: bool = False) -> JsiEstimate:
     """Inverse cosine-kernel transform of 1 - G onto the band grid.
+
+    A LatticeScan must be a half lattice whose first axis starts at 0
+    (ValueError otherwise); each of its rows is evaluated once, a block at
+    a time, into the fold buffer.
 
     Returns a nonnegative, unit-integral estimate; the fraction of
     pre-clip negative mass is reported as a truncation diagnostic.
@@ -190,16 +197,30 @@ def reconstruct_jsi(interferogram: Interferogram, band: FrequencyGrid,
     lattice = DelayLattice.from_interferogram(interferogram)
     check_sampling(band, interferogram.axes, demodulate)
     modes = (lattice.axis_mode(1), lattice.axis_mode(2))
-    g = interferogram.values
     (ax_a, ax_b), (om_a, om_b) = interferogram.axes, (band.axis1, band.axis2)
-    if modes[1] == "half":  # sum along the half axis: work on the transpose
-        g, ax_a, ax_b, om_a, om_b = g.T, ax_b, ax_a, om_b, om_a
-    if "half" in modes:  # h = 1 - (G + G) / 2 = 1 - G exactly
-        i0, mirror = 0, g
-    else:  # the point reflections G(-a, -b) of the rows a >= 0
-        i0 = ax_a.count // 2
-        mirror = g[i0::-1, ::-1]
-    rows, t = g[i0:], ax_a.values[i0:]
+    # fold_rows(r, h) writes G(a, b) + G(-a, -b) of the half-axis rows r.. into h
+    if isinstance(interferogram, LatticeScan):
+        if modes[0] != "half":
+            raise ValueError("a lattice scan must start its first axis at 0")
+        i0 = 0
+
+        def fold_rows(r, h):  # on a half lattice the fold is G + G
+            interferogram.rows(r, r + len(h), out=h)
+            h += h
+    else:
+        g = interferogram.values
+        if modes[1] == "half":  # sum along the half axis: work on the transpose
+            g, ax_a, ax_b, om_a, om_b = g.T, ax_b, ax_a, om_b, om_a
+        if "half" in modes:  # h = 1 - (G + G) / 2 = 1 - G exactly
+            i0, mirror = 0, g
+        else:  # the point reflections G(-a, -b) of the rows a >= 0
+            i0 = ax_a.count // 2
+            mirror = g[i0::-1, ::-1]
+        rows = g[i0:]
+
+        def fold_rows(r, h):
+            np.add(rows[r:r + len(h)], mirror[r:r + len(h)], out=h)
+    t = ax_a.values[i0:]
     n = len(t)
     fold = np.full(n, 2.0)
     fold[0] = 1.0
@@ -209,11 +230,11 @@ def reconstruct_jsi(interferogram: Interferogram, band: FrequencyGrid,
     # of folded rows; the lattice-sized product h [C^T D^T] is real
     m = len(om_b)
     cd = np.vstack([cd.real, cd.imag]).T
-    buf = np.empty((min(n, _BLOCK_ROWS), g.shape[1]))
+    buf = np.empty((min(n, _BLOCK_ROWS), ax_b.count))
     est = np.zeros((len(om_a), m))
     for r in range(0, n, _BLOCK_ROWS):
         h = buf[:min(_BLOCK_ROWS, n - r)]
-        np.add(rows[r:r + len(h)], mirror[r:r + len(h)], out=h)
+        fold_rows(r, h)
         h *= -0.5
         h += 1.0
         q = h @ cd

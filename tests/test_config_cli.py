@@ -167,6 +167,36 @@ class TestCliExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:") and message in err[0]
 
+    @pytest.mark.parametrize("column,message", [(0, "[0, 2]"), (1, "counts")],
+                             ids=["G", "counts"])
+    def test_nan_input_is_a_config_error(self, tmp_path, capsys, column, message):
+        ax = ifm.Axis("delta_tau", -1e-14, 1e-15, 21)
+        ig = ifm.Interferogram((ax, ax), np.ones((21, 21)), counts=np.full((21, 21), 5.0))
+        path = tmp_path / "scan.csv"
+        ifm.write_interferogram_csv(ig, path)
+        lines = path.read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        for i in range(first, first + 21):  # one lattice row
+            cells = lines[i].rstrip("\n").split(",")
+            cells[column] = "nan"
+            lines[i] = ",".join(cells) + "\n"
+        path.write_text("".join(lines))
+        out = tmp_path / "o"
+        code = cli.main(["--out", str(out), "reconstruct", "--input", str(path)])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (out / "recon_report.txt").exists()
+
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["--out", str(a), "--set", "run.seed=5", "--set", "budget.car=9",
+                         "budget"]) == cli.EXIT_OK
+        parser = cli._parser()
+        assert cli.main(["--out", str(b), "budget"]) == cli.EXIT_OK
+        assert cli._parser() is parser
+        assert (b / "resolved_config.cfg").read_text() == load_config().resolved_text()
+        assert parser.parse_args(["budget"]).overrides is None
+
 
 SMALL_FRINGE = ["--set", "grid.n=64"]
 SMALL_SCAN2D = ["--set", "grid.n=64", "--set", "scan.x1_halfspan_mm=0.6",
@@ -355,15 +385,17 @@ class TestReconstructCommand:
         return calls, seen
 
     def test_scans_and_inverts_once(self, tmp_path, monkeypatch):
+        # the scan is lazy: one LatticeScan, which reconstruct_jsi evaluates
         calls, seen = self.spy(monkeypatch, (core, "sample_on_grid"), (ifm, "scan_2d"),
-                               (rec, "reconstruct_jsi"), (rec, "l2_error"))
+                               (ifm, "LatticeScan"), (rec, "reconstruct_jsi"),
+                               (rec, "l2_error"))
         out = tmp_path / "o"
         assert cli.main(["--out", str(out), "reconstruct"]) == cli.EXIT_OK
-        assert calls == {"sample_on_grid": 1, "scan_2d": 1, "reconstruct_jsi": 1,
+        assert calls == {"sample_on_grid": 1, "LatticeScan": 1, "reconstruct_jsi": 1,
                          "l2_error": 1}
         (model, grid), sampled = seen["sample_on_grid"]
         err = seen["l2_error"][1]
-        lattice = rec.DelayLattice.from_interferogram(seen["scan_2d"][1])
+        lattice = rec.DelayLattice.from_interferogram(seen["LatticeScan"][1])
         expected = rec.roundtrip_error(model, None, None, grid, lattice, demodulate=True)
         assert err == pytest.approx(expected, rel=1e-9)
         assert read_report(out / "recon_report.txt")["roundtrip_l2_error"] == f"{err:.3g}"
@@ -372,7 +404,7 @@ class TestReconstructCommand:
         coh = np.sqrt(2.0) / (model.sigma1 * np.sqrt(1.0 - abs(model.rho)))
         step = cfg.getfloat("reconstruct", "step_fraction") * rec.nyquist_step(grid)
         half_count = int(np.ceil(cfg.getfloat("reconstruct", "span_coherence_times") * coh / step))
-        _, _, s_axis, l_axis = seen["scan_2d"][0]
+        _, _, s_axis, l_axis = seen["LatticeScan"][0]
         assert s_axis == (0.0, step, half_count + 1)
         assert l_axis == (-step * half_count, step, 2 * half_count + 1)
         # the premise: G(-a, -b) = G(a, b) on the symmetric lattice, to the
@@ -439,12 +471,12 @@ class TestReconstructCommand:
     @pytest.mark.parametrize("demodulate", ["true", "false"])
     @pytest.mark.parametrize("window", ["none", "hann"])
     def test_half_lattice_jsi_equals_symmetric(self, tmp_path, monkeypatch, window, demodulate):
-        _, seen = self.spy(monkeypatch, (ifm, "scan_2d"))
+        _, seen = self.spy(monkeypatch, (ifm, "LatticeScan"))
         out = tmp_path / "o"
         args = ["--set", "reconstruct.band_n=32", "--set", f"reconstruct.window={window}",
                 "--set", f"reconstruct.demodulate={demodulate}"]
         assert cli.main(["--out", str(out), *args, "reconstruct"]) == cli.EXIT_OK
-        sampled, _, _, l_axis = seen["scan_2d"][0]
+        sampled, _, _, l_axis = seen["LatticeScan"][0]
         grid = sampled.grid
         jsi = np.loadtxt(out / "jsi.csv", comments="#")
         full = rec.reconstruct_jsi(ifm.scan_2d(sampled, sampled, l_axis, l_axis), grid,
@@ -452,18 +484,34 @@ class TestReconstructCommand:
         ref = full.values.reshape(-1)
         assert np.linalg.norm(jsi - ref) / np.linalg.norm(ref) <= 1e-12
 
-    def test_peak_memory_is_a_fraction_of_the_symmetric_lattice(self, tmp_path):
-        out = tmp_path / "o"
+    @staticmethod
+    def traced_peak(out, *args):
+        """tracemalloc peak of one noiseless reconstruct run at band_n=32."""
         tracemalloc.start()
         try:
-            code = cli.main(["--out", str(out), "--set", "reconstruct.band_n=32", "reconstruct"])
+            code = cli.main(["--out", str(out), "--set", "reconstruct.band_n=32", *args,
+                             "reconstruct"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == cli.EXIT_OK
+        return peak
+
+    def test_peak_memory_is_a_fraction_of_the_symmetric_lattice(self, tmp_path):
+        # the scan streams into the inverse: no lattice-sized array exists
+        out = tmp_path / "o"
+        peak = self.traced_peak(out)
         axes = ast.literal_eval(read_report(out / "recon_report.txt")["lattice_axes"])
         count = axes[-1][2]  # the symmetric axis
-        assert peak <= 0.6 * count * count * 8
+        assert peak <= 0.2 * count * count * 8
+
+    def test_peak_memory_grows_with_the_lattice_side_not_its_area(self, tmp_path):
+        # doubling the span quadruples the lattice; the streamed run's
+        # buffers and factors only double
+        peaks = [self.traced_peak(tmp_path / str(span),
+                                  "--set", f"reconstruct.span_coherence_times={span}")
+                 for span in (5, 10)]
+        assert peaks[1] <= 2.5 * peaks[0]
 
 
 class TestScan2dCommand:

@@ -186,6 +186,18 @@ class TestScans:
         assert np.max(np.abs(row.values - ref[7])) <= 1e-12
         assert np.max(np.abs(col.values - ref[:, 9])) <= 1e-12
 
+    def test_lattice_scan_rows_match_scan_2d(self, reference_sampled):
+        ph = reference_sampled
+        axes = ((0.0, 1e-13, 21), (-3e-12, 1e-13, 61))
+        ref = ifm.scan_2d(ph, ph, *axes)
+        scan = ifm.LatticeScan(ph, ph, *axes)
+        assert scan.axes == ref.axes and scan.ndim == 2
+        out = np.empty((21, 61))
+        for lo in range(0, 21, 8):  # blocks of 8, 8 and 5 rows
+            hi = min(lo + 8, 21)
+            scan.rows(lo, hi, out=out[lo:hi])
+        assert np.max(np.abs(out - ref.values)) <= 1e-15
+
     def test_scan_axis_validation(self, small_gaussian):
         _, _, sampled = small_gaussian
         with pytest.raises(ValueError):
@@ -268,6 +280,8 @@ class TestInterferogram:
         ax = ifm.Axis("t", 0.0, 1.0, 3)
         with pytest.raises(ValueError, match=r"\[0, 2\]"):
             ifm.Interferogram((ax,), np.array([0.0, 1.0, 2.5]))
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            ifm.Interferogram((ax,), np.array([0.0, np.nan, 1.0]))
 
     def test_tolerance_band_is_clipped_and_in_range_values_kept(self):
         ax = ifm.Axis("t", 0.0, 1.0, 3)

@@ -294,6 +294,28 @@ def test_hann_on_half_lattice_matches_symmetric():
     assert rel <= 1e-12
 
 
+@pytest.mark.parametrize("demodulate", [True, False])
+@pytest.mark.parametrize("window", ["none", "hann"])
+def test_lattice_scan_inverts_like_its_interferogram(window, demodulate):
+    # the lazy scan's rows, folded in the buffer, give the in-memory result;
+    # 300 half-axis rows make three blocks of the inverse
+    grid, sampled, full = small_band()
+    half = 299
+    axes = ((0.0, full.step1, half + 1), (-half * full.step2, full.step2, 2 * half + 1))
+    ref, lazy = (rec.reconstruct_jsi(ig, grid, window=window, demodulate=demodulate)
+                 for ig in (ifm.scan_2d(sampled, sampled, *axes),
+                            ifm.LatticeScan(sampled, sampled, *axes)))
+    assert lazy.negativity_fraction == pytest.approx(ref.negativity_fraction, abs=1e-12)
+    assert np.max(np.abs(lazy.values - ref.values)) <= 1e-14 * np.max(ref.values)
+
+
+def test_lattice_scan_must_be_a_half_lattice():
+    grid, sampled, full = small_band()
+    axis = (full.start1, full.step1, full.count1)
+    with pytest.raises(ValueError, match="start its first axis at 0"):
+        rec.reconstruct_jsi(ifm.LatticeScan(sampled, sampled, axis, axis), grid)
+
+
 @pytest.mark.parametrize("half_axis", [None, 1, 2], ids=["symmetric", "half-S", "half-L"])
 @pytest.mark.parametrize("demodulate", [False, True])
 @pytest.mark.parametrize("window", ["none", "hann"])
