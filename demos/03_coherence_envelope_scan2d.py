@@ -36,8 +36,7 @@ def main():
     ig = ifm.scan_2d(sampled, sampled,
                      (tau_s[0], tau_s[1] - tau_s[0], len(tau_s)),
                      (tau_l[0], tau_l[1] - tau_l[0], len(tau_l)))
-    env = fitting.visibility_envelope(ig, axis="L",
-                                      period_guess=src.idler_center_wavelength)
+    env = fitting.visibility_envelope(ig, period_guess=src.idler_center_wavelength)
     slope = fitting.ridge_slope(env)
 
     print("two-photon coherence envelope")

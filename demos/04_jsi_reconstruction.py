@@ -34,9 +34,7 @@ def main():
         lattice = rec.DelayLattice.half(step, half)
 
         sampled = core.sample_on_grid(model, grid)
-        ig = ifm.scan_2d(sampled, sampled,
-                         (lattice.start1, lattice.step1, lattice.count1),
-                         (lattice.start2, lattice.step2, lattice.count2))
+        ig = ifm.scan_2d(sampled, sampled, *lattice.axes)
         est = rec.reconstruct_jsi(ig, grid, demodulate=True)
 
         err = rec.l2_error(est, sampled)

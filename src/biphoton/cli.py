@@ -155,7 +155,7 @@ def _scan2d(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     if not args.noiseless:
         ig = _noisy(cfg, ig, args.seed)
     _write_csv(args.out, cfg, ig, "scan2d.csv")
-    env = fitting.visibility_envelope(ig, axis="L", period_guess=src.idler_center_wavelength)
+    env = fitting.visibility_envelope(ig, period_guess=src.idler_center_wavelength)
     slope = fitting.ridge_slope(env)
     return [
         f"peak_visibility: {env.fit.peak_visibility:.6f}",
@@ -193,9 +193,7 @@ def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
         # evaluated block by block inside the inverse
         lattice = rec.DelayLattice.half(step, half_count)
         sampled = core.sample_on_grid(model, grid)
-        ig = ifm.LatticeScan(sampled, sampled,
-                             (lattice.start1, lattice.step1, lattice.count1),
-                             (lattice.start2, lattice.step2, lattice.count2))
+        ig = ifm.LatticeScan(sampled, sampled, *lattice.axes)
     est = rec.reconstruct_jsi(ig, grid, window=window, demodulate=demod)
     ifm.write_csv(args.out / "jsi.csv",
                   [f"omega1 axis,{grid.omega1_min!r},{grid.d1!r},{grid.n1}",
@@ -219,10 +217,9 @@ def _budget(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     budget, det = build_budget(cfg), build_detector(cfg)
     acc = detector.accidentals(budget.singles_rate_1, budget.singles_rate_2,
                                det.trigger_rate)
-    pair_p = detector.pair_probability_from_car(budget.car)
     lines = [
         f"accidentals_hz: {acc!r}",
-        f"pair_probability_per_pulse: {pair_p:.4g}",
+        f"pair_probability_per_pulse: {budget.pair_probability_per_pulse:.4g}",
         f"expected_coincidence_rate_hz: {budget.singles_rate_1 * budget.coincidence_to_singles!r}",
         f"singles_rate_1_hz: {budget.singles_rate_1!r}",
         f"singles_rate_2_hz: {budget.singles_rate_2!r}",

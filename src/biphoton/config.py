@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 
 from . import core, detector
 
@@ -85,7 +86,8 @@ DEFAULTS: dict[str, dict[str, str]] = {
 
 # keys that divide downstream: zero or a negative value is a config error
 _POSITIVE = (("grid", "n"), ("scan", "fringe_step_um"), ("scan", "dip_step_um"),
-             ("scan", "x1_step_mm"), ("reconstruct", "step_fraction"), ("budget", "car"))
+             ("scan", "x1_step_mm"), ("scan", "bin_duration_s"),
+             ("reconstruct", "step_fraction"), ("budget", "car"))
 
 
 class ConfigError(Exception):
@@ -104,9 +106,12 @@ class RunConfig:
     def getfloat(self, section: str, key: str) -> float:
         raw = self.get(section, key)
         try:
-            return float(raw)
+            val = float(raw)
         except ValueError:
             raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
+        if not math.isfinite(val):
+            raise ConfigError(f"[{section}] {key}: not a finite number: {raw!r}")
+        return val
 
     def getint(self, section: str, key: str) -> int:
         val = self.getfloat(section, key)

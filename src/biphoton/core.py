@@ -14,6 +14,7 @@ import numpy as np
 
 C = 299792458.0  # vacuum speed of light, m/s
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+_FILTER_PAD = 0.2  # grid_for_filters' padding of a rectangular passband, relative
 
 
 class EmptySupportError(ValueError):
@@ -146,19 +147,19 @@ class SpectralFilter:
 
 
 def grid_for_filters(filter1: SpectralFilter, filter2: SpectralFilter,
-                     n: int = 256, pad: float = 0.2) -> FrequencyGrid:
+                     n: int = 256) -> FrequencyGrid:
     """Default grid spanning both passbands.
 
-    Rectangular passbands are padded by `pad` (relative) and laid out so
-    the band edges fall exactly on cell boundaries; gaussian passbands get
-    +-5 sigma of span.
+    Rectangular passbands are padded by _FILTER_PAD (relative) and laid
+    out so the band edges fall exactly on cell boundaries; gaussian
+    passbands get +-5 sigma of span.
     """
     if n % 2:
         n += 1
 
     def bounds(f: SpectralFilter) -> tuple[float, float]:
         if f.shape == "rectangular":
-            margin_cells = int(round(n * pad / (2.0 * (1.0 + pad))))
+            margin_cells = int(round(n * _FILTER_PAD / (2.0 * (1.0 + _FILTER_PAD))))
             m_band = n - 2 * margin_cells
             if m_band % 2:
                 m_band -= 1

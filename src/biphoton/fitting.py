@@ -1,14 +1,9 @@
 """Least-squares extraction of fringe parameters from interferograms.
 
 Three fixed models:
-  fringe:  y = A*(1 - V*sinc((x-x0)/sx)*cos(2*pi*(x-x0)/lam + phi)) + B
+  fringe:  y = A*(1 - V*sinc((x-x0)/sx)*cos(2*pi*(x-x0)/lam + phi))
   dip:     y = A*(1 - V*exp(-(x-x0)^2 / (2 s^2)))
   envelope: V(xi) = Vp*exp(-(xi-xi0)^2 / (2 s^2))
-
-The constant offset B of the fringe model is held fixed (default 0):
-A, B and V are not jointly identifiable (only A+B and A*V enter the
-model), so a free offset must be supplied by the caller as a known
-background level.
 
 Every fit is a Levenberg-Marquardt solve (`_solve`, numpy only) with an
 analytic Jacobian and Marquardt's column-norm scaling, so its steps do
@@ -36,6 +31,8 @@ _FWHM = 1.0 / FWHM_TO_SIGMA  # 2*sqrt(2 ln 2)
 # Levenberg-Marquardt stopping rules (see _solve)
 _XTOL, _FTOL, _GTOL = 1e-8, 1e-14, 1e-14
 
+_RIDGE_WEIGHT_FLOOR = 0.2  # ridge_slope drops slices below this fraction of the top visibility
+
 
 class FitConvergenceError(RuntimeError):
     """Least-squares did not converge; carries the last iterate."""
@@ -61,10 +58,8 @@ class FringeFit:
     phase: float
     center: float
     amplitude: float
-    offset: float
     residual_rms: float
     stderr: dict[str, float]
-    n_points: int
 
 
 @dataclass(frozen=True)
@@ -282,12 +277,11 @@ def _analytic_signal(x: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(x) * one_sided)
 
 
-def _fringe_init(x, y, offset, lam0):
-    yc = y - offset
-    a0 = float(np.median(yc))
+def _fringe_init(x, y, lam0):
+    a0 = float(np.median(y))
     if a0 <= 0:
-        a0 = float(np.mean(yc)) or 1.0
-    analytic = _analytic_signal(yc - a0)
+        a0 = float(np.mean(y)) or 1.0
+    analytic = _analytic_signal(y - a0)
     env = np.abs(analytic)
     # smooth the analytic envelope over ~one period
     w = max(3, min(len(x), int(round(lam0 / (x[1] - x[0])))))
@@ -313,8 +307,7 @@ def _fringe_init(x, y, offset, lam0):
     return a0, v0, sx0, x0, phi0
 
 
-def fit_fringe(x, y, period_guess: float | None = None,
-               fixed_offset: float = 0.0) -> FringeFit:
+def fit_fringe(x, y, period_guess: float | None = None) -> FringeFit:
     """Fit the sinc-envelope phase-sensitive fringe model to (x, y)."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
@@ -323,10 +316,10 @@ def fit_fringe(x, y, period_guess: float | None = None,
     lam0 = fringe_period(x, y) if period_guess is None else period_guess
     if (x[-1] - x[0]) < 2.0 * lam0:
         raise InsufficientDataError("data span less than 2 fringe periods")
-    a0, v0, sx0, x0, phi0 = _fringe_init(x, y, fixed_offset, lam0)
+    a0, v0, sx0, x0, phi0 = _fringe_init(x, y, lam0)
 
     p0 = np.array([a0, v0, sx0, lam0, x0, phi0])
-    popt, perr, rms = _solve(_fringe, _fringe_jac, p0, x, y - fixed_offset)
+    popt, perr, rms = _solve(_fringe, _fringe_jac, p0, x, y)
     a, v, sx, lam, xc, phi = popt
     if a < 0:
         a, v = -a, -v
@@ -336,8 +329,7 @@ def fit_fringe(x, y, period_guess: float | None = None,
     names = ("amplitude", "visibility", "sigma_x", "period", "center", "phase")
     return FringeFit(visibility=float(v), sigma_x=float(abs(sx)), period=float(abs(lam)),
                      phase=phi, center=float(xc), amplitude=float(a),
-                     offset=fixed_offset, residual_rms=float(rms),
-                     stderr=dict(zip(names, map(float, perr))), n_points=len(x))
+                     residual_rms=float(rms), stderr=dict(zip(names, map(float, perr))))
 
 
 def fit_dip(x, y) -> DipFit:
@@ -406,25 +398,20 @@ def fit_data(ig: Interferogram) -> np.ndarray:
     return subtract_accidentals(ig.counts, float(ig.metadata.get("accidental_counts", 0.0)))
 
 
-def visibility_envelope(scan2d: Interferogram, axis: str = "L",
+def visibility_envelope(scan2d: Interferogram,
                         period_guess: float | None = None) -> EnvelopeResult:
     """Per-slice fringe visibilities of a 2D scan plus a Gaussian envelope fit.
 
-    `axis` names the scanned (fringe) axis; the other axis indexes slices,
-    each fitted to its row of `fit_data(scan2d)`. Slice fit failures are
+    The fringes run along the second axis: each row of `fit_data(scan2d)`
+    is one slice, at its first-axis coordinate. Slice fit failures are
     excluded unless more than half of them fail.
     """
     if scan2d.ndim != 2:
         raise ValueError("visibility_envelope needs a 2D interferogram")
-    fr_idx = 1 if axis == "L" else 0
-    fx_idx = 1 - fr_idx
-    x = delay_to_position(scan2d.coords(fr_idx), scan2d.axes[fr_idx].name)
-    xi = delay_to_position(scan2d.coords(fx_idx), scan2d.axes[fx_idx].name)
+    xi, x = (delay_to_position(ax.values, ax.name) for ax in scan2d.axes)
     order = np.argsort(x)
-    y = fit_data(scan2d)
     coords, vis, centers, failed = [], [], [], []
-    for j in range(scan2d.axes[fx_idx].count):
-        ys = y[j, :] if fx_idx == 0 else y[:, j]
+    for j, ys in enumerate(fit_data(scan2d)):
         try:
             fit = fit_fringe(x[order], ys[order], period_guess=period_guess)
             coords.append(xi[j])
@@ -432,9 +419,8 @@ def visibility_envelope(scan2d: Interferogram, axis: str = "L",
             centers.append(fit.center)
         except (FitConvergenceError, InsufficientDataError, NoPeriodError):
             failed.append(j)
-    n_total = scan2d.axes[fx_idx].count
-    if len(failed) > 0.5 * n_total:
-        raise FitConvergenceError(f"{len(failed)}/{n_total} slice fits failed")
+    if len(failed) > 0.5 * len(xi):
+        raise FitConvergenceError(f"{len(failed)}/{len(xi)} slice fits failed")
     coords = np.asarray(coords)
     vis = np.asarray(vis)
     env = _fit_gaussian_peak(coords, vis)
@@ -442,14 +428,14 @@ def visibility_envelope(scan2d: Interferogram, axis: str = "L",
                           centers=np.asarray(centers), failed=tuple(failed), fit=env)
 
 
-def ridge_slope(result: EnvelopeResult, weight_floor: float = 0.2) -> float:
+def ridge_slope(result: EnvelopeResult) -> float:
     """Slope of fitted fringe center vs slice position, visibility-weighted.
 
     Near -1 for a frequency-entangled source (fringe position tracks the
     other delay line), near 0 for a separable one.
     """
     w = result.visibilities.copy()
-    keep = w >= weight_floor * w.max()
+    keep = w >= _RIDGE_WEIGHT_FLOOR * w.max()
     xi, xc, w = result.slice_coords[keep], result.centers[keep], w[keep]
     xim = np.average(xi, weights=w)
     xcm = np.average(xc, weights=w)

@@ -66,8 +66,9 @@ class Interferogram:
 
     def __post_init__(self):
         shape = tuple(ax.count for ax in self.axes)
-        if self.values.shape != shape:
-            raise ValueError(f"values shape {self.values.shape} does not match axes {shape}")
+        for name, array in (("values", self.values), ("counts", self.counts)):
+            if array is not None and array.shape != shape:
+                raise ValueError(f"{name} shape {array.shape} does not match axes {shape}")
         object.__setattr__(self, "values", _checked_g(self.values))
 
     @property
@@ -110,9 +111,8 @@ def gamma(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
 
 
 def gamma_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
-                  s_delays: np.ndarray, l_delays: np.ndarray, real: bool = False) -> np.ndarray:
-    """Gamma on the product lattice s_delays x l_delays; only Re(Gamma), as
-    a real array, when `real` is set.
+                  s_delays: np.ndarray, l_delays: np.ndarray) -> np.ndarray:
+    """Re(Gamma) on the product lattice s_delays x l_delays, as a real array.
 
     Factored evaluation of the same double sum: exp(-i w1 a) and
     exp(-i w2 b) are separable phasor tables E1, E2, so the sum is two
@@ -120,9 +120,7 @@ def gamma_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
     of conj(P) and E2 viewed as (re, im) pairs, with no stacked copy.
     """
     p, e2 = _lattice_factors(phi_a, phi_b, s_delays, l_delays)
-    if real:
-        return np.conj(p).view(float) @ e2.view(float).T
-    return p @ e2.T
+    return np.conj(p).view(float) @ e2.view(float).T
 
 
 def _lattice_factors(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
@@ -157,10 +155,10 @@ def scan_1d(phi_a: SampledAmplitude, phi_b: SampledAmplitude, axis: str,
         raise ValueError("axis must be 'S' or 'L'")
     delays = start + step * np.arange(count)
     if axis == "L":
-        gam = gamma_lattice(phi_a, phi_b, fixed_other_delay, delays, real=True)[0]
+        gam = gamma_lattice(phi_a, phi_b, fixed_other_delay, delays)[0]
         name = "delta_tau_L"
     else:
-        gam = gamma_lattice(phi_a, phi_b, delays, fixed_other_delay, real=True)[:, 0]
+        gam = gamma_lattice(phi_a, phi_b, delays, fixed_other_delay)[:, 0]
         name = "delta_tau_S"
     g = 1.0 - gam
     meta = {"fixed_axis": "S" if axis == "L" else "L",
@@ -173,7 +171,7 @@ def scan_2d(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
     """Full 2D coincidence lattice over (delta_tau_S, delta_tau_L)."""
     ax_s = Axis("delta_tau_S", *s_axis)
     ax_l = Axis("delta_tau_L", *l_axis)
-    gam = gamma_lattice(phi_a, phi_b, ax_s.values, ax_l.values, real=True)
+    gam = gamma_lattice(phi_a, phi_b, ax_s.values, ax_l.values)
     return Interferogram((ax_s, ax_l), np.subtract(1.0, gam, out=gam))
 
 
@@ -184,8 +182,6 @@ class LatticeScan:
     product, as (re, im) pairs, so no lattice-sized array exists until a
     caller asks for rows, into a buffer it owns.
     """
-
-    ndim = 2
 
     def __init__(self, phi_a: SampledAmplitude, phi_b: SampledAmplitude,
                  s_axis: tuple[float, float, int], l_axis: tuple[float, float, int]):

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BiphotonAmplitude, FrequencyGrid, SampledAmplitude,
-                   SpectralFilter, jsi, phasors, sample_on_grid)
+from .core import (BiphotonAmplitude, FrequencyGrid, SampledAmplitude, jsi, phasors,
+                   sample_on_grid)
 from .interferometer import Interferogram, LatticeScan, scan_2d
 
 
@@ -53,12 +53,9 @@ class AliasingError(ValueError):
 
 @dataclass(frozen=True)
 class DelayLattice:
-    """Uniform delay lattice for cosine-transform reconstruction.
-
-    Each axis must either be symmetric about zero or start at zero; in the
-    latter case the missing half-plane is filled by the joint-negation
-    symmetry of Re(Gamma), which requires the other axis to be symmetric.
-    """
+    """Uniform delay lattice for cosine-transform reconstruction: the
+    (start, step, count) of its two axes (see `_half_axis` for the lattices
+    reconstruct_jsi accepts)."""
 
     start1: float
     step1: float
@@ -66,16 +63,6 @@ class DelayLattice:
     start2: float
     step2: float
     count2: int
-
-    def __post_init__(self):
-        if self.step1 <= 0 or self.step2 <= 0:
-            raise ValueError("lattice steps must be positive")
-        for name, mode in (("1", self.axis_mode(1)), ("2", self.axis_mode(2))):
-            if mode == "invalid":
-                raise ValueError(f"lattice axis {name} must be symmetric about 0 "
-                                 "or start at 0")
-        if self.axis_mode(1) == "half" and self.axis_mode(2) == "half":
-            raise ValueError("at most one lattice axis may start at 0")
 
     @classmethod
     def symmetric(cls, step1: float, half_count1: int,
@@ -88,26 +75,10 @@ class DelayLattice:
         """The a >= 0 half of symmetric(step, half_count, step, half_count)."""
         return cls(0.0, step, half_count + 1, -step * half_count, step, 2 * half_count + 1)
 
-    def axis(self, i: int) -> np.ndarray:
-        start, step, count = ((self.start1, self.step1, self.count1) if i == 1
-                              else (self.start2, self.step2, self.count2))
-        return start + step * np.arange(count)
-
-    def axis_mode(self, i: int) -> str:
-        v = self.axis(i)
-        step = self.step1 if i == 1 else self.step2
-        if abs(v[0]) < 1e-9 * step:
-            return "half"
-        if abs(v[0] + v[-1]) < 1e-6 * step and np.any(np.abs(v) < 1e-9 * step):
-            return "symmetric"
-        return "invalid"
-
-    @classmethod
-    def from_interferogram(cls, ig: Interferogram | LatticeScan) -> "DelayLattice":
-        if ig.ndim != 2:
-            raise ValueError("reconstruction needs a 2D interferogram")
-        a1, a2 = ig.axes
-        return cls(a1.start, a1.step, a1.count, a2.start, a2.step, a2.count)
+    @property
+    def axes(self) -> tuple[tuple[float, float, int], tuple[float, float, int]]:
+        """(start, step, count) of axis 1 and of axis 2, as scan_2d takes them."""
+        return (self.start1, self.step1, self.count1), (self.start2, self.step2, self.count2)
 
 
 @dataclass(frozen=True)
@@ -115,7 +86,6 @@ class JsiEstimate:
     values: np.ndarray            # nonnegative, unit integral over the band
     band: FrequencyGrid
     negativity_fraction: float    # pre-clip negative mass / total mass
-    window: str
     degenerate: bool = False
 
 
@@ -179,6 +149,25 @@ def _kernel(omega: np.ndarray, t: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return np.conj(phasors(omega, t)).T * weight
 
 
+def _half_axis(axes) -> int | None:
+    """Index of the axis that starts at 0, or None when both are symmetric
+    about 0 with a point at 0; ValueError for any other lattice and for other
+    than two axes (a half lattice's missing half-plane is the point
+    reflection of the measured one, so its other axis must be symmetric)."""
+    if len(axes) != 2:
+        raise ValueError("reconstruction needs a 2D interferogram")
+    half = []
+    for i, ax in enumerate(axes):
+        v, tol = ax.values, 1e-9 * ax.step
+        if abs(v[0]) < tol:
+            half.append(i)
+        elif not (abs(v[0] + v[-1]) < 1e-6 * ax.step and np.any(np.abs(v) < tol)):
+            raise ValueError(f"lattice axis {i + 1} must be symmetric about 0 or start at 0")
+    if len(half) == 2:
+        raise ValueError("at most one lattice axis may start at 0")
+    return half[0] if half else None
+
+
 # folded lattice rows formed and multiplied per step of the inverse
 _BLOCK_ROWS = 128
 
@@ -187,20 +176,20 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
                     window: str = "none", demodulate: bool = False) -> JsiEstimate:
     """Inverse cosine-kernel transform of 1 - G onto the band grid.
 
-    A LatticeScan must be a half lattice whose first axis starts at 0
-    (ValueError otherwise); each of its rows is evaluated once, a block at
-    a time, into the fold buffer.
+    The lattice is symmetric about 0 on both axes or a half lattice, one
+    axis starting at 0 (`_half_axis`; ValueError otherwise).  A LatticeScan
+    must start its first axis at 0; each of its rows is evaluated once, a
+    block at a time, into the fold buffer.
 
     Returns a nonnegative, unit-integral estimate; the fraction of
     pre-clip negative mass is reported as a truncation diagnostic.
     """
-    lattice = DelayLattice.from_interferogram(interferogram)
+    half = _half_axis(interferogram.axes)
     check_sampling(band, interferogram.axes, demodulate)
-    modes = (lattice.axis_mode(1), lattice.axis_mode(2))
     (ax_a, ax_b), (om_a, om_b) = interferogram.axes, (band.axis1, band.axis2)
     # fold_rows(r, h) writes G(a, b) + G(-a, -b) of the half-axis rows r.. into h
     if isinstance(interferogram, LatticeScan):
-        if modes[0] != "half":
+        if half != 0:
             raise ValueError("a lattice scan must start its first axis at 0")
         i0 = 0
 
@@ -209,9 +198,9 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
             h += h
     else:
         g = interferogram.values
-        if modes[1] == "half":  # sum along the half axis: work on the transpose
+        if half == 1:  # sum along the half axis: work on the transpose
             g, ax_a, ax_b, om_a, om_b = g.T, ax_b, ax_a, om_b, om_a
-        if "half" in modes:  # h = 1 - (G + G) / 2 = 1 - G exactly
+        if half is not None:  # h = 1 - (G + G) / 2 = 1 - G exactly
             i0, mirror = 0, g
         else:  # the point reflections G(-a, -b) of the rows a >= 0
             i0 = ax_a.count // 2
@@ -239,7 +228,7 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
         h += 1.0
         q = h @ cd
         est += ka.real[:, r:r + len(h)] @ q[:, :m] - ka.imag[:, r:r + len(h)] @ q[:, m:]
-    if modes[1] == "half":
+    if half == 1:
         est = est.T
 
     total_abs = np.sum(np.abs(est))
@@ -254,20 +243,16 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
         est = np.clip(est, 0.0, None)
         est /= np.sum(est) * band.measure
     return JsiEstimate(values=est, band=band, negativity_fraction=neg_frac,
-                       window=window, degenerate=degenerate)
+                       degenerate=degenerate)
 
 
-def roundtrip_error(model: BiphotonAmplitude,
-                    filter1: SpectralFilter | None, filter2: SpectralFilter | None,
-                    grid: FrequencyGrid, lattice: DelayLattice,
-                    window: str = "none", demodulate: bool = False) -> float:
-    """Forward-simulate, reconstruct on the sampling grid, and return the
-    relative L2 error against the true JSI."""
-    sampled = sample_on_grid(model, grid, filter1, filter2)
-    ig = scan_2d(sampled, sampled,
-                 (lattice.start1, lattice.step1, lattice.count1),
-                 (lattice.start2, lattice.step2, lattice.count2))
-    return l2_error(reconstruct_jsi(ig, grid, window=window, demodulate=demodulate), sampled)
+def roundtrip_error(model: BiphotonAmplitude, grid: FrequencyGrid,
+                    lattice: DelayLattice, demodulate: bool = False) -> float:
+    """Forward-simulate the unfiltered `model`, reconstruct on the sampling
+    grid, and return the relative L2 error against the true JSI."""
+    sampled = sample_on_grid(model, grid)
+    ig = scan_2d(sampled, sampled, *lattice.axes)
+    return l2_error(reconstruct_jsi(ig, grid, demodulate=demodulate), sampled)
 
 
 def l2_error(est: JsiEstimate, sampled: SampledAmplitude) -> float:

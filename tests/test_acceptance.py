@@ -138,7 +138,7 @@ def test_criterion_6_two_photon_coherence_envelope(reference_sampled, report):
     ig = ifm.scan_2d(reference_sampled, reference_sampled,
                      (tau_s[0], tau_s[1] - tau_s[0], len(tau_s)),
                      (tau_l[0], tau_l[1] - tau_l[0], len(tau_l)))
-    env = fitting.visibility_envelope(ig, axis="L", period_guess=1570.5e-9)
+    env = fitting.visibility_envelope(ig, period_guess=1570.5e-9)
     elapsed = time.perf_counter() - t0
     rel = abs(env.fit.fwhm - 1.17e-3) / 1.17e-3
     ok = rel < 0.20 and elapsed < 120.0
@@ -166,7 +166,7 @@ def test_criterion_8_jsi_round_trip(report):
         slow = np.sqrt(2.0) / (sigma * np.sqrt(1.0 - abs(rho)))
         half = int(np.ceil(5.0 * slow / step))
         lattice = rec.DelayLattice.symmetric(step, half, step, half)
-        err = rec.roundtrip_error(model, None, None, grid, lattice, demodulate=True)
+        err = rec.roundtrip_error(model, grid, lattice, demodulate=True)
         sampled = core.sample_on_grid(model, grid)
         ig = ifm.scan_2d(sampled, sampled,
                          (lattice.start1, lattice.step1, lattice.count1),

@@ -135,6 +135,11 @@ class TestCliExitCodes:
         ("grid.n=256.7", "fringe", "not an integer"),
         ("scan.dip_halfspan_mm=0", "hom-dip", "shorter than one scan step"),
         ("scan.x1_halfspan_mm=0", "scan2d", "shorter than one scan step"),
+        ("scan.fringe_halfspan_mm=inf", "fringe", "not a finite number"),
+        ("reconstruct.span_coherence_times=inf", "reconstruct", "not a finite number"),
+        ("detector.quantum_efficiency=nan", "budget", "not a finite number"),
+        ("scan.bin_duration_s=-1", "fringe", "must be positive"),
+        ("scan.bin_duration_s=0", "fringe", "must be positive"),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, override, command, message):
         code = cli.main(["--out", str(tmp_path / "o"), "--noiseless",
@@ -345,6 +350,13 @@ class TestBudgetCommand:
         printed = capsys.readouterr().out
         assert "accidentals_hz: 2161.25" in printed
 
+    def test_configured_pair_probability_is_reported(self, tmp_path):
+        # the default "auto" is 1/CAR = 0.3731; a configured value replaces it
+        out = tmp_path / "o"
+        assert cli.main(["--out", str(out), "--set", "budget.pair_probability_per_pulse=0.5",
+                         "budget"]) == cli.EXIT_OK
+        assert read_report(out / "budget_report.txt")["pair_probability_per_pulse"] == "0.5"
+
     def test_zero_singles(self, tmp_path):
         out = tmp_path / "o"
         code = cli.main(["--out", str(out),
@@ -395,8 +407,9 @@ class TestReconstructCommand:
                          "l2_error": 1}
         (model, grid), sampled = seen["sample_on_grid"]
         err = seen["l2_error"][1]
-        lattice = rec.DelayLattice.from_interferogram(seen["LatticeScan"][1])
-        expected = rec.roundtrip_error(model, None, None, grid, lattice, demodulate=True)
+        _, _, s_axis, l_axis = seen["LatticeScan"][0]
+        expected = rec.roundtrip_error(model, grid, rec.DelayLattice(*s_axis, *l_axis),
+                                       demodulate=True)
         assert err == pytest.approx(expected, rel=1e-9)
         assert read_report(out / "recon_report.txt")["roundtrip_l2_error"] == f"{err:.3g}"
         # the scan covers the a >= 0 half: first axis from 0, second symmetric
@@ -404,7 +417,6 @@ class TestReconstructCommand:
         coh = np.sqrt(2.0) / (model.sigma1 * np.sqrt(1.0 - abs(model.rho)))
         step = cfg.getfloat("reconstruct", "step_fraction") * rec.nyquist_step(grid)
         half_count = int(np.ceil(cfg.getfloat("reconstruct", "span_coherence_times") * coh / step))
-        _, _, s_axis, l_axis = seen["LatticeScan"][0]
         assert s_axis == (0.0, step, half_count + 1)
         assert l_axis == (-step * half_count, step, 2 * half_count + 1)
         # the premise: G(-a, -b) = G(a, b) on the symmetric lattice, to the

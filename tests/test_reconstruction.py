@@ -38,26 +38,39 @@ class TestNyquistStep:
         assert rec.nyquist_step(narrow) == pytest.approx(np.pi / (1e15 + 1.0))
 
 
+def lattice_interferogram(*axes):
+    """A flat (G = 1) interferogram on (start, step, count) axes."""
+    axes = tuple(ifm.Axis(name, *ax) for name, ax in zip(("delta_tau_S", "delta_tau_L"), axes))
+    return ifm.Interferogram(axes, np.ones(tuple(ax.count for ax in axes)))
+
+
 class TestDelayLattice:
+    GRID = core.FrequencyGrid(8, 8, 1e14, 1.1e14, 1e14, 1.1e14)
+
     def test_symmetric_and_half_modes(self):
-        lat = rec.DelayLattice.symmetric(1e-15, 4, 1e-15, 4)
-        assert lat.axis_mode(1) == "symmetric"
-        half = rec.DelayLattice(0.0, 1e-15, 5, -4e-15, 1e-15, 9)
-        assert half.axis_mode(1) == "half"
-        assert half.axis_mode(2) == "symmetric"
+        sym = rec.DelayLattice.symmetric(1e-15, 4, 1e-15, 4)
+        assert sym.axes == ((-4e-15, 1e-15, 9), (-4e-15, 1e-15, 9))
+        half = rec.DelayLattice.half(1e-15, 4)
+        assert half.axes == ((0.0, 1e-15, 5), (-4e-15, 1e-15, 9))
+        assert rec._half_axis(lattice_interferogram(*sym.axes).axes) is None
+        assert rec._half_axis(lattice_interferogram(*half.axes).axes) == 0
+        assert rec._half_axis(lattice_interferogram(*half.axes[::-1]).axes) == 1
 
     def test_invalid_lattices_rejected(self):
-        with pytest.raises(ValueError, match="symmetric about 0"):
-            rec.DelayLattice(1e-15, 1e-15, 5, -4e-15, 1e-15, 9)
-        with pytest.raises(ValueError, match="at most one"):
-            rec.DelayLattice(0.0, 1e-15, 5, 0.0, 1e-15, 5)
-        with pytest.raises(ValueError, match="positive"):
-            rec.DelayLattice(0.0, -1e-15, 5, -4e-15, 1e-15, 9)
+        # an offset axis 1; a symmetric axis 2 with no point at 0; two half
+        # axes; a negative step, which the Axis of the interferogram refuses
+        for axes, message in [
+                (((1e-15, 1e-15, 5), (-4e-15, 1e-15, 9)), "axis 1 must be symmetric about 0"),
+                (((0.0, 1e-15, 5), (-3.5e-15, 1e-15, 8)), "axis 2 must be symmetric about 0"),
+                (((0.0, 1e-15, 5), (0.0, 1e-15, 5)), "at most one"),
+                (((0.0, -1e-15, 5), (-4e-15, 1e-15, 9)), "positive")]:
+            with pytest.raises(ValueError, match=message):
+                rec.reconstruct_jsi(lattice_interferogram(*axes), self.GRID)
 
-    def test_from_interferogram_requires_2d(self, reference_sampled):
+    def test_reconstruct_requires_2d(self, reference_sampled):
         ig = ifm.scan_1d(reference_sampled, reference_sampled, "L", 0.0, 0.0, 1e-15, 8)
         with pytest.raises(ValueError, match="2D"):
-            rec.DelayLattice.from_interferogram(ig)
+            rec.reconstruct_jsi(ig, reference_sampled.grid)
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.5, -0.5, 0.9, -0.9])
@@ -66,7 +79,7 @@ def test_round_trip_across_correlations(rho):
     model = core.BiphotonAmplitude.gaussian(1.23e15, 1.20e15, sigma, sigma, rho=rho)
     grid = core.grid_for_gaussian(model, n=64)
     lattice = make_lattice(grid, sigma, rho)
-    err = rec.roundtrip_error(model, None, None, grid, lattice)
+    err = rec.roundtrip_error(model, grid, lattice)
     assert err < 0.05
 
 
@@ -115,7 +128,7 @@ def test_truncation_monotonicity_and_negativity():
     sampled = core.sample_on_grid(model, grid)
     for span in spans:
         lattice = make_lattice(grid, sigma, rho, span=span)
-        errors.append(rec.roundtrip_error(model, None, None, grid, lattice))
+        errors.append(rec.roundtrip_error(model, grid, lattice))
         ig = ifm.scan_2d(sampled, sampled,
                          (lattice.start1, lattice.step1, lattice.count1),
                          (lattice.start2, lattice.step2, lattice.count2))
@@ -238,7 +251,7 @@ def test_l2_error_rejects_amplitude_on_another_grid():
                      (lattice.start1, lattice.step1, lattice.count1),
                      (lattice.start2, lattice.step2, lattice.count2))
     est = rec.reconstruct_jsi(ig, grid)
-    assert rec.l2_error(est, sampled) == rec.roundtrip_error(model, None, None, grid, lattice)
+    assert rec.l2_error(est, sampled) == rec.roundtrip_error(model, grid, lattice)
     with pytest.raises(ValueError, match="band grid"):
         rec.l2_error(est, core.sample_on_grid(model, core.grid_for_gaussian(model, n=20)))
 
@@ -254,7 +267,7 @@ def test_pure_math_cosine_series_self_adjoint():
     step = 0.9 * rec.nyquist_step(band)
     half = int(np.ceil(8.0 / step))
     lat = rec.DelayLattice.symmetric(step, half, step, half)
-    a, b = lat.axis(1), lat.axis(2)
+    a, b = (ifm.Axis("t", *ax).values for ax in lat.axes)
     # forward cosine series of the known function
     h = np.einsum("ij,ai,bj->ab", true,
                   np.cos(np.outer(a, band.axis1)),
@@ -339,7 +352,8 @@ def test_fold_matches_brute_force_on_noisy_lattice(window, demodulate, half_axis
 @pytest.mark.parametrize("half_axis", [False, True], ids=["symmetric", "half"])
 def test_kernel_matches_complex_exponential(half_axis):
     grid, _, full = small_band()
-    t = full.axis(1)[(full.count1 - 1) // 2:] if half_axis else full.axis(1)
+    t = ifm.Axis("t", *full.axes[0]).values
+    t = t[(full.count1 - 1) // 2:] if half_axis else t
     weight = np.hanning(len(t) + 2)[1:-1] * full.step1
     direct = weight * np.exp(1j * np.outer(grid.axis1, t))
     assert np.max(np.abs(rec._kernel(grid.axis1, t, weight) - direct)) <= 1e-12
