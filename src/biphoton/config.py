@@ -173,9 +173,9 @@ def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) 
 def build_source_params(cfg: RunConfig) -> core.SourceParams:
     pump = cfg.getfloat("source", "pump_center_nm") * 1e-9
     signal = cfg.getfloat("source", "signal_center_nm") * 1e-9
-    idler_raw = cfg.get("source", "idler_center_nm")
-    idler = (core.energy_matched_idler(pump, signal) if idler_raw == "auto"
-             else float(idler_raw) * 1e-9)
+    idler = (core.energy_matched_idler(pump, signal)
+             if cfg.get("source", "idler_center_nm") == "auto"
+             else cfg.getfloat("source", "idler_center_nm") * 1e-9)
     return core.SourceParams(pump_center_wavelength=pump,
                              pump_pulse_fwhm=cfg.getfloat("source", "pump_fwhm_ps") * 1e-12,
                              signal_center_wavelength=signal,
@@ -186,9 +186,9 @@ def build_filters(cfg: RunConfig, src: core.SourceParams):
     shape = cfg.get("filters", "shape")
     bw = cfg.getfloat("filters", "bandwidth_nm") * 1e-9
     f1_center = cfg.getfloat("filters", "signal_center_nm") * 1e-9
-    idler_raw = cfg.get("filters", "idler_center_nm")
-    f2_center = (src.idler_center_wavelength if idler_raw == "auto"
-                 else float(idler_raw) * 1e-9)
+    f2_center = (src.idler_center_wavelength
+                 if cfg.get("filters", "idler_center_nm") == "auto"
+                 else cfg.getfloat("filters", "idler_center_nm") * 1e-9)
     return (core.SpectralFilter.from_wavelength(shape, f1_center, bw),
             core.SpectralFilter.from_wavelength(shape, f2_center, bw))
 
@@ -201,12 +201,11 @@ def build_model(cfg: RunConfig, src: core.SourceParams) -> core.BiphotonAmplitud
     s1 = cfg.getfloat("source", "sigma1_rad_per_ps") * 1e12
     s2 = cfg.getfloat("source", "sigma2_rad_per_ps") * 1e12
     phase = cfg.getfloat("source", "phase_rad")
-    rho_raw = cfg.get("source", "rho")
-    if rho_raw == "auto":
+    if cfg.get("source", "rho") == "auto":
         coherence = cfg.getfloat("source", "coherence_fwhm_ps") * 1e-12
         return core.gaussian_from_setup(wc1, wc2, s1, s2, coherence, phase=phase)
     return core.BiphotonAmplitude.gaussian(wc1, wc2, s1, s2,
-                                           rho=float(rho_raw), phase=phase)
+                                           rho=cfg.getfloat("source", "rho"), phase=phase)
 
 
 def build_detector(cfg: RunConfig) -> detector.DetectorConfig:
@@ -218,8 +217,9 @@ def build_detector(cfg: RunConfig) -> detector.DetectorConfig:
 
 def build_budget(cfg: RunConfig) -> detector.SourceBudget:
     car = cfg.getfloat("budget", "car")
-    raw = cfg.get("budget", "pair_probability_per_pulse")
-    pair_p = detector.pair_probability_from_car(car) if raw == "auto" else float(raw)
+    pair_p = (detector.pair_probability_from_car(car)
+              if cfg.get("budget", "pair_probability_per_pulse") == "auto"
+              else cfg.getfloat("budget", "pair_probability_per_pulse"))
     return detector.SourceBudget(
         singles_rate_1=cfg.getfloat("budget", "singles_rate_1_khz") * 1e3,
         singles_rate_2=cfg.getfloat("budget", "singles_rate_2_khz") * 1e3,

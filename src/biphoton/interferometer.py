@@ -9,8 +9,8 @@ evaluated as a midpoint-rule double sum, with the normalized coincidence
 rate G = 1 - Re(Gamma) in [0, 2].  Lattice scans reuse the factored form
 E1 @ M @ E2^T, the same double sum reassociated; core.phasors builds the
 exp(-i w t) tables E1, E2 from sqrt(n)-sized ones.  The factors P = E1 @ M
-and E2 are small, so a `LatticeScan` keeps only them and evaluates the
-lattice-sized product Re(P @ E2^T) a block of S rows at a time.
+and E2 are thin (1 - G has rank at most 2 n2 on an n1 x n2 grid), so a
+`LatticeScan` keeps only them and never forms the lattice.
 
 Interferograms are stored as CSV format 2: '#' headers that define the
 axes, then one 'G[,counts]' row per lattice point with integer counts.
@@ -79,18 +79,18 @@ class Interferogram:
         return self.axes[i].values
 
 
-def _checked_g(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _checked_g(values: np.ndarray) -> np.ndarray:
     """`values`, validated against the physical range [0, 2] (NaN fails too).
 
     Values within _RANGE_TOL outside the range are clipped, and integer
-    input is made float, into `out` (a new array when None); otherwise
-    `values` itself is returned.
+    input is made float, into a new array; otherwise `values` itself is
+    returned.
     """
     lo, hi = values.min(), values.max()
     if not (lo >= -_RANGE_TOL and hi <= 2.0 + _RANGE_TOL):
         raise ValueError("G values outside [0, 2]")
     if lo < 0.0 or hi > 2.0 or not np.issubdtype(values.dtype, np.floating):
-        return np.clip(values, 0.0, 2.0, out=out)
+        return np.clip(values, 0.0, 2.0)
     return values
 
 
@@ -176,25 +176,38 @@ def scan_2d(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
 
 
 class LatticeScan:
-    """scan_2d's lattice, evaluated a block of S rows at a time.
-
-    It holds only the factors conj(P) and E2 of gamma_lattice's real
-    product, as (re, im) pairs, so no lattice-sized array exists until a
-    caller asks for rows, into a buffer it owns.
-    """
+    """scan_2d's lattice, never formed: it holds only the factors conj(P)
+    and E2 of 1 - G = Re(P @ E2^T), as (re, im) pairs, and multiplies
+    1 - G into a caller's matrix through them."""
 
     def __init__(self, phi_a: SampledAmplitude, phi_b: SampledAmplitude,
                  s_axis: tuple[float, float, int], l_axis: tuple[float, float, int]):
         self.axes = (Axis("delta_tau_S", *s_axis), Axis("delta_tau_L", *l_axis))
         p, e2 = _lattice_factors(phi_a, phi_b, *(ax.values for ax in self.axes))
         self._p, self._e2 = np.conj(p).view(float), e2.view(float)
+        # sum |phi_a conj(phi_b)| * measure bounds |Re Gamma| (see contract)
+        self._gamma_bound = (np.vdot(np.abs(phi_a.values), np.abs(phi_b.values))
+                             * phi_a.grid.measure)
 
-    def rows(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """G = 1 - Re(Gamma) of S rows lo:hi, written into `out` and
-        validated like Interferogram values."""
-        np.matmul(self._p[lo:hi], self._e2.T, out=out)
-        np.subtract(1.0, out, out=out)
-        return _checked_g(out, out=out)
+    def contract(self, cd: np.ndarray) -> np.ndarray:
+        """(1 - G) @ cd for a real (nl, k) matrix `cd`, as P @ (E2^T @ cd):
+        2 n2 (nl + ns) k multiply-adds, where the lattice product takes
+        ns nl (2 n2 + k).
+
+        G is not formed, so its range is certified instead of checked per
+        value.  The phasor tables have unit modulus, so everywhere
+
+            |Re Gamma| <= sum |phi_a conj(phi_b)| * measure,
+
+        and a sum <= 1 + _RANGE_TOL puts every G within _RANGE_TOL of
+        [0, 2].  A NaN in the factors reaches the product.  A larger sum or
+        a product that is not finite raises ValueError, as G values outside
+        the range do in an Interferogram.
+        """
+        q = self._p @ (self._e2.T @ cd)
+        if not (self._gamma_bound <= 1.0 + _RANGE_TOL and np.isfinite(q).all()):
+            raise ValueError("G values outside [0, 2]")
+        return q
 
 
 def write_csv(path, headers: list[str], columns: list[np.ndarray]) -> None:

@@ -7,7 +7,8 @@ nonnegative) JSI, so the JSI is recovered by the inverse cosine-kernel sum
 
 evaluated on a requested frequency band as Re(E1 @ h @ E2^T), with
 kernels built by core.phasors from sqrt(n)-sized tables that carry the
-window w, fold weight and cell area, so the lattice-sized product is real.
+window w, fold weight and cell area.  h @ E2^T comes first, a real
+product with the (re, im) pairs of E2^T.
 
 cos is even and the window symmetric, so the terms at (a, b) and (-a, -b)
 share one kernel value.  A lattice symmetric on both axes is folded onto
@@ -16,12 +17,14 @@ noisy or not; a lattice with an axis that starts at 0 is that half already
 (its other half-plane is taken to be the point reflection of the measured
 one).  The sum then runs over the half axis only, with weight 2 off 0, and
 the half axis takes the right half of the symmetric window over its
-mirrored axis.  The folded rows are formed a fixed number at a time in one
-reused buffer and their products accumulated, so no lattice-sized
-temporary is made and the large product is half the unfolded one.  The
-rows come from the interferogram's values, or, for an
-interferometer.LatticeScan (the noiseless `reconstruct`), are evaluated
-straight into that buffer, so no lattice-sized array exists at all.
+mirrored axis.  For an interferogram's values the folded rows are formed
+a fixed number at a time in one reused buffer, so no lattice-sized
+temporary is made and the large product is half the unfolded one.  An
+interferometer.LatticeScan (the noiseless `reconstruct`) holds h as a
+product of thin factors and takes h @ E2^T through them
+(`LatticeScan.contract`): no lattice-sized array or product is computed,
+and the cost grows with the lattice side, not its area.  On the default 1432 x 2863 half lattice the
+round trip does 0.42 GFLOP, where forming h and its product took 3.2.
 
 `check_sampling` refuses a lattice step that aliases the band: pi / w_max
 per axis, or with `demodulate` pi over the band half-width per axis plus
@@ -145,8 +148,12 @@ def _window(n: int, kind: str) -> np.ndarray:
 
 
 def _kernel(omega: np.ndarray, t: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """exp(i omega t) times the per-delay weight (window, fold and step)."""
-    return np.conj(phasors(omega, t)).T * weight
+    """exp(i omega t) times the per-delay weight (window, fold and step),
+    shape (len(omega), len(t)); its transpose has contiguous rows."""
+    k = phasors(omega, t)
+    np.conj(k, out=k)
+    k *= weight[:, None]
+    return k.T
 
 
 def _half_axis(axes) -> int | None:
@@ -178,8 +185,8 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
 
     The lattice is symmetric about 0 on both axes or a half lattice, one
     axis starting at 0 (`_half_axis`; ValueError otherwise).  A LatticeScan
-    must start its first axis at 0; each of its rows is evaluated once, a
-    block at a time, into the fold buffer.
+    must start its first axis at 0; its rows are never formed (see
+    LatticeScan.contract, which also refuses G outside [0, 2]).
 
     Returns a nonnegative, unit-integral estimate; the fraction of
     pre-clip negative mass is reported as a truncation diagnostic.
@@ -187,15 +194,11 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
     half = _half_axis(interferogram.axes)
     check_sampling(band, interferogram.axes, demodulate)
     (ax_a, ax_b), (om_a, om_b) = interferogram.axes, (band.axis1, band.axis2)
-    # fold_rows(r, h) writes G(a, b) + G(-a, -b) of the half-axis rows r.. into h
+    # contract(cd) returns h @ cd over the half-axis rows
     if isinstance(interferogram, LatticeScan):
         if half != 0:
             raise ValueError("a lattice scan must start its first axis at 0")
-        i0 = 0
-
-        def fold_rows(r, h):  # on a half lattice the fold is G + G
-            interferogram.rows(r, r + len(h), out=h)
-            h += h
+        i0, contract = 0, interferogram.contract
     else:
         g = interferogram.values
         if half == 1:  # sum along the half axis: work on the transpose
@@ -207,27 +210,25 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
             mirror = g[i0::-1, ::-1]
         rows = g[i0:]
 
-        def fold_rows(r, h):
-            np.add(rows[r:r + len(h)], mirror[r:r + len(h)], out=h)
+        def contract(cd):  # folds _BLOCK_ROWS rows at a time in one buffer
+            q = np.empty((len(rows), cd.shape[1]))
+            buf = np.empty((min(len(rows), _BLOCK_ROWS), ax_b.count))
+            for r in range(0, len(rows), _BLOCK_ROWS):
+                h = buf[:min(_BLOCK_ROWS, len(rows) - r)]
+                np.add(rows[r:r + len(h)], mirror[r:r + len(h)], out=h)
+                h *= -0.5
+                h += 1.0
+                np.matmul(h, cd, out=q[r:r + len(h)])
+            return q
     t = ax_a.values[i0:]
     n = len(t)
     fold = np.full(n, 2.0)
     fold[0] = 1.0
     ka = _kernel(om_a, t, _window(2 * n - 1, window)[n - 1:] * fold * ax_a.step)
-    cd = _kernel(om_b, ax_b.values, _window(ax_b.count, window) * ax_b.step)
-    # Re((A + iB) h (C + iD)^T) = A h C^T - B h D^T, accumulated over blocks
-    # of folded rows; the lattice-sized product h [C^T D^T] is real
-    m = len(om_b)
-    cd = np.vstack([cd.real, cd.imag]).T
-    buf = np.empty((min(n, _BLOCK_ROWS), ax_b.count))
-    est = np.zeros((len(om_a), m))
-    for r in range(0, n, _BLOCK_ROWS):
-        h = buf[:min(_BLOCK_ROWS, n - r)]
-        fold_rows(r, h)
-        h *= -0.5
-        h += 1.0
-        q = h @ cd
-        est += ka.real[:, r:r + len(h)] @ q[:, :m] - ka.imag[:, r:r + len(h)] @ q[:, m:]
+    # (C + iD)^T as (re, im) column pairs, so the product with h is real and
+    # q = h @ cd is h (C + iD)^T as pairs: est = Re((A + iB) h (C + iD)^T)
+    cd = _kernel(om_b, ax_b.values, _window(ax_b.count, window) * ax_b.step).T.view(float)
+    est = (ka @ contract(cd).view(complex)).real
     if half == 1:
         est = est.T
 

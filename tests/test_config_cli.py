@@ -140,6 +140,11 @@ class TestCliExitCodes:
         ("detector.quantum_efficiency=nan", "budget", "not a finite number"),
         ("scan.bin_duration_s=-1", "fringe", "must be positive"),
         ("scan.bin_duration_s=0", "fringe", "must be positive"),
+        ("source.idler_center_nm=abc", "fringe", "[source] idler_center_nm: not a number"),
+        ("source.rho=nan", "fringe", "[source] rho: not a finite number"),
+        ("filters.idler_center_nm=nan", "fringe", "[filters] idler_center_nm: not a finite"),
+        ("budget.pair_probability_per_pulse=abc", "budget",
+         "[budget] pair_probability_per_pulse: not a number"),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, override, command, message):
         code = cli.main(["--out", str(tmp_path / "o"), "--noiseless",
@@ -378,6 +383,19 @@ class TestReconstructCommand:
         assert float(report["correlation"]) == pytest.approx(-0.9, abs=0.05)
         assert (out / "jsi.csv").exists()
 
+    def test_default_report_is_pinned(self, tmp_path):
+        # the noiseless default run is deterministic: a change to its
+        # numbers is a change to the reconstruction, not noise
+        out = tmp_path / "o"
+        assert cli.main(["--out", str(out), "reconstruct"]) == cli.EXIT_OK
+        lines = (out / "recon_report.txt").read_text().splitlines()
+        for line in ["lattice_axes: [(0.0, 2.2331042659658576e-15, 1432),"
+                     " (-3.1955722045971422e-12, 2.2331042659658576e-15, 2863)]",
+                     "negativity_fraction: 1.27e-11",
+                     "correlation: -0.9000",
+                     "roundtrip_l2_error: 1.95e-11"]:
+            assert line in lines
+
     @staticmethod
     def spy(monkeypatch, *targets):
         """Wrap each (module, name): count its calls, keep its last args and result."""
@@ -510,7 +528,7 @@ class TestReconstructCommand:
         return peak
 
     def test_peak_memory_is_a_fraction_of_the_symmetric_lattice(self, tmp_path):
-        # the scan streams into the inverse: no lattice-sized array exists
+        # the scan is never formed: no lattice-sized array exists
         out = tmp_path / "o"
         peak = self.traced_peak(out)
         axes = ast.literal_eval(read_report(out / "recon_report.txt")["lattice_axes"])
@@ -518,7 +536,7 @@ class TestReconstructCommand:
         assert peak <= 0.2 * count * count * 8
 
     def test_peak_memory_grows_with_the_lattice_side_not_its_area(self, tmp_path):
-        # doubling the span quadruples the lattice; the streamed run's
+        # doubling the span quadruples the lattice; the contracted run's
         # buffers and factors only double
         peaks = [self.traced_peak(tmp_path / str(span),
                                   "--set", f"reconstruct.span_coherence_times={span}")

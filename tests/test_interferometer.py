@@ -188,17 +188,18 @@ class TestScans:
         assert np.max(np.abs(row.values - ref[7])) <= 1e-12
         assert np.max(np.abs(col.values - ref[:, 9])) <= 1e-12
 
-    def test_lattice_scan_rows_match_scan_2d(self, reference_sampled):
+    def test_lattice_scan_contract_matches_scan_2d(self, reference_sampled):
+        # the factored product against the explicit lattice's
         ph = reference_sampled
         axes = ((0.0, 1e-13, 21), (-3e-12, 1e-13, 61))
         ref = ifm.scan_2d(ph, ph, *axes)
         scan = ifm.LatticeScan(ph, ph, *axes)
         assert scan.axes == ref.axes
-        out = np.empty((21, 61))
-        for lo in range(0, 21, 8):  # blocks of 8, 8 and 5 rows
-            hi = min(lo + 8, 21)
-            scan.rows(lo, hi, out=out[lo:hi])
-        assert np.max(np.abs(out - ref.values)) <= 1e-15
+        cd = np.random.default_rng(3).standard_normal((61, 10))
+        expected = (1.0 - ref.values) @ cd
+        # |1 - G| <= 1, so no entry of the product exceeds a column sum of |cd|
+        scale = np.max(np.abs(cd).sum(axis=0))
+        assert np.max(np.abs(scan.contract(cd) - expected)) <= 1e-15 * scale
 
     def test_scan_axis_validation(self, small_gaussian):
         _, _, sampled = small_gaussian

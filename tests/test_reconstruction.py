@@ -322,6 +322,21 @@ def test_lattice_scan_inverts_like_its_interferogram(window, demodulate):
     assert np.max(np.abs(lazy.values - ref.values)) <= 1e-14 * np.max(ref.values)
 
 
+@pytest.mark.parametrize("spoil", ["nan", "scale"])
+def test_lattice_scan_out_of_range_is_refused(spoil):
+    # the amplitude is spoiled after its own normalization check, so only
+    # the range check of the scan sees it
+    grid, sampled, full = small_band()
+    if spoil == "nan":
+        sampled.values[3, 4] = np.nan
+    else:  # Gamma(0, 0) = 1.21, so G(0, 0) = -0.21
+        sampled.values[...] *= 1.1
+    axes = ((0.0, full.step1, full.count1 // 2 + 1), (full.start2, full.step2, full.count2))
+    scan = ifm.LatticeScan(sampled, sampled, *axes)
+    with pytest.raises(ValueError, match="outside"):
+        rec.reconstruct_jsi(scan, grid)
+
+
 def test_lattice_scan_must_be_a_half_lattice():
     grid, sampled, full = small_band()
     axis = (full.start1, full.step1, full.count1)
