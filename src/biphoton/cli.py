@@ -190,7 +190,7 @@ def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
         step = cfg.getfloat("reconstruct", "step_fraction") * rec.nyquist_step(grid)
         half_count = int(np.ceil(span * coh / step))
         # M = |Phi|^2 is real, so G(-a, -b) = G(a, b): scan a >= 0 only,
-        # evaluated block by block inside the inverse
+        # and never form it (LatticeScan.contract)
         lattice = rec.DelayLattice.half(step, half_count)
         sampled = core.sample_on_grid(model, grid)
         ig = ifm.LatticeScan(sampled, sampled, *lattice.axes)
@@ -284,7 +284,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, overrides)
         args.seed = cfg.getint("run", "seed")
         args.out = Path(args.out)
-        args.out.mkdir(parents=True, exist_ok=True)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: {exc}") from None
         try:
             lines, code = body(cfg, args), EXIT_OK
         except (fitting.FitConvergenceError, fitting.InsufficientDataError,

@@ -27,6 +27,7 @@ from .core import GridMismatchError, SampledAmplitude, phasors
 
 _RANGE_TOL = 1e-9
 _BLOCK_ROWS = 1 << 9       # rows per block of a CSV write; larger blocks raise peak RSS
+_PRODUCT_ROWS = 128        # rows of G per product in Interferogram.contract
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,8 @@ class Axis:
             object.__setattr__(self, key, cast(getattr(self, key)))
         if self.count < 2:
             raise ValueError("axis needs at least 2 points")
+        if not np.isfinite([self.start, self.step]).all():
+            raise ValueError(f"axis {self.name} start and step must be finite")
         if self.step <= 0:
             raise ValueError("axis step must be positive")
 
@@ -77,6 +80,18 @@ class Interferogram:
 
     def coords(self, i: int) -> np.ndarray:
         return self.axes[i].values
+
+    def contract(self, cd: np.ndarray) -> np.ndarray:
+        """(1 - G) @ cd for a 2-D lattice and a real (n_b, k) matrix `cd`, as
+        sum_b cd - G @ cd with _PRODUCT_ROWS rows of G per product: a G read
+        from a CSV is a strided column, which one product would copy whole."""
+        q = np.empty((len(self.values), cd.shape[1]))
+        total = cd.sum(axis=0)
+        for r in range(0, len(q), _PRODUCT_ROWS):
+            block = q[r:r + _PRODUCT_ROWS]
+            np.matmul(self.values[r:r + _PRODUCT_ROWS], cd, out=block)
+            np.subtract(total, block, out=block)
+        return q
 
 
 def _checked_g(values: np.ndarray) -> np.ndarray:

@@ -7,24 +7,22 @@ nonnegative) JSI, so the JSI is recovered by the inverse cosine-kernel sum
 
 evaluated on a requested frequency band as Re(E1 @ h @ E2^T), with
 kernels built by core.phasors from sqrt(n)-sized tables that carry the
-window w, fold weight and cell area.  h @ E2^T comes first, a real
+window w, half-axis weight and cell area.  h @ E2^T comes first, a real
 product with the (re, im) pairs of E2^T.
 
 cos is even and the window symmetric, so the terms at (a, b) and (-a, -b)
-share one kernel value.  A lattice symmetric on both axes is folded onto
-a >= 0 as h = 1 - (G(a, b) + G(-a, -b)) / 2, which is exact for any data,
-noisy or not; a lattice with an axis that starts at 0 is that half already
-(its other half-plane is taken to be the point reflection of the measured
-one).  The sum then runs over the half axis only, with weight 2 off 0, and
-the half axis takes the right half of the symmetric window over its
-mirrored axis.  For an interferogram's values the folded rows are formed
-a fixed number at a time in one reused buffer, so no lattice-sized
-temporary is made and the large product is half the unfolded one.  An
-interferometer.LatticeScan (the noiseless `reconstruct`) holds h as a
-product of thin factors and takes h @ E2^T through them
-(`LatticeScan.contract`): no lattice-sized array or product is computed,
-and the cost grows with the lattice side, not its area.  On the default 1432 x 2863 half lattice the
-round trip does 0.42 GFLOP, where forming h and its product took 3.2.
+share one kernel value.  One rule per axis then covers every lattice: an
+axis symmetric about 0 is weighted by window * step; an axis that starts
+at 0 stands for its mirrored axis (the other half-plane is taken to be the
+point reflection of the measured one), so it takes the right half of the
+window over that axis and weight 2 off 0.  h enters only through the
+lattice's `contract`, which returns h @ E2^T: an Interferogram as
+sum_b E2^T - G @ E2^T, a fixed number of rows of G per product, and an
+interferometer.LatticeScan (the noiseless `reconstruct`) through its thin
+factors, so no lattice-sized array or product is computed and the cost
+grows with the lattice side, not its area.  On the default 1432 x 2863
+half lattice the round trip does 0.42 GFLOP, where forming h and its
+product took 3.2.
 
 `check_sampling` refuses a lattice step that aliases the band: pi / w_max
 per axis, or with `demodulate` pi over the band half-width per axis plus
@@ -148,8 +146,8 @@ def _window(n: int, kind: str) -> np.ndarray:
 
 
 def _kernel(omega: np.ndarray, t: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """exp(i omega t) times the per-delay weight (window, fold and step),
-    shape (len(omega), len(t)); its transpose has contiguous rows."""
+    """exp(i omega t) times the per-delay weight (`_weights`), shape
+    (len(omega), len(t)); its transpose has contiguous rows."""
     k = phasors(omega, t)
     np.conj(k, out=k)
     k *= weight[:, None]
@@ -175,8 +173,16 @@ def _half_axis(axes) -> int | None:
     return half[0] if half else None
 
 
-# folded lattice rows formed and multiplied per step of the inverse
-_BLOCK_ROWS = 128
+def _weights(ax, window: str, half: bool) -> np.ndarray:
+    """Per-delay weight of an axis: window times step.  A half axis stands
+    for its mirrored axis, so it takes the right half of the window over
+    that axis and weight 2 off 0."""
+    n = ax.count
+    if not half:
+        return _window(n, window) * ax.step
+    w = _window(2 * n - 1, window)[n - 1:] * (2.0 * ax.step)
+    w[0] /= 2.0
+    return w
 
 
 def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyGrid,
@@ -184,53 +190,21 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
     """Inverse cosine-kernel transform of 1 - G onto the band grid.
 
     The lattice is symmetric about 0 on both axes or a half lattice, one
-    axis starting at 0 (`_half_axis`; ValueError otherwise).  A LatticeScan
-    must start its first axis at 0; its rows are never formed (see
-    LatticeScan.contract, which also refuses G outside [0, 2]).
+    axis starting at 0 (`_half_axis`; ValueError otherwise).  1 - G enters
+    only through `interferogram.contract`, so a LatticeScan's rows are never
+    formed (see LatticeScan.contract, which also refuses G outside [0, 2]).
 
     Returns a nonnegative, unit-integral estimate; the fraction of
     pre-clip negative mass is reported as a truncation diagnostic.
     """
     half = _half_axis(interferogram.axes)
     check_sampling(band, interferogram.axes, demodulate)
-    (ax_a, ax_b), (om_a, om_b) = interferogram.axes, (band.axis1, band.axis2)
-    # contract(cd) returns h @ cd over the half-axis rows
-    if isinstance(interferogram, LatticeScan):
-        if half != 0:
-            raise ValueError("a lattice scan must start its first axis at 0")
-        i0, contract = 0, interferogram.contract
-    else:
-        g = interferogram.values
-        if half == 1:  # sum along the half axis: work on the transpose
-            g, ax_a, ax_b, om_a, om_b = g.T, ax_b, ax_a, om_b, om_a
-        if half is not None:  # h = 1 - (G + G) / 2 = 1 - G exactly
-            i0, mirror = 0, g
-        else:  # the point reflections G(-a, -b) of the rows a >= 0
-            i0 = ax_a.count // 2
-            mirror = g[i0::-1, ::-1]
-        rows = g[i0:]
-
-        def contract(cd):  # folds _BLOCK_ROWS rows at a time in one buffer
-            q = np.empty((len(rows), cd.shape[1]))
-            buf = np.empty((min(len(rows), _BLOCK_ROWS), ax_b.count))
-            for r in range(0, len(rows), _BLOCK_ROWS):
-                h = buf[:min(_BLOCK_ROWS, len(rows) - r)]
-                np.add(rows[r:r + len(h)], mirror[r:r + len(h)], out=h)
-                h *= -0.5
-                h += 1.0
-                np.matmul(h, cd, out=q[r:r + len(h)])
-            return q
-    t = ax_a.values[i0:]
-    n = len(t)
-    fold = np.full(n, 2.0)
-    fold[0] = 1.0
-    ka = _kernel(om_a, t, _window(2 * n - 1, window)[n - 1:] * fold * ax_a.step)
-    # (C + iD)^T as (re, im) column pairs, so the product with h is real and
-    # q = h @ cd is h (C + iD)^T as pairs: est = Re((A + iB) h (C + iD)^T)
-    cd = _kernel(om_b, ax_b.values, _window(ax_b.count, window) * ax_b.step).T.view(float)
-    est = (ka @ contract(cd).view(complex)).real
-    if half == 1:
-        est = est.T
+    ax_a, ax_b = interferogram.axes
+    ka = _kernel(band.axis1, ax_a.values, _weights(ax_a, window, half == 0))
+    kb = _kernel(band.axis2, ax_b.values, _weights(ax_b, window, half == 1))
+    # (C + iD)^T as (re, im) column pairs, so the product with 1 - G is real
+    # and q = (1 - G) (C + iD)^T as pairs: est = Re((A + iB) q)
+    est = (ka @ interferogram.contract(kb.T.view(float)).view(complex)).real
 
     total_abs = np.sum(np.abs(est))
     degenerate = False

@@ -167,6 +167,8 @@ class TestCliExitCodes:
         ("# axis1 delta_tau_S,-1e-15,1e-15,3\n# axis2 delta_tau_L,-1e-15,1e-15,3\n",
          "no data rows"),
         ("# format=3\n# axis1 delta_tau_S,-1e-15,1e-15,3\n1.0\n1.0\n1.0\n", "unknown format"),
+        ("# format=2\n# axis1 delta_tau_S,-1e-15,nan,3\n# axis2 delta_tau_L,-1e-15,1e-15,3\n"
+         + "1.0\n" * 9, "delta_tau_S start and step must be finite"),
     ])
     def test_unreadable_reconstruct_input(self, tmp_path, capsys, content, message):
         path = tmp_path / "ig.csv"
@@ -176,6 +178,16 @@ class TestCliExitCodes:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:") and message in err[0]
+
+    @pytest.mark.parametrize("under", [False, True], ids=["existing-file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_is_a_config_error(self, tmp_path, capsys, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "o" if under else blocker
+        assert cli.main(["--out", str(out), "budget"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: --out:")
+        assert blocker.read_text() == ""
 
     @pytest.mark.parametrize("column,message", [(0, "[0, 2]"), (1, "counts")],
                              ids=["G", "counts"])

@@ -201,6 +201,17 @@ class TestScans:
         scale = np.max(np.abs(cd).sum(axis=0))
         assert np.max(np.abs(scan.contract(cd) - expected)) <= 1e-15 * scale
 
+    def test_interferogram_contract_matches_the_lattice_product(self, reference_sampled,
+                                                                monkeypatch):
+        # 8 rows of G per product: three blocks, the last one partial
+        monkeypatch.setattr(ifm, "_PRODUCT_ROWS", 8)
+        ig = ifm.scan_2d(reference_sampled, reference_sampled,
+                         (0.0, 1e-13, 21), (-3e-12, 1e-13, 61))
+        cd = np.random.default_rng(3).standard_normal((61, 10))
+        scale = np.max(np.abs(cd).sum(axis=0))
+        err = np.max(np.abs(ig.contract(cd) - (1.0 - ig.values) @ cd))
+        assert err <= 1e-15 * scale
+
     def test_scan_axis_validation(self, small_gaussian):
         _, _, sampled = small_gaussian
         with pytest.raises(ValueError):
