@@ -1,11 +1,14 @@
 """Sectioned key-value run configuration with explicit unit suffixes.
 
 Defaults encode the reference experimental setup (775 nm / 3.5 ps pump,
-1530 nm + energy-matched idler arms, 18 nm rectangular filters, 15%
-detector efficiency, 4 MHz trigger, 10 ns window), so every command runs
-without a config file.  The idler wavelength defaults to 'auto' because
-the rounded nominal pair 1530/1570 nm violates energy conservation at the
-1e-4 level enforced by SourceParams.
+1530 nm + energy-matched idler arms, 18 nm rectangular filters, 4 MHz
+trigger), so every command runs without a config file.  Detector
+efficiency and fibre coupling enter only through the measured singles
+rates and coincidence-to-singles ratio of [budget], and gated
+accidentals (N1*N3/f_trig) need no coincidence window.  The idler
+wavelength defaults to 'auto' because the rounded nominal pair
+1530/1570 nm violates energy conservation at the 1e-4 level enforced by
+SourceParams.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from . import core, detector
 
 DEFAULTS: dict[str, dict[str, str]] = {
     "source": {
-        "model": "gaussian",
         "pump_center_nm": "775",
         "pump_fwhm_ps": "3.5",
         "signal_center_nm": "1530",
@@ -28,7 +30,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "sigma2_rad_per_ps": "250",
         "rho": "auto",
         "coherence_fwhm_ps": "3.5",
-        "phase_rad": "0",
     },
     "filters": {
         "shape": "rectangular",
@@ -40,9 +41,7 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "n": "256",
     },
     "detector": {
-        "quantum_efficiency": "0.15",
         "trigger_rate_mhz": "4",
-        "coincidence_window_ns": "10",
     },
     "budget": {
         "singles_rate_1_khz": "95",
@@ -50,7 +49,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "coincidence_to_singles": "0.047",
         "car": "2.68",
         "pair_probability_per_pulse": "auto",
-        "coupling_efficiency": "0.313",
     },
     "jitter": {
         # relative-timing contributions between the two sources; the pump
@@ -84,10 +82,11 @@ DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 
-# keys that divide downstream: zero or a negative value is a config error
+# keys that must be positive (most divide downstream): zero or less is a config error
 _POSITIVE = (("grid", "n"), ("scan", "fringe_step_um"), ("scan", "dip_step_um"),
              ("scan", "x1_step_mm"), ("scan", "bin_duration_s"),
-             ("reconstruct", "step_fraction"), ("budget", "car"))
+             ("reconstruct", "step_fraction"), ("budget", "car"),
+             ("source", "pump_fwhm_ps"), ("source", "coherence_fwhm_ps"))
 
 
 class ConfigError(Exception):
@@ -177,7 +176,6 @@ def build_source_params(cfg: RunConfig) -> core.SourceParams:
              if cfg.get("source", "idler_center_nm") == "auto"
              else cfg.getfloat("source", "idler_center_nm") * 1e-9)
     return core.SourceParams(pump_center_wavelength=pump,
-                             pump_pulse_fwhm=cfg.getfloat("source", "pump_fwhm_ps") * 1e-12,
                              signal_center_wavelength=signal,
                              idler_center_wavelength=idler)
 
@@ -194,25 +192,18 @@ def build_filters(cfg: RunConfig, src: core.SourceParams):
 
 
 def build_model(cfg: RunConfig, src: core.SourceParams) -> core.BiphotonAmplitude:
-    if cfg.get("source", "model") != "gaussian":
-        raise ConfigError("only the gaussian source model is configurable")
     wc1 = core.omega_from_wavelength(src.signal_center_wavelength)
     wc2 = core.omega_from_wavelength(src.idler_center_wavelength)
     s1 = cfg.getfloat("source", "sigma1_rad_per_ps") * 1e12
     s2 = cfg.getfloat("source", "sigma2_rad_per_ps") * 1e12
-    phase = cfg.getfloat("source", "phase_rad")
     if cfg.get("source", "rho") == "auto":
         coherence = cfg.getfloat("source", "coherence_fwhm_ps") * 1e-12
-        return core.gaussian_from_setup(wc1, wc2, s1, s2, coherence, phase=phase)
-    return core.BiphotonAmplitude.gaussian(wc1, wc2, s1, s2,
-                                           rho=cfg.getfloat("source", "rho"), phase=phase)
+        return core.gaussian_from_setup(wc1, wc2, s1, s2, coherence)
+    return core.BiphotonAmplitude.gaussian(wc1, wc2, s1, s2, rho=cfg.getfloat("source", "rho"))
 
 
 def build_detector(cfg: RunConfig) -> detector.DetectorConfig:
-    return detector.DetectorConfig(
-        quantum_efficiency=cfg.getfloat("detector", "quantum_efficiency"),
-        trigger_rate=cfg.getfloat("detector", "trigger_rate_mhz") * 1e6,
-        coincidence_window=cfg.getfloat("detector", "coincidence_window_ns") * 1e-9)
+    return detector.DetectorConfig(trigger_rate=cfg.getfloat("detector", "trigger_rate_mhz") * 1e6)
 
 
 def build_budget(cfg: RunConfig) -> detector.SourceBudget:
@@ -224,7 +215,6 @@ def build_budget(cfg: RunConfig) -> detector.SourceBudget:
         singles_rate_1=cfg.getfloat("budget", "singles_rate_1_khz") * 1e3,
         singles_rate_2=cfg.getfloat("budget", "singles_rate_2_khz") * 1e3,
         pair_probability_per_pulse=pair_p,
-        coupling_efficiency=cfg.getfloat("budget", "coupling_efficiency"),
         coincidence_to_singles=cfg.getfloat("budget", "coincidence_to_singles"),
         car=car)
 
@@ -234,6 +224,9 @@ def build_jitter(cfg: RunConfig) -> detector.JitterModel:
     if cfg.getbool("jitter", "include_pump"):
         contributions.append(("pump", cfg.getfloat("source", "pump_fwhm_ps") * 1e-12))
     gvd = cfg.getfloat("jitter", "gvd_fwhm_ps") * 1e-12
-    for i in range(cfg.getint("jitter", "gvd_terms")):
+    terms = cfg.getint("jitter", "gvd_terms")
+    if terms < 0:
+        raise ConfigError(f"[jitter] gvd_terms: must be nonnegative, got {terms}")
+    for i in range(terms):
         contributions.append((f"gvd_{i + 1}", gvd))
     return detector.JitterModel(tuple(contributions))

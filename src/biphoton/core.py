@@ -85,11 +85,6 @@ class FrequencyGrid:
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.axis1, self.axis2, indexing="ij")
 
-    def refine(self, factor: int = 2) -> "FrequencyGrid":
-        return FrequencyGrid(self.n1 * factor, self.n2 * factor,
-                             self.omega1_min, self.omega1_max,
-                             self.omega2_min, self.omega2_max)
-
 
 def phasors(omega: np.ndarray, t) -> np.ndarray:
     """exp(-i outer(t, omega)), shape (len(t), n), for a uniform omega axis:
@@ -185,13 +180,13 @@ def grid_for_gaussian(model: "BiphotonAmplitude", n: int = 256,
 
 
 class BiphotonAmplitude:
-    """Complex joint spectral amplitude Phi(omega1, omega2) of a photon pair.
+    """Joint spectral amplitude Phi(omega1, omega2) of a photon pair.
 
-    One model: a correlated 2D gaussian (centers, widths, correlation
-    coefficient rho, global phase).
+    One model: a real correlated 2D gaussian (centers, widths, correlation
+    coefficient rho).
     """
 
-    def __init__(self, omega_c1, omega_c2, sigma1, sigma2, rho=0.0, phase=0.0):
+    def __init__(self, omega_c1, omega_c2, sigma1, sigma2, rho=0.0):
         if sigma1 <= 0 or sigma2 <= 0:
             raise ValueError("sigma1, sigma2 must be positive")
         if not -1.0 < rho < 1.0:
@@ -201,18 +196,17 @@ class BiphotonAmplitude:
         self.sigma1 = float(sigma1)
         self.sigma2 = float(sigma2)
         self.rho = float(rho)
-        self.phase = float(phase)
 
     @classmethod
-    def gaussian(cls, omega_c1, omega_c2, sigma1, sigma2, rho=0.0, phase=0.0):
-        return cls(omega_c1, omega_c2, sigma1, sigma2, rho, phase)
+    def gaussian(cls, omega_c1, omega_c2, sigma1, sigma2, rho=0.0):
+        return cls(omega_c1, omega_c2, sigma1, sigma2, rho)
 
     def __call__(self, omega1, omega2) -> np.ndarray:
         """Evaluate Phi(omega1, omega2) (broadcasting)."""
         u1 = (np.asarray(omega1, float) - self.omega_c1) / self.sigma1
         u2 = (np.asarray(omega2, float) - self.omega_c2) / self.sigma2
         q = (u1 * u1 - 2.0 * self.rho * u1 * u2 + u2 * u2) / (2.0 * (1.0 - self.rho**2))
-        return np.exp(-q) * np.exp(1j * self.phase)
+        return np.exp(-q)
 
 
 @dataclass(frozen=True)
@@ -263,16 +257,13 @@ def jsi_correlation(jsi_values: np.ndarray, grid: FrequencyGrid) -> float:
 
 @dataclass(frozen=True)
 class SourceParams:
-    """Center wavelengths and pump duration of the pair source."""
+    """Center wavelengths of the pair source."""
 
     pump_center_wavelength: float  # m
-    pump_pulse_fwhm: float         # s
     signal_center_wavelength: float
     idler_center_wavelength: float
 
     def __post_init__(self):
-        if self.pump_pulse_fwhm <= 0:
-            raise ValueError("pump_pulse_fwhm must be positive")
         lhs = 1.0 / self.signal_center_wavelength + 1.0 / self.idler_center_wavelength
         rhs = 1.0 / self.pump_center_wavelength
         if abs(lhs - rhs) / rhs > 1e-4:
@@ -282,7 +273,7 @@ class SourceParams:
 
 def gaussian_from_setup(omega_c1: float, omega_c2: float,
                         sigma1: float, sigma2: float,
-                        coherence_fwhm: float, phase: float = 0.0) -> BiphotonAmplitude:
+                        coherence_fwhm: float) -> BiphotonAmplitude:
     """Correlated-gaussian model whose fringe-visibility envelope along the
     first delay axis has the requested FWHM (seconds).
 
@@ -296,5 +287,4 @@ def gaussian_from_setup(omega_c1: float, omega_c2: float,
     if ratio >= 1.0:
         raise ValueError("requested coherence time too short for the given sigma1")
     rho = -np.sqrt(1.0 - ratio**2)
-    return BiphotonAmplitude.gaussian(omega_c1, omega_c2, sigma1, sigma2,
-                                      rho=rho, phase=phase)
+    return BiphotonAmplitude.gaussian(omega_c1, omega_c2, sigma1, sigma2, rho=rho)

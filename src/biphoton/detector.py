@@ -18,15 +18,11 @@ from .interferometer import Interferogram
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    quantum_efficiency: float
-    trigger_rate: float       # Hz
-    coincidence_window: float  # s
+    trigger_rate: float  # Hz
 
     def __post_init__(self):
-        if not 0.0 < self.quantum_efficiency <= 1.0:
-            raise ValueError("quantum_efficiency must be in (0, 1]")
-        if self.trigger_rate <= 0 or self.coincidence_window <= 0:
-            raise ValueError("trigger_rate and coincidence_window must be positive")
+        if self.trigger_rate <= 0:
+            raise ValueError("trigger_rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -34,15 +30,12 @@ class SourceBudget:
     singles_rate_1: float  # Hz
     singles_rate_2: float  # Hz
     pair_probability_per_pulse: float
-    coupling_efficiency: float
     coincidence_to_singles: float
     car: float  # coincidence-to-accidental ratio
 
     def __post_init__(self):
-        vals = (self.singles_rate_1, self.singles_rate_2, self.coupling_efficiency,
-                self.coincidence_to_singles)
-        if any(v < 0 for v in vals):
-            raise ValueError("budget rates and efficiencies must be nonnegative")
+        if min(self.singles_rate_1, self.singles_rate_2, self.coincidence_to_singles) < 0:
+            raise ValueError("budget rates must be nonnegative")
         if self.car <= 0:
             raise ValueError("car must be positive")
         if not 0.0 <= self.pair_probability_per_pulse <= 1.0:
@@ -101,6 +94,8 @@ def independent_hom_dip(delta_t: np.ndarray, visibility: np.ndarray,
     vis = np.asarray(visibility, float)
     if vis.min() < 0 or vis.max() > 1.0 + 1e-12:
         raise ValueError("ideal visibility profile must lie in [0, 1]")
+    if not 0.0 <= v_cap <= 1.0:
+        raise ValueError(f"v_cap must lie in [0, 1], got {v_cap!r}")
     step = np.diff(dt)
     if not np.allclose(step, step[0], rtol=1e-9, atol=0.0):
         raise ValueError("delta_t must be uniformly spaced")

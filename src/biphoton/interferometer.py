@@ -109,22 +109,6 @@ def _checked_g(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _check_same_grid(phi_a: SampledAmplitude, phi_b: SampledAmplitude) -> None:
-    if phi_a.grid != phi_b.grid:
-        raise GridMismatchError("amplitudes sampled on different frequency grids")
-
-
-def gamma(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
-          delta_tau_S: float, delta_tau_L: float) -> complex:
-    """Two-source overlap Gamma at a single delay point (direct double sum)."""
-    _check_same_grid(phi_a, phi_b)
-    g = phi_a.grid
-    w1, w2 = g.mesh()
-    integrand = (phi_a.values * np.conj(phi_b.values)
-                 * np.exp(-1j * (w1 * delta_tau_S + w2 * delta_tau_L)))
-    return complex(integrand.sum() * g.measure)
-
-
 def gamma_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
                   s_delays: np.ndarray, l_delays: np.ndarray) -> np.ndarray:
     """Re(Gamma) on the product lattice s_delays x l_delays, as a real array.
@@ -141,7 +125,8 @@ def gamma_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
 def _lattice_factors(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
                      s_delays: np.ndarray, l_delays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P = E1 @ M, shape (ns, n2), and E2, shape (nl, n2): Gamma = P @ E2^T."""
-    _check_same_grid(phi_a, phi_b)
+    if phi_a.grid != phi_b.grid:
+        raise GridMismatchError("amplitudes sampled on different frequency grids")
     g = phi_a.grid
     m = phi_a.values * np.conj(phi_b.values) * g.measure
     return phasors(g.axis1, s_delays) @ m, phasors(g.axis2, l_delays)
@@ -150,17 +135,6 @@ def _lattice_factors(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
 def sinc(u):
     """Unnormalized sinc: sin(u)/u with sinc(0) = 1."""
     return np.sinc(np.asarray(u, float) / np.pi)
-
-
-def hom_fringe_analytic(V: float, sigma_x: float, lam: float, delta_x2) -> np.ndarray:
-    """Closed-form phase-sensitive fringe
-    P = (1 - V*sinc(dx/sigma_x)*cos(2*pi*dx/lam)) / 2, range [0, 1]."""
-    if not 0.0 <= V <= 1.0:
-        raise ValueError("V must be in [0, 1]")
-    if sigma_x <= 0 or lam <= 0:
-        raise ValueError("sigma_x and lam must be positive")
-    dx = np.asarray(delta_x2, float)
-    return 0.5 * (1.0 - V * sinc(dx / sigma_x) * np.cos(2.0 * np.pi * dx / lam))
 
 
 def scan_1d(phi_a: SampledAmplitude, phi_b: SampledAmplitude, axis: str,

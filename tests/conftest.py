@@ -12,7 +12,6 @@ def reference_setup():
     signal = 1530e-9
     idler = core.energy_matched_idler(pump, signal)
     src = core.SourceParams(pump_center_wavelength=pump,
-                            pump_pulse_fwhm=3.5e-12,
                             signal_center_wavelength=signal,
                             idler_center_wavelength=idler)
     f1 = core.SpectralFilter.from_wavelength("rectangular", signal, 18e-9)

@@ -48,9 +48,8 @@ class TestLoadConfig:
             load_config(overrides={("run", "nope"): "1"})
 
     def test_type_errors_are_config_errors(self):
-        cfg = load_config(overrides={("source", "pump_fwhm_ps"): "fast"})
         with pytest.raises(ConfigError, match="not a number"):
-            cfg.getfloat("source", "pump_fwhm_ps")
+            load_config(overrides={("source", "pump_fwhm_ps"): "fast"})
         cfg = load_config(overrides={("reconstruct", "demodulate"): "maybe"})
         with pytest.raises(ConfigError, match="not a boolean"):
             cfg.getbool("reconstruct", "demodulate")
@@ -137,7 +136,7 @@ class TestCliExitCodes:
         ("scan.x1_halfspan_mm=0", "scan2d", "shorter than one scan step"),
         ("scan.fringe_halfspan_mm=inf", "fringe", "not a finite number"),
         ("reconstruct.span_coherence_times=inf", "reconstruct", "not a finite number"),
-        ("detector.quantum_efficiency=nan", "budget", "not a finite number"),
+        ("detector.trigger_rate_mhz=nan", "budget", "not a finite number"),
         ("scan.bin_duration_s=-1", "fringe", "must be positive"),
         ("scan.bin_duration_s=0", "fringe", "must be positive"),
         ("source.idler_center_nm=abc", "fringe", "[source] idler_center_nm: not a number"),
@@ -145,6 +144,13 @@ class TestCliExitCodes:
         ("filters.idler_center_nm=nan", "fringe", "[filters] idler_center_nm: not a finite"),
         ("budget.pair_probability_per_pulse=abc", "budget",
          "[budget] pair_probability_per_pulse: not a number"),
+        ("source.pump_fwhm_ps=0", "fringe", "[source] pump_fwhm_ps: must be positive"),
+        ("source.coherence_fwhm_ps=-3.5", "fringe",
+         "[source] coherence_fwhm_ps: must be positive"),
+        ("jitter.v_cap=-0.5", "hom-dip", "v_cap must lie in [0, 1]"),
+        ("jitter.v_cap=2", "hom-dip", "v_cap must lie in [0, 1]"),
+        ("jitter.gvd_terms=-1", "hom-dip", "[jitter] gvd_terms: must be nonnegative"),
+        ("detector.quantum_efficiency=0.5", "budget", "unknown key"),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, override, command, message):
         code = cli.main(["--out", str(tmp_path / "o"), "--noiseless",

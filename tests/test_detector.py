@@ -170,14 +170,12 @@ class TestIndependentHomDip:
 def budget():
     return detector.SourceBudget(singles_rate_1=95e3, singles_rate_2=91e3,
                                  pair_probability_per_pulse=0.373,
-                                 coupling_efficiency=0.313,
                                  coincidence_to_singles=0.047, car=2.68)
 
 
 @pytest.fixture
 def det_config():
-    return detector.DetectorConfig(quantum_efficiency=0.15, trigger_rate=4e6,
-                                   coincidence_window=10e-9)
+    return detector.DetectorConfig(trigger_rate=4e6)
 
 
 class TestRateToCounts:
@@ -189,7 +187,6 @@ class TestRateToCounts:
         quiet = detector.SourceBudget(singles_rate_1=budget.singles_rate_1,
                                       singles_rate_2=0.0,
                                       pair_probability_per_pulse=0.373,
-                                      coupling_efficiency=0.313,
                                       coincidence_to_singles=0.047, car=2.68)
         ig = self._interferogram(np.zeros(16))
         out = detector.rate_to_counts(ig, quiet, det_config, 10.0, seed=3)
@@ -199,7 +196,6 @@ class TestRateToCounts:
         quiet = detector.SourceBudget(singles_rate_1=budget.singles_rate_1,
                                       singles_rate_2=0.0,
                                       pair_probability_per_pulse=0.373,
-                                      coupling_efficiency=0.313,
                                       coincidence_to_singles=0.047, car=2.68)
         ig = self._interferogram(np.ones(400))
         out = detector.rate_to_counts(ig, quiet, det_config, 10.0, seed=3)
@@ -220,14 +216,16 @@ class TestRateToCounts:
 class TestConfigValidation:
     def test_detector_config(self):
         with pytest.raises(ValueError):
-            detector.DetectorConfig(0.0, 4e6, 10e-9)
+            detector.DetectorConfig(0.0)
         with pytest.raises(ValueError):
-            detector.DetectorConfig(0.15, -1.0, 10e-9)
+            detector.DetectorConfig(-1.0)
 
     def test_source_budget(self):
         with pytest.raises(ValueError):
-            detector.SourceBudget(-1.0, 91e3, 0.373, 0.313, 0.047, 2.68)
+            detector.SourceBudget(-1.0, 91e3, 0.373, 0.047, 2.68)
         with pytest.raises(ValueError):
-            detector.SourceBudget(95e3, 91e3, 1.5, 0.313, 0.047, 2.68)
+            detector.SourceBudget(95e3, 91e3, 1.5, 0.047, 2.68)
         with pytest.raises(ValueError):
-            detector.SourceBudget(95e3, 91e3, 0.373, 0.313, 0.047, 0.0)
+            detector.SourceBudget(95e3, 91e3, 0.373, -0.047, 2.68)
+        with pytest.raises(ValueError):
+            detector.SourceBudget(95e3, 91e3, 0.373, 0.047, 0.0)
