@@ -82,11 +82,15 @@ DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 
-# keys that must be positive (most divide downstream): zero or less is a config error
+# keys that must be positive (most divide downstream) or nonnegative, checked
+# here whatever path reads them: out of range is a config error
 _POSITIVE = (("grid", "n"), ("scan", "fringe_step_um"), ("scan", "dip_step_um"),
              ("scan", "x1_step_mm"), ("scan", "bin_duration_s"),
              ("reconstruct", "step_fraction"), ("budget", "car"),
-             ("source", "pump_fwhm_ps"), ("source", "coherence_fwhm_ps"))
+             ("source", "pump_fwhm_ps"), ("source", "coherence_fwhm_ps"),
+             ("detector", "trigger_rate_mhz"))
+_NONNEGATIVE = (("budget", "singles_rate_1_khz"), ("budget", "singles_rate_2_khz"),
+                ("budget", "coincidence_to_singles"))
 
 
 class ConfigError(Exception):
@@ -166,6 +170,12 @@ def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) 
     for section, key in _POSITIVE:
         if not cfg.getfloat(section, key) > 0:
             raise ConfigError(f"[{section}] {key}: must be positive, got {cfg.get(section, key)!r}")
+    for section, key in _NONNEGATIVE:
+        if cfg.getfloat(section, key) < 0:
+            raise ConfigError(f"[{section}] {key}: must be nonnegative, got {cfg.get(section, key)!r}")
+    pair_p = cfg.get("budget", "pair_probability_per_pulse")
+    if pair_p != "auto" and not 0.0 <= cfg.getfloat("budget", "pair_probability_per_pulse") <= 1.0:
+        raise ConfigError(f"[budget] pair_probability_per_pulse: must lie in [0, 1], got {pair_p!r}")
     return cfg
 
 

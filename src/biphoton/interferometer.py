@@ -8,9 +8,9 @@ The numerical kernel is the overlap integral
 evaluated as a midpoint-rule double sum, with the normalized coincidence
 rate G = 1 - Re(Gamma) in [0, 2].  Lattice scans reuse the factored form
 E1 @ M @ E2^T, the same double sum reassociated; core.phasors builds the
-exp(-i w t) tables E1, E2 from sqrt(n)-sized ones.  The factors P = E1 @ M
-and E2 are thin (1 - G has rank at most 2 n2 on an n1 x n2 grid), so a
-`LatticeScan` keeps only them and never forms the lattice.
+exp(-i w t) tables E1, E2 from sqrt(n)-sized ones.  A `LatticeScan` holds
+only M and builds E1, E2 one block of delays at a time, so its memory does
+not depend on the lattice size.
 
 Interferograms are stored as CSV format 2: '#' headers that define the
 axes, then one 'G[,counts]' row per lattice point with integer counts.
@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GridMismatchError, SampledAmplitude, phasors
+from .core import FrequencyGrid, GridMismatchError, SampledAmplitude, phasors
 
 _RANGE_TOL = 1e-9
 _BLOCK_ROWS = 1 << 9       # rows per block of a CSV write; larger blocks raise peak RSS
-_PRODUCT_ROWS = 128        # rows of G per product in Interferogram.contract
+_PRODUCT_ROWS = 128        # rows per product: Interferogram.contract, LatticeScan.transform
 
 
 @dataclass(frozen=True)
@@ -118,18 +118,16 @@ def gamma_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
     matrix products.  P = E1 @ M is small; Re(P @ E2^T) is one real product
     of conj(P) and E2 viewed as (re, im) pairs, with no stacked copy.
     """
-    p, e2 = _lattice_factors(phi_a, phi_b, s_delays, l_delays)
-    return np.conj(p).view(float) @ e2.view(float).T
+    p = phasors(phi_a.grid.axis1, s_delays) @ _joint_measure(phi_a, phi_b)
+    return np.conj(p).view(float) @ phasors(phi_a.grid.axis2, l_delays).view(float).T
 
 
-def _lattice_factors(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
-                     s_delays: np.ndarray, l_delays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P = E1 @ M, shape (ns, n2), and E2, shape (nl, n2): Gamma = P @ E2^T."""
+def _joint_measure(phi_a: SampledAmplitude, phi_b: SampledAmplitude) -> np.ndarray:
+    """M = phi_a conj(phi_b) measure on the grid both are sampled on:
+    Gamma = E1 @ M @ E2^T."""
     if phi_a.grid != phi_b.grid:
         raise GridMismatchError("amplitudes sampled on different frequency grids")
-    g = phi_a.grid
-    m = phi_a.values * np.conj(phi_b.values) * g.measure
-    return phasors(g.axis1, s_delays) @ m, phasors(g.axis2, l_delays)
+    return phi_a.values * np.conj(phi_b.values) * phi_a.grid.measure
 
 
 def sinc(u):
@@ -165,38 +163,47 @@ def scan_2d(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
 
 
 class LatticeScan:
-    """scan_2d's lattice, never formed: it holds only the factors conj(P)
-    and E2 of 1 - G = Re(P @ E2^T), as (re, im) pairs, and multiplies
-    1 - G into a caller's matrix through them."""
+    """scan_2d's lattice, never formed: it holds the axes and
+    M = phi_a conj(phi_b) measure, and `transform` builds the phasor tables
+    of 1 - G = Re(E1 @ M @ E2^T) one block of delays at a time."""
 
     def __init__(self, phi_a: SampledAmplitude, phi_b: SampledAmplitude,
                  s_axis: tuple[float, float, int], l_axis: tuple[float, float, int]):
         self.axes = (Axis("delta_tau_S", *s_axis), Axis("delta_tau_L", *l_axis))
-        p, e2 = _lattice_factors(phi_a, phi_b, *(ax.values for ax in self.axes))
-        self._p, self._e2 = np.conj(p).view(float), e2.view(float)
-        # sum |phi_a conj(phi_b)| * measure bounds |Re Gamma| (see contract)
-        self._gamma_bound = (np.vdot(np.abs(phi_a.values), np.abs(phi_b.values))
-                             * phi_a.grid.measure)
+        self._grid, self._m = phi_a.grid, _joint_measure(phi_a, phi_b)
+        # sum |phi_a conj(phi_b)| * measure bounds |Re Gamma| (see transform)
+        self._gamma_bound = np.sum(np.abs(self._m))
 
-    def contract(self, cd: np.ndarray) -> np.ndarray:
-        """(1 - G) @ cd for a real (nl, k) matrix `cd`, as P @ (E2^T @ cd):
-        2 n2 (nl + ns) k multiply-adds, where the lattice product takes
-        ns nl (2 n2 + k).
+    def transform(self, band: FrequencyGrid, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+        """Re sum_ab wa(a) wb(b) (1 - G(a, b)) exp(i (w1 a + w2 b)) on `band`,
+        which must be the sampling grid (ValueError otherwise), where the
+        exp(-i w t) tables are both the forward factors and, conjugated and
+        weighted, the inverse kernels.  Each block of _PRODUCT_ROWS delays is
+        built once and adds to two Gram sums of (re, im) pairs:
+        X = E2^T (conj E2 wb) and Y = (conj E1 wa)^T conj(E1 M); est = Re(Y X).
 
-        G is not formed, so its range is certified instead of checked per
-        value.  The phasor tables have unit modulus, so everywhere
-
-            |Re Gamma| <= sum |phi_a conj(phi_b)| * measure,
-
-        and a sum <= 1 + _RANGE_TOL puts every G within _RANGE_TOL of
-        [0, 2].  A NaN in the factors reaches the product.  A larger sum or
-        a product that is not finite raises ValueError, as G values outside
-        the range do in an Interferogram.
+        G is not formed, so its range is certified: the tables have unit
+        modulus, so |Re Gamma| <= sum |M|, and a sum <= 1 + _RANGE_TOL puts
+        every G within _RANGE_TOL of [0, 2].  A larger sum or a result that
+        is not finite (a NaN in M reaches it) raises ValueError.
         """
-        q = self._p @ (self._e2.T @ cd)
-        if not (self._gamma_bound <= 1.0 + _RANGE_TOL and np.isfinite(q).all()):
+        if band != self._grid:
+            raise ValueError("a LatticeScan is inverted on the grid it was sampled on")
+        ax_a, ax_b = self.axes
+        x = sum(e.view(float).T @ k.view(float) for e, k in _blocks(band.axis2, ax_b.values, wb))
+        y = sum(np.conj(e @ self._m).view(float).T @ k.view(float)
+                for e, k in _blocks(band.axis1, ax_a.values, wa))
+        est = (y.view(complex).T @ x.view(complex)).real
+        if not (self._gamma_bound <= 1.0 + _RANGE_TOL and np.isfinite(est).all()):
             raise ValueError("G values outside [0, 2]")
-        return q
+        return est
+
+
+def _blocks(omega: np.ndarray, t: np.ndarray, weight: np.ndarray):
+    """(E, conj(E) * weight) for each _PRODUCT_ROWS delays t, E = phasors(omega, t)."""
+    for r in range(0, len(t), _PRODUCT_ROWS):
+        e = phasors(omega, t[r:r + _PRODUCT_ROWS])
+        yield e, np.conj(e) * weight[r:r + _PRODUCT_ROWS, None]
 
 
 def write_csv(path, headers: list[str], columns: list[np.ndarray]) -> None:

@@ -15,14 +15,14 @@ share one kernel value.  One rule per axis then covers every lattice: an
 axis symmetric about 0 is weighted by window * step; an axis that starts
 at 0 stands for its mirrored axis (the other half-plane is taken to be the
 point reflection of the measured one), so it takes the right half of the
-window over that axis and weight 2 off 0.  h enters only through the
-lattice's `contract`, which returns h @ E2^T: an Interferogram as
-sum_b E2^T - G @ E2^T, a fixed number of rows of G per product, and an
-interferometer.LatticeScan (the noiseless `reconstruct`) through its thin
-factors, so no lattice-sized array or product is computed and the cost
-grows with the lattice side, not its area.  On the default 1432 x 2863
-half lattice the round trip does 0.42 GFLOP, where forming h and its
-product took 3.2.
+window over that axis and weight 2 off 0.  An Interferogram's h enters
+only through its `contract`, sum_b E2^T - G @ E2^T with a fixed number of
+rows of G per product.  An interferometer.LatticeScan (the noiseless
+`reconstruct`) is inverted on its sampling grid, where its forward phasor
+tables are the kernels: each block of delays is built once and only two
+Gram sums are kept, so no (delays x band) array exists.  On the default
+1432 x 2863 half lattice the round trip does 0.44 GFLOP (forming h and its
+product took 3.2) and its traced peak is ~2 MB at any span.
 
 `check_sampling` refuses a lattice step that aliases the band: pi / w_max
 per axis, or with `demodulate` pi over the band half-width per axis plus
@@ -190,9 +190,9 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
     """Inverse cosine-kernel transform of 1 - G onto the band grid.
 
     The lattice is symmetric about 0 on both axes or a half lattice, one
-    axis starting at 0 (`_half_axis`; ValueError otherwise).  1 - G enters
-    only through `interferogram.contract`, so a LatticeScan's rows are never
-    formed (see LatticeScan.contract, which also refuses G outside [0, 2]).
+    axis starting at 0 (`_half_axis`; ValueError otherwise).  A LatticeScan
+    is never formed; its `transform` inverts it on its own grid, which must
+    be `band`, and refuses G outside [0, 2].
 
     Returns a nonnegative, unit-integral estimate; the fraction of
     pre-clip negative mass is reported as a truncation diagnostic.
@@ -200,11 +200,14 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
     half = _half_axis(interferogram.axes)
     check_sampling(band, interferogram.axes, demodulate)
     ax_a, ax_b = interferogram.axes
-    ka = _kernel(band.axis1, ax_a.values, _weights(ax_a, window, half == 0))
-    kb = _kernel(band.axis2, ax_b.values, _weights(ax_b, window, half == 1))
-    # (C + iD)^T as (re, im) column pairs, so the product with 1 - G is real
-    # and q = (1 - G) (C + iD)^T as pairs: est = Re((A + iB) q)
-    est = (ka @ interferogram.contract(kb.T.view(float)).view(complex)).real
+    wa, wb = _weights(ax_a, window, half == 0), _weights(ax_b, window, half == 1)
+    if isinstance(interferogram, LatticeScan):
+        est = interferogram.transform(band, wa, wb)
+    else:
+        # (C + iD)^T as (re, im) column pairs, so the product with 1 - G is
+        # real and q = (1 - G) (C + iD)^T as pairs: est = Re((A + iB) q)
+        q = interferogram.contract(_kernel(band.axis2, ax_b.values, wb).T.view(float))
+        est = (_kernel(band.axis1, ax_a.values, wa) @ q.view(complex)).real
 
     total_abs = np.sum(np.abs(est))
     degenerate = False

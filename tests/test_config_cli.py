@@ -151,6 +151,11 @@ class TestCliExitCodes:
         ("jitter.v_cap=2", "hom-dip", "v_cap must lie in [0, 1]"),
         ("jitter.gvd_terms=-1", "hom-dip", "[jitter] gvd_terms: must be nonnegative"),
         ("detector.quantum_efficiency=0.5", "budget", "unknown key"),
+        ("detector.trigger_rate_mhz=0", "fringe", "[detector] trigger_rate_mhz: must be positive"),
+        ("budget.singles_rate_1_khz=-5", "hom-dip",
+         "[budget] singles_rate_1_khz: must be nonnegative"),
+        ("budget.pair_probability_per_pulse=2", "fringe",
+         "[budget] pair_probability_per_pulse: must lie in [0, 1]"),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, override, command, message):
         code = cli.main(["--out", str(tmp_path / "o"), "--noiseless",
@@ -554,12 +559,33 @@ class TestReconstructCommand:
         assert peak <= 0.2 * count * count * 8
 
     def test_peak_memory_grows_with_the_lattice_side_not_its_area(self, tmp_path):
-        # doubling the span quadruples the lattice; the contracted run's
-        # buffers and factors only double
+        # doubling the span quadruples the lattice; the streamed run's
+        # buffers do not grow with either
         peaks = [self.traced_peak(tmp_path / str(span),
                                   "--set", f"reconstruct.span_coherence_times={span}")
                  for span in (5, 10)]
         assert peaks[1] <= 2.5 * peaks[0]
+
+    def test_round_trip_memory_does_not_grow_with_the_lattice(self, tmp_path, monkeypatch):
+        # the default band; span 20 has a 4x longer lattice side than span 5.
+        # No (delays x band) table exists: the peak stays below one of them
+        lattice_scan = ifm.LatticeScan
+        _, seen = self.spy(monkeypatch, (ifm, "LatticeScan"))
+        peaks = []
+        for span in (5, 20):
+            assert cli.main(["--out", str(tmp_path / str(span)), "--set",
+                             f"reconstruct.span_coherence_times={span}",
+                             "reconstruct"]) == cli.EXIT_OK
+            args = seen["LatticeScan"][0]
+            tracemalloc.start()
+            try:
+                rec.reconstruct_jsi(lattice_scan(*args), args[0].grid, demodulate=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            n_l = args[3][2]
+            assert peaks[-1] <= args[0].grid.n2 * n_l * 16, (span, peaks[-1])
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestScan2dCommand:

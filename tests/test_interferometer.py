@@ -182,26 +182,33 @@ class TestScans:
         # the real-arithmetic scans against 1 - Re of the complex reference
         ph = reference_sampled
         ig = ifm.scan_2d(ph, ph, (-2e-12, 1e-13, 41), (-3e-12, 1e-13, 61))
-        p, e2 = ifm._lattice_factors(ph, ph, ig.coords(0), ig.coords(1))
-        ref = 1.0 - (p @ e2.T).real
+        e1, e2 = (core.phasors(omega, ig.coords(i))
+                  for i, omega in enumerate((ph.grid.axis1, ph.grid.axis2)))
+        ref = 1.0 - (e1 @ ifm._joint_measure(ph, ph) @ e2.T).real
         assert np.max(np.abs(ig.values - ref)) <= 1e-12
         row = ifm.scan_1d(ph, ph, "L", ig.coords(0)[7], -3e-12, 1e-13, 61)
         col = ifm.scan_1d(ph, ph, "S", ig.coords(1)[9], -2e-12, 1e-13, 41)
         assert np.max(np.abs(row.values - ref[7])) <= 1e-12
         assert np.max(np.abs(col.values - ref[:, 9])) <= 1e-12
 
-    def test_lattice_scan_contract_matches_scan_2d(self, reference_sampled):
-        # the factored product against the explicit lattice's
-        ph = reference_sampled
+    def test_lattice_scan_block_sums_match_scan_2d(self, reference_sampled, monkeypatch):
+        # the streamed Gram sums against the explicit lattice's transform;
+        # 8 delays per block: 3 blocks on axis S and 8 on axis L, each axis's
+        # last one partial
+        monkeypatch.setattr(ifm, "_PRODUCT_ROWS", 8)
+        ph, grid = reference_sampled, reference_sampled.grid
         axes = ((0.0, 1e-13, 21), (-3e-12, 1e-13, 61))
         ref = ifm.scan_2d(ph, ph, *axes)
         scan = ifm.LatticeScan(ph, ph, *axes)
         assert scan.axes == ref.axes
-        cd = np.random.default_rng(3).standard_normal((61, 10))
-        expected = (1.0 - ref.values) @ cd
-        # |1 - G| <= 1, so no entry of the product exceeds a column sum of |cd|
-        scale = np.max(np.abs(cd).sum(axis=0))
-        assert np.max(np.abs(scan.contract(cd) - expected)) <= 1e-15 * scale
+        rng = np.random.default_rng(3)
+        wa, wb = rng.uniform(size=21), rng.uniform(size=61)
+        ka, kb = (np.conj(core.phasors(omega, ax.values)) * w[:, None]
+                  for omega, ax, w in zip((grid.axis1, grid.axis2), ref.axes, (wa, wb)))
+        expected = (ka.T @ (1.0 - ref.values) @ kb).real
+        # |1 - G| <= 1, so no entry exceeds the weights' sum product
+        scale = wa.sum() * wb.sum()
+        assert np.max(np.abs(scan.transform(grid, wa, wb) - expected)) <= 1e-15 * scale
 
     def test_interferogram_contract_matches_the_lattice_product(self, reference_sampled,
                                                                 monkeypatch):

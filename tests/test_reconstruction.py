@@ -337,6 +337,18 @@ def test_lattice_scan_out_of_range_is_refused(spoil):
         rec.reconstruct_jsi(scan, grid)
 
 
+def test_lattice_scan_inverts_only_on_its_own_grid():
+    # its phasor tables are the inverse kernels only on the sampling grid;
+    # one more band column keeps the band edges, so the sampling check passes
+    grid, sampled, full = small_band()
+    scan = ifm.LatticeScan(sampled, sampled, *full.axes)
+    band = core.FrequencyGrid(grid.n1, grid.n2 + 1, grid.omega1_min, grid.omega1_max,
+                              grid.omega2_min, grid.omega2_max)
+    assert not rec.reconstruct_jsi(ifm.scan_2d(sampled, sampled, *full.axes), band).degenerate
+    with pytest.raises(ValueError, match="sampled on"):
+        rec.reconstruct_jsi(scan, band)
+
+
 def shaped_axes(full, half_axis):
     """The symmetric axes of `full`, with axis `half_axis` (1 or 2, or None
     for none) replaced by its half that starts at 0."""
