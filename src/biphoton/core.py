@@ -82,9 +82,6 @@ class FrequencyGrid:
     def measure(self) -> float:
         return self.d1 * self.d2
 
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.meshgrid(self.axis1, self.axis2, indexing="ij")
-
 
 def phasors(omega: np.ndarray, t) -> np.ndarray:
     """exp(-i outer(t, omega)), shape (len(t), n), for a uniform omega axis:
@@ -226,8 +223,7 @@ def sample_on_grid(model: BiphotonAmplitude, grid: FrequencyGrid,
                    filter1: SpectralFilter | None = None,
                    filter2: SpectralFilter | None = None) -> SampledAmplitude:
     """Sample Phi*F1*F2 on the grid and renormalize the discrete JSI to 1."""
-    w1, w2 = grid.mesh()
-    vals = model(w1, w2).astype(complex)
+    vals = model(grid.axis1[:, None], grid.axis2[None, :]).astype(complex)
     if filter1 is not None:
         vals = vals * filter1.transmission(grid.axis1)[:, None]
     if filter2 is not None:

@@ -8,9 +8,10 @@ The numerical kernel is the overlap integral
 evaluated as a midpoint-rule double sum, with the normalized coincidence
 rate G = 1 - Re(Gamma) in [0, 2].  Lattice scans reuse the factored form
 E1 @ M @ E2^T, the same double sum reassociated; core.phasors builds the
-exp(-i w t) tables E1, E2 from sqrt(n)-sized ones.  A `LatticeScan` holds
-only M and builds E1, E2 one block of delays at a time, so its memory does
-not depend on the lattice size.
+exp(-i w t) tables E1, E2 from sqrt(n)-sized ones.  Every scan builds
+E1, E2 one block of _PRODUCT_ROWS delays at a time: gamma_lattice writes
+each block product into its output and a `LatticeScan` holds only M, so
+beyond the output no scan's memory depends on the number of delays.
 
 Interferograms are stored as CSV format 2: '#' headers that define the
 axes, then one 'G[,counts]' row per lattice point with integer counts.
@@ -27,7 +28,7 @@ from .core import FrequencyGrid, GridMismatchError, SampledAmplitude, phasors
 
 _RANGE_TOL = 1e-9
 _BLOCK_ROWS = 1 << 9       # rows per block of a CSV write; larger blocks raise peak RSS
-_PRODUCT_ROWS = 128        # rows per product: Interferogram.contract, LatticeScan.transform
+_PRODUCT_ROWS = 128        # rows per product: gamma_lattice, Interferogram.contract, LatticeScan
 
 
 @dataclass(frozen=True)
@@ -115,11 +116,20 @@ def gamma_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
 
     Factored evaluation of the same double sum: exp(-i w1 a) and
     exp(-i w2 b) are separable phasor tables E1, E2, so the sum is two
-    matrix products.  P = E1 @ M is small; Re(P @ E2^T) is one real product
-    of conj(P) and E2 viewed as (re, im) pairs, with no stacked copy.
+    matrix products.  The tables are built one block of _PRODUCT_ROWS
+    delays at a time: each block P = conj(E1 @ M) times each block of E2,
+    both viewed as (re, im) pairs, is one real product written into the
+    output, so no table longer than one block exists.
     """
-    p = phasors(phi_a.grid.axis1, s_delays) @ _joint_measure(phi_a, phi_b)
-    return np.conj(p).view(float) @ phasors(phi_a.grid.axis2, l_delays).view(float).T
+    m = _joint_measure(phi_a, phi_b)
+    s, l = np.atleast_1d(s_delays), np.atleast_1d(l_delays)
+    out = np.empty((len(s), len(l)))
+    for i in range(0, len(s), _PRODUCT_ROWS):
+        p = np.conj(phasors(phi_a.grid.axis1, s[i:i + _PRODUCT_ROWS]) @ m).view(float)
+        for j in range(0, len(l), _PRODUCT_ROWS):
+            e2 = phasors(phi_a.grid.axis2, l[j:j + _PRODUCT_ROWS]).view(float)
+            np.matmul(p, e2.T, out=out[i:i + _PRODUCT_ROWS, j:j + _PRODUCT_ROWS])
+    return out
 
 
 def _joint_measure(phi_a: SampledAmplitude, phi_b: SampledAmplitude) -> np.ndarray:

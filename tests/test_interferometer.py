@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from biphoton import core, fitting
+from biphoton import cli, core, fitting
 from biphoton import interferometer as ifm
 from biphoton import reconstruction as rec
 from biphoton.config import build_source_params, load_config
@@ -92,19 +92,26 @@ class TestGamma:
         got = ifm.gamma_lattice(ph, ph, s, l)
         assert np.max(np.abs(got - ref)) <= np.max(np.abs(direct - ref))
 
-    def test_lattice_peak_memory_is_about_one_phasor_table(self):
-        # the 1-D scan holds one complex (n2 x nl) table and no stacked copy
-        model = core.BiphotonAmplitude.gaussian(1.23e15, 1.20e15, 5e12, 5e12, rho=-0.5)
-        grid = core.grid_for_gaussian(model, n=64)
-        ph = core.sample_on_grid(model, grid)
-        l = np.linspace(-2e-12, 2e-12, 2001)
-        tracemalloc.start()
-        try:
-            ifm.gamma_lattice(ph, ph, 0.0, l)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.6 * grid.n2 * len(l) * np.dtype(complex).itemsize
+    def test_lattice_peak_memory_does_not_grow_with_the_scan(self):
+        # the default fringe scan and one 10x as long on the default grid:
+        # the phasor tables are built one block of delays at a time, so only
+        # the scan's delays, Re(Gamma) and G arrays grow with it
+        cfg = load_config()
+        _, ph = cli._prepare(cfg)
+        step = cfg.getfloat("scan", "fringe_step_um") * 1e-6 / core.C
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                ig = ifm.scan_1d(ph, ph, "L", 0.0, -step * (count // 2), step, count)
+                return tracemalloc.get_traced_memory()[1], ig
+            finally:
+                tracemalloc.stop()
+
+        (short, _), (long, ig) = peak(1733), peak(17333)
+        assert long - short <= 3 * ig.values.nbytes + 2**20
+        for p, count in ((short, 1733), (long, 17333)):
+            assert p < count * ph.grid.n2 * np.dtype(complex).itemsize
 
     def test_grid_mismatch_rejected(self, small_gaussian):
         model, grid, sampled = small_gaussian
@@ -178,18 +185,24 @@ class TestScans:
                 g = reference.gamma(reference_sampled, reference_sampled, ig.coords(0)[i], ig.coords(1)[j])
                 assert 1.0 - ig.values[i, j] == pytest.approx(g.real, abs=1e-12)
 
-    def test_scans_match_complex_lattice(self, reference_sampled):
-        # the real-arithmetic scans against 1 - Re of the complex reference
+    def test_scans_match_complex_lattice(self, reference_sampled, monkeypatch):
+        # the real-arithmetic scans against 1 - Re of the complex reference,
+        # in one block per axis and in blocks of 8 delays: 6 on axis S and
+        # 8 on axis L, each axis's last one partial
         ph = reference_sampled
-        ig = ifm.scan_2d(ph, ph, (-2e-12, 1e-13, 41), (-3e-12, 1e-13, 61))
-        e1, e2 = (core.phasors(omega, ig.coords(i))
-                  for i, omega in enumerate((ph.grid.axis1, ph.grid.axis2)))
-        ref = 1.0 - (e1 @ ifm._joint_measure(ph, ph) @ e2.T).real
-        assert np.max(np.abs(ig.values - ref)) <= 1e-12
-        row = ifm.scan_1d(ph, ph, "L", ig.coords(0)[7], -3e-12, 1e-13, 61)
-        col = ifm.scan_1d(ph, ph, "S", ig.coords(1)[9], -2e-12, 1e-13, 41)
-        assert np.max(np.abs(row.values - ref[7])) <= 1e-12
-        assert np.max(np.abs(col.values - ref[:, 9])) <= 1e-12
+        axes = ((-2e-12, 1e-13, 41), (-3e-12, 1e-13, 61))
+        s, l = (ifm.Axis("t", *ax).values for ax in axes)
+        e1, e2 = (core.phasors(omega, t) for omega, t in zip((ph.grid.axis1, ph.grid.axis2), (s, l)))
+        gam = (e1 @ ifm._joint_measure(ph, ph) @ e2.T).real
+        ref, tol = 1.0 - gam, 1e-14 * np.max(np.abs(gam))
+        for rows in (128, 8):
+            monkeypatch.setattr(ifm, "_PRODUCT_ROWS", rows)
+            ig = ifm.scan_2d(ph, ph, *axes)
+            row = ifm.scan_1d(ph, ph, "L", s[7], *axes[1])
+            col = ifm.scan_1d(ph, ph, "S", l[9], *axes[0])
+            assert np.max(np.abs(ig.values - ref)) <= tol
+            assert np.max(np.abs(row.values - ref[7])) <= tol
+            assert np.max(np.abs(col.values - ref[:, 9])) <= tol
 
     def test_lattice_scan_block_sums_match_scan_2d(self, reference_sampled, monkeypatch):
         # the streamed Gram sums against the explicit lattice's transform;

@@ -6,6 +6,8 @@ import pytest
 from biphoton import core, reconstruction as rec
 from biphoton import interferometer as ifm
 
+import reference
+
 
 def slow_axis_time(sigma, rho):
     """Decay time of Gamma along its slowest direction (the correlation
@@ -260,7 +262,7 @@ def test_pure_math_cosine_series_self_adjoint():
     """Inverting an analytically generated cosine series recovers the
     generating nonnegative function, independent of the physics model."""
     band = core.FrequencyGrid(48, 48, 10.0, 20.0, 10.0, 20.0)
-    w1, w2 = band.mesh()
+    w1, w2 = reference.mesh(band)
     true = (np.exp(-0.5 * ((w1 - 14.0) ** 2 + (w2 - 16.0) ** 2))
             + 0.5 * np.exp(-(((w1 - 17.0) ** 2 + (w2 - 13.0) ** 2))))
     true /= np.sum(true) * band.measure
