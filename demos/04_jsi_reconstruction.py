@@ -10,8 +10,11 @@ spectral correlation coefficients.
 For identical sources M = |Phi|^2 is real, so G is point-symmetric,
 G(-a, -b) = G(a, b): the lattice half with a >= 0 holds every value the
 inverse needs.  The demo scans only that half, as `biphoton reconstruct`
-does, which halves the forward product, the lattice memory and, in the
-laboratory, the acquisition time; the inverse reads it as a half lattice.
+does, which halves the forward product and, in the laboratory, the
+acquisition time; the inverse reads it as a half lattice.  Like
+`biphoton reconstruct`, it never forms the lattice: a LatticeScan holds
+only the sampled amplitude's M = |Phi|^2 measure, and the inverse builds
+the scan's phasor tables one block of delays at a time.
 """
 
 import numpy as np
@@ -34,8 +37,8 @@ def main():
         lattice = rec.DelayLattice.half(step, half)
 
         sampled = core.sample_on_grid(model, grid)
-        ig = ifm.scan_2d(sampled, sampled, *lattice.axes)
-        est = rec.reconstruct_jsi(ig, grid, demodulate=True)
+        scan = ifm.LatticeScan(sampled, sampled, *lattice.axes)
+        est = rec.reconstruct_jsi(scan, grid, demodulate=True)
 
         err = rec.l2_error(est, sampled)
         corr = core.jsi_correlation(est.values, grid)

@@ -190,7 +190,7 @@ def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
         step = cfg.getfloat("reconstruct", "step_fraction") * rec.nyquist_step(grid)
         half_count = int(np.ceil(span * coh / step))
         # M = |Phi|^2 is real, so G(-a, -b) = G(a, b): scan a >= 0 only,
-        # and never form it (LatticeScan.transform)
+        # and never form it: reconstruct_jsi inverts the LatticeScan itself
         lattice = rec.DelayLattice.half(step, half_count)
         sampled = core.sample_on_grid(model, grid)
         ig = ifm.LatticeScan(sampled, sampled, *lattice.axes)

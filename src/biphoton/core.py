@@ -15,6 +15,7 @@ import numpy as np
 C = 299792458.0  # vacuum speed of light, m/s
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 _FILTER_PAD = 0.2  # grid_for_filters' padding of a rectangular passband, relative
+_PHASOR_ROWS = 128  # delays per phasor_blocks table; larger blocks raise peak memory
 
 
 class EmptySupportError(ValueError):
@@ -98,6 +99,14 @@ def phasors(omega: np.ndarray, t) -> np.ndarray:
     coarse = np.exp(-1j * p) * (1.0 - 1j * (((th * wh - p) + th * wl + tl * wh) + tl * wl))
     fine = np.exp(-1j * t * (np.arange(b) * ((omega[-1] - omega[0]) / max(n - 1, 1))))
     return (coarse[:, :, None] * fine[:, None, :]).reshape(len(t), -1)[:, :n]
+
+
+def phasor_blocks(omega: np.ndarray, t: np.ndarray):
+    """(rows, phasors(omega, t[rows])) for each slice `rows` of _PHASOR_ROWS
+    delays t, in order, so that no table longer than one block exists."""
+    for r in range(0, len(t), _PHASOR_ROWS):
+        rows = slice(r, r + _PHASOR_ROWS)
+        yield rows, phasors(omega, t[rows])
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

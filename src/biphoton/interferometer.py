@@ -8,10 +8,11 @@ The numerical kernel is the overlap integral
 evaluated as a midpoint-rule double sum, with the normalized coincidence
 rate G = 1 - Re(Gamma) in [0, 2].  Lattice scans reuse the factored form
 E1 @ M @ E2^T, the same double sum reassociated; core.phasors builds the
-exp(-i w t) tables E1, E2 from sqrt(n)-sized ones.  Every scan builds
-E1, E2 one block of _PRODUCT_ROWS delays at a time: gamma_lattice writes
-each block product into its output and a `LatticeScan` holds only M, so
-beyond the output no scan's memory depends on the number of delays.
+exp(-i w t) tables E1, E2 from sqrt(n)-sized ones.  Every scan takes
+E1, E2 from core.phasor_blocks, one block of delays at a time:
+gamma_lattice writes each block product into its output and a
+`LatticeScan` holds only M, so beyond the output no scan's memory depends
+on the number of delays.
 
 Interferograms are stored as CSV format 2: '#' headers that define the
 axes, then one 'G[,counts]' row per lattice point with integer counts.
@@ -24,11 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FrequencyGrid, GridMismatchError, SampledAmplitude, phasors
+from .core import GridMismatchError, SampledAmplitude, phasor_blocks
 
 _RANGE_TOL = 1e-9
 _BLOCK_ROWS = 1 << 9       # rows per block of a CSV write; larger blocks raise peak RSS
-_PRODUCT_ROWS = 128        # rows per product: gamma_lattice, Interferogram.contract, LatticeScan
 
 
 @dataclass(frozen=True)
@@ -82,18 +82,6 @@ class Interferogram:
     def coords(self, i: int) -> np.ndarray:
         return self.axes[i].values
 
-    def contract(self, cd: np.ndarray) -> np.ndarray:
-        """(1 - G) @ cd for a 2-D lattice and a real (n_b, k) matrix `cd`, as
-        sum_b cd - G @ cd with _PRODUCT_ROWS rows of G per product: a G read
-        from a CSV is a strided column, which one product would copy whole."""
-        q = np.empty((len(self.values), cd.shape[1]))
-        total = cd.sum(axis=0)
-        for r in range(0, len(q), _PRODUCT_ROWS):
-            block = q[r:r + _PRODUCT_ROWS]
-            np.matmul(self.values[r:r + _PRODUCT_ROWS], cd, out=block)
-            np.subtract(total, block, out=block)
-        return q
-
 
 def _checked_g(values: np.ndarray) -> np.ndarray:
     """`values`, validated against the physical range [0, 2] (NaN fails too).
@@ -116,19 +104,17 @@ def gamma_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
 
     Factored evaluation of the same double sum: exp(-i w1 a) and
     exp(-i w2 b) are separable phasor tables E1, E2, so the sum is two
-    matrix products.  The tables are built one block of _PRODUCT_ROWS
-    delays at a time: each block P = conj(E1 @ M) times each block of E2,
-    both viewed as (re, im) pairs, is one real product written into the
-    output, so no table longer than one block exists.
+    matrix products.  The tables come from core.phasor_blocks: each block
+    P = conj(E1 @ M) times each block of E2, both viewed as (re, im) pairs,
+    is one real product written into the output.
     """
     m = _joint_measure(phi_a, phi_b)
     s, l = np.atleast_1d(s_delays), np.atleast_1d(l_delays)
     out = np.empty((len(s), len(l)))
-    for i in range(0, len(s), _PRODUCT_ROWS):
-        p = np.conj(phasors(phi_a.grid.axis1, s[i:i + _PRODUCT_ROWS]) @ m).view(float)
-        for j in range(0, len(l), _PRODUCT_ROWS):
-            e2 = phasors(phi_a.grid.axis2, l[j:j + _PRODUCT_ROWS]).view(float)
-            np.matmul(p, e2.T, out=out[i:i + _PRODUCT_ROWS, j:j + _PRODUCT_ROWS])
+    for i, e1 in phasor_blocks(phi_a.grid.axis1, s):
+        p = np.conj(e1 @ m).view(float)
+        for j, e2 in phasor_blocks(phi_a.grid.axis2, l):
+            np.matmul(p, e2.view(float).T, out=out[i, j])
     return out
 
 
@@ -173,47 +159,21 @@ def scan_2d(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
 
 
 class LatticeScan:
-    """scan_2d's lattice, never formed: it holds the axes and
-    M = phi_a conj(phi_b) measure, and `transform` builds the phasor tables
-    of 1 - G = Re(E1 @ M @ E2^T) one block of delays at a time."""
+    """scan_2d's lattice, never formed: a record of its `axes`, the sampling
+    `grid` and M = phi_a conj(phi_b) measure, with 1 - G = Re(E1 @ M @ E2^T).
+
+    G's range is certified instead of checked: the phasor tables have unit
+    modulus, so |Re Gamma| <= sum |M|, and a sum <= 1 + _RANGE_TOL puts
+    every G within _RANGE_TOL of [0, 2].  A larger sum, or a NaN in M,
+    raises ValueError.
+    """
 
     def __init__(self, phi_a: SampledAmplitude, phi_b: SampledAmplitude,
                  s_axis: tuple[float, float, int], l_axis: tuple[float, float, int]):
         self.axes = (Axis("delta_tau_S", *s_axis), Axis("delta_tau_L", *l_axis))
-        self._grid, self._m = phi_a.grid, _joint_measure(phi_a, phi_b)
-        # sum |phi_a conj(phi_b)| * measure bounds |Re Gamma| (see transform)
-        self._gamma_bound = np.sum(np.abs(self._m))
-
-    def transform(self, band: FrequencyGrid, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
-        """Re sum_ab wa(a) wb(b) (1 - G(a, b)) exp(i (w1 a + w2 b)) on `band`,
-        which must be the sampling grid (ValueError otherwise), where the
-        exp(-i w t) tables are both the forward factors and, conjugated and
-        weighted, the inverse kernels.  Each block of _PRODUCT_ROWS delays is
-        built once and adds to two Gram sums of (re, im) pairs:
-        X = E2^T (conj E2 wb) and Y = (conj E1 wa)^T conj(E1 M); est = Re(Y X).
-
-        G is not formed, so its range is certified: the tables have unit
-        modulus, so |Re Gamma| <= sum |M|, and a sum <= 1 + _RANGE_TOL puts
-        every G within _RANGE_TOL of [0, 2].  A larger sum or a result that
-        is not finite (a NaN in M reaches it) raises ValueError.
-        """
-        if band != self._grid:
-            raise ValueError("a LatticeScan is inverted on the grid it was sampled on")
-        ax_a, ax_b = self.axes
-        x = sum(e.view(float).T @ k.view(float) for e, k in _blocks(band.axis2, ax_b.values, wb))
-        y = sum(np.conj(e @ self._m).view(float).T @ k.view(float)
-                for e, k in _blocks(band.axis1, ax_a.values, wa))
-        est = (y.view(complex).T @ x.view(complex)).real
-        if not (self._gamma_bound <= 1.0 + _RANGE_TOL and np.isfinite(est).all()):
+        self.grid, self.m = phi_a.grid, _joint_measure(phi_a, phi_b)
+        if not np.sum(np.abs(self.m)) <= 1.0 + _RANGE_TOL:
             raise ValueError("G values outside [0, 2]")
-        return est
-
-
-def _blocks(omega: np.ndarray, t: np.ndarray, weight: np.ndarray):
-    """(E, conj(E) * weight) for each _PRODUCT_ROWS delays t, E = phasors(omega, t)."""
-    for r in range(0, len(t), _PRODUCT_ROWS):
-        e = phasors(omega, t[r:r + _PRODUCT_ROWS])
-        yield e, np.conj(e) * weight[r:r + _PRODUCT_ROWS, None]
 
 
 def write_csv(path, headers: list[str], columns: list[np.ndarray]) -> None:

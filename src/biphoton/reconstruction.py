@@ -5,24 +5,28 @@ nonnegative) JSI, so the JSI is recovered by the inverse cosine-kernel sum
 
     J(w1, w2) ~ sum_over_lattice h(a, b) * w(a) w(b) * cos(w1*a + w2*b) * da*db
 
-evaluated on a requested frequency band as Re(E1 @ h @ E2^T), with
-kernels built by core.phasors from sqrt(n)-sized tables that carry the
-window w, half-axis weight and cell area.  h @ E2^T comes first, a real
-product with the (re, im) pairs of E2^T.
+evaluated on a requested frequency band as Re(A^T h B), with the inverse
+kernels A = conj(E1) wa and B = conj(E2) wb.  One generator, `_kernels`,
+yields each block of delays' phasor table E (core.phasor_blocks) with its
+kernel conj(E) w, where w carries the window, half-axis weight and cell
+area.
 
 cos is even and the window symmetric, so the terms at (a, b) and (-a, -b)
 share one kernel value.  One rule per axis then covers every lattice: an
 axis symmetric about 0 is weighted by window * step; an axis that starts
 at 0 stands for its mirrored axis (the other half-plane is taken to be the
 point reflection of the measured one), so it takes the right half of the
-window over that axis and weight 2 off 0.  An Interferogram's h enters
-only through its `contract`, sum_b E2^T - G @ E2^T with a fixed number of
-rows of G per product.  An interferometer.LatticeScan (the noiseless
-`reconstruct`) is inverted on its sampling grid, where its forward phasor
-tables are the kernels: each block of delays is built once and only two
-Gram sums are kept, so no (delays x band) array exists.  On the default
-1432 x 2863 half lattice the round trip does 0.44 GFLOP (forming h and its
-product took 3.2) and its traced peak is ~2 MB at any span.
+window over that axis and weight 2 off 0.
+
+Two branches use the kernels.  An Interferogram keeps B whole, as (re, im)
+pairs, and adds Re(A_block^T (sum_b B - G_block B)) for each block of rows
+of G, so no lattice-sized temporary exists.  An interferometer.LatticeScan
+(the noiseless `reconstruct`) is inverted on its sampling grid, where its
+forward tables E are the ones the kernels conjugate: each block of delays
+is built once and only two Gram sums are kept, so no (delays x band) array
+exists.  On the default 1432 x 2863 half lattice the round trip does
+0.44 GFLOP (forming h and its product took 3.2) and its traced peak is
+~2 MB at any span.
 
 `check_sampling` refuses a lattice step that aliases the band: pi / w_max
 per axis, or with `demodulate` pi over the band half-width per axis plus
@@ -37,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BiphotonAmplitude, FrequencyGrid, SampledAmplitude, jsi, phasors,
+from .core import (BiphotonAmplitude, FrequencyGrid, SampledAmplitude, jsi, phasor_blocks,
                    sample_on_grid)
-from .interferometer import Interferogram, LatticeScan, scan_2d
+from .interferometer import Interferogram, LatticeScan
 
 
 class AliasingError(ValueError):
@@ -145,13 +149,12 @@ def _window(n: int, kind: str) -> np.ndarray:
     raise ValueError(f"unknown window {kind!r}")
 
 
-def _kernel(omega: np.ndarray, t: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """exp(i omega t) times the per-delay weight (`_weights`), shape
-    (len(omega), len(t)); its transpose has contiguous rows."""
-    k = phasors(omega, t)
-    np.conj(k, out=k)
-    k *= weight[:, None]
-    return k.T
+def _kernels(omega: np.ndarray, t: np.ndarray, weight: np.ndarray):
+    """(rows, E, conj(E) * weight[rows]) for each block of delays t of
+    core.phasor_blocks, E = exp(-i outer(t[rows], omega)): the forward table
+    and the inverse kernel, weighted per delay (`_weights`)."""
+    for rows, e in phasor_blocks(omega, t):
+        yield rows, e, np.conj(e) * weight[rows, None]
 
 
 def _half_axis(axes) -> int | None:
@@ -185,14 +188,31 @@ def _weights(ax, window: str, half: bool) -> np.ndarray:
     return w
 
 
+def _invert_scan(scan: LatticeScan, band: FrequencyGrid, wa: np.ndarray,
+                 wb: np.ndarray) -> np.ndarray:
+    """Re sum_ab wa(a) wb(b) (1 - G(a, b)) exp(i (w1 a + w2 b)) of a scan on
+    `band`, which must be its sampling grid (ValueError otherwise).  There
+    the scan's tables E are the ones the kernels conjugate, so each block of
+    delays is built once and adds to two Gram sums of (re, im) pairs:
+    X = E2^T (conj E2 wb) and Y = (conj E1 wa)^T conj(E1 M); est = Re(Y X).
+    """
+    if band != scan.grid:
+        raise ValueError("a LatticeScan is inverted on the grid it was sampled on")
+    ax_a, ax_b = scan.axes
+    x = sum(e.view(float).T @ k.view(float) for _, e, k in _kernels(band.axis2, ax_b.values, wb))
+    y = sum(np.conj(e @ scan.m).view(float).T @ k.view(float)
+            for _, e, k in _kernels(band.axis1, ax_a.values, wa))
+    return (y.view(complex).T @ x.view(complex)).real
+
+
 def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyGrid,
                     window: str = "none", demodulate: bool = False) -> JsiEstimate:
     """Inverse cosine-kernel transform of 1 - G onto the band grid.
 
     The lattice is symmetric about 0 on both axes or a half lattice, one
     axis starting at 0 (`_half_axis`; ValueError otherwise).  A LatticeScan
-    is never formed; its `transform` inverts it on its own grid, which must
-    be `band`, and refuses G outside [0, 2].
+    is never formed; `_invert_scan` inverts it on its own grid, which must
+    be `band`.
 
     Returns a nonnegative, unit-integral estimate; the fraction of
     pre-clip negative mass is reported as a truncation diagnostic.
@@ -202,12 +222,16 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
     ax_a, ax_b = interferogram.axes
     wa, wb = _weights(ax_a, window, half == 0), _weights(ax_b, window, half == 1)
     if isinstance(interferogram, LatticeScan):
-        est = interferogram.transform(band, wa, wb)
+        est = _invert_scan(interferogram, band, wa, wb)
     else:
-        # (C + iD)^T as (re, im) column pairs, so the product with 1 - G is
-        # real and q = (1 - G) (C + iD)^T as pairs: est = Re((A + iB) q)
-        q = interferogram.contract(_kernel(band.axis2, ax_b.values, wb).T.view(float))
-        est = (_kernel(band.axis1, ax_a.values, wa) @ q.view(complex)).real
+        # B as (re, im) column pairs, so each block's product with 1 - G is
+        # real and gives (1 - G) B as pairs; a G read from a CSV is a strided
+        # column, which one product over all rows would copy whole
+        b = np.concatenate([k for _, _, k in _kernels(band.axis2, ax_b.values, wb)]).view(float)
+        total = b.sum(axis=0)
+        est = np.zeros((band.n1, band.n2))
+        for rows, _, a in _kernels(band.axis1, ax_a.values, wa):
+            est += (a.T @ (total - interferogram.values[rows] @ b).view(complex)).real
 
     total_abs = np.sum(np.abs(est))
     degenerate = False
@@ -226,11 +250,12 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
 
 def roundtrip_error(model: BiphotonAmplitude, grid: FrequencyGrid,
                     lattice: DelayLattice, demodulate: bool = False) -> float:
-    """Forward-simulate the unfiltered `model`, reconstruct on the sampling
-    grid, and return the relative L2 error against the true JSI."""
+    """Invert the LatticeScan of the unfiltered `model` on `lattice` (the
+    noiseless `reconstruct`'s path) on the sampling grid, and return the
+    relative L2 error against the true JSI."""
     sampled = sample_on_grid(model, grid)
-    ig = scan_2d(sampled, sampled, *lattice.axes)
-    return l2_error(reconstruct_jsi(ig, grid, demodulate=demodulate), sampled)
+    scan = LatticeScan(sampled, sampled, *lattice.axes)
+    return l2_error(reconstruct_jsi(scan, grid, demodulate=demodulate), sampled)
 
 
 def l2_error(est: JsiEstimate, sampled: SampledAmplitude) -> float:

@@ -74,6 +74,18 @@ class TestPhasors:
         direct = np.max(np.abs(np.exp(-1j * np.outer(t, grid.axis1)) - exact))
         assert err <= 1.5 * direct
 
+    @pytest.mark.parametrize("rows", [128, 8])
+    def test_blocks_join_to_the_whole_table(self, rows, monkeypatch):
+        # each row of a table depends on its own delay only, so the blocks,
+        # in order and joined, are bit for bit the table of all 203 delays
+        monkeypatch.setattr(core, "_PHASOR_ROWS", rows)
+        grid = core.FrequencyGrid(96, 96, 1.1e15, 1.3e15, 1.1e15, 1.3e15)
+        t = np.random.default_rng(5).uniform(-4e-12, 4e-12, 203)
+        blocks = list(core.phasor_blocks(grid.axis1, t))
+        assert [r.start for r, _ in blocks] == list(range(0, len(t), rows))
+        whole = np.concatenate([e for _, e in blocks])
+        assert np.array_equal(whole, core.phasors(grid.axis1, t))
+
 
 class TestSpectralFilter:
     def test_rectangular_exact_passband(self):

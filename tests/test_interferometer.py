@@ -196,43 +196,13 @@ class TestScans:
         gam = (e1 @ ifm._joint_measure(ph, ph) @ e2.T).real
         ref, tol = 1.0 - gam, 1e-14 * np.max(np.abs(gam))
         for rows in (128, 8):
-            monkeypatch.setattr(ifm, "_PRODUCT_ROWS", rows)
+            monkeypatch.setattr(core, "_PHASOR_ROWS", rows)
             ig = ifm.scan_2d(ph, ph, *axes)
             row = ifm.scan_1d(ph, ph, "L", s[7], *axes[1])
             col = ifm.scan_1d(ph, ph, "S", l[9], *axes[0])
             assert np.max(np.abs(ig.values - ref)) <= tol
             assert np.max(np.abs(row.values - ref[7])) <= tol
             assert np.max(np.abs(col.values - ref[:, 9])) <= tol
-
-    def test_lattice_scan_block_sums_match_scan_2d(self, reference_sampled, monkeypatch):
-        # the streamed Gram sums against the explicit lattice's transform;
-        # 8 delays per block: 3 blocks on axis S and 8 on axis L, each axis's
-        # last one partial
-        monkeypatch.setattr(ifm, "_PRODUCT_ROWS", 8)
-        ph, grid = reference_sampled, reference_sampled.grid
-        axes = ((0.0, 1e-13, 21), (-3e-12, 1e-13, 61))
-        ref = ifm.scan_2d(ph, ph, *axes)
-        scan = ifm.LatticeScan(ph, ph, *axes)
-        assert scan.axes == ref.axes
-        rng = np.random.default_rng(3)
-        wa, wb = rng.uniform(size=21), rng.uniform(size=61)
-        ka, kb = (np.conj(core.phasors(omega, ax.values)) * w[:, None]
-                  for omega, ax, w in zip((grid.axis1, grid.axis2), ref.axes, (wa, wb)))
-        expected = (ka.T @ (1.0 - ref.values) @ kb).real
-        # |1 - G| <= 1, so no entry exceeds the weights' sum product
-        scale = wa.sum() * wb.sum()
-        assert np.max(np.abs(scan.transform(grid, wa, wb) - expected)) <= 1e-15 * scale
-
-    def test_interferogram_contract_matches_the_lattice_product(self, reference_sampled,
-                                                                monkeypatch):
-        # 8 rows of G per product: three blocks, the last one partial
-        monkeypatch.setattr(ifm, "_PRODUCT_ROWS", 8)
-        ig = ifm.scan_2d(reference_sampled, reference_sampled,
-                         (0.0, 1e-13, 21), (-3e-12, 1e-13, 61))
-        cd = np.random.default_rng(3).standard_normal((61, 10))
-        scale = np.max(np.abs(cd).sum(axis=0))
-        err = np.max(np.abs(ig.contract(cd) - (1.0 - ig.values) @ cd))
-        assert err <= 1e-15 * scale
 
     def test_scan_axis_validation(self, small_gaussian):
         _, _, sampled = small_gaussian

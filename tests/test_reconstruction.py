@@ -249,10 +249,7 @@ def test_l2_error_rejects_amplitude_on_another_grid():
     grid = core.grid_for_gaussian(model, n=16)
     lattice = make_lattice(grid, 0.7, -0.5)
     sampled = core.sample_on_grid(model, grid)
-    ig = ifm.scan_2d(sampled, sampled,
-                     (lattice.start1, lattice.step1, lattice.count1),
-                     (lattice.start2, lattice.step2, lattice.count2))
-    est = rec.reconstruct_jsi(ig, grid)
+    est = rec.reconstruct_jsi(ifm.LatticeScan(sampled, sampled, *lattice.axes), grid)
     assert rec.l2_error(est, sampled) == rec.roundtrip_error(model, grid, lattice)
     with pytest.raises(ValueError, match="band grid"):
         rec.l2_error(est, core.sample_on_grid(model, core.grid_for_gaussian(model, n=20)))
@@ -334,9 +331,28 @@ def test_lattice_scan_out_of_range_is_refused(spoil):
     else:  # Gamma(0, 0) = 1.21, so G(0, 0) = -0.21
         sampled.values[...] *= 1.1
     axes = ((0.0, full.step1, full.count1 // 2 + 1), (full.start2, full.step2, full.count2))
-    scan = ifm.LatticeScan(sampled, sampled, *axes)
     with pytest.raises(ValueError, match="outside"):
-        rec.reconstruct_jsi(scan, grid)
+        ifm.LatticeScan(sampled, sampled, *axes)
+
+
+def test_lattice_scan_block_sums_match_scan_2d(reference_sampled, monkeypatch):
+    # the streamed Gram sums against the explicit lattice's transform;
+    # 8 delays per block: 3 blocks on axis S and 8 on axis L, each axis's
+    # last one partial
+    monkeypatch.setattr(core, "_PHASOR_ROWS", 8)
+    ph, grid = reference_sampled, reference_sampled.grid
+    axes = ((0.0, 1e-13, 21), (-3e-12, 1e-13, 61))
+    ref = ifm.scan_2d(ph, ph, *axes)
+    scan = ifm.LatticeScan(ph, ph, *axes)
+    assert scan.axes == ref.axes
+    rng = np.random.default_rng(3)
+    wa, wb = rng.uniform(size=21), rng.uniform(size=61)
+    ka, kb = (np.conj(core.phasors(omega, ax.values)) * w[:, None]
+              for omega, ax, w in zip((grid.axis1, grid.axis2), ref.axes, (wa, wb)))
+    expected = (ka.T @ (1.0 - ref.values) @ kb).real
+    # |1 - G| <= 1, so no entry exceeds the weights' sum product
+    scale = wa.sum() * wb.sum()
+    assert np.max(np.abs(rec._invert_scan(scan, grid, wa, wb) - expected)) <= 1e-15 * scale
 
 
 def test_lattice_scan_inverts_only_on_its_own_grid():
@@ -375,35 +391,44 @@ def test_lattice_scan_inverts_on_every_lattice_shape(half_axis):
 @pytest.mark.parametrize("half_axis", [None, 1, 2], ids=["symmetric", "half-S", "half-L"])
 @pytest.mark.parametrize("demodulate", [False, True])
 @pytest.mark.parametrize("window", ["none", "hann"])
-def test_fold_matches_brute_force_on_noisy_lattice(window, demodulate, half_axis):
+def test_fold_matches_brute_force_on_noisy_lattice(window, demodulate, half_axis,
+                                                   monkeypatch):
     # seeded noise makes G far from point-symmetric: the inverse must still
-    # equal the term-by-term sum, whose half axis folds in its mirrored one
+    # equal the term-by-term sum, whose half axis folds in its mirrored one,
+    # in one block of rows of G and in blocks of 8 (the last one partial)
     grid, sampled, full = small_band()
     ig = ifm.scan_2d(sampled, sampled, *shaped_axes(full, half_axis))
     noise = np.random.default_rng(11).normal(0.0, 0.05, ig.values.shape)
     noisy = ifm.Interferogram(ig.axes, np.clip(ig.values + noise, 0.0, 2.0))
     if half_axis is None:
         assert np.max(np.abs(noisy.values - noisy.values[::-1, ::-1])) > 0.1
-    est = rec.reconstruct_jsi(noisy, grid, window=window, demodulate=demodulate)
     direct = brute_force_jsi(noisy, grid, window)
-    assert np.linalg.norm(est.values - direct) / np.linalg.norm(direct) <= 1e-9
+    for rows in (128, 8):
+        monkeypatch.setattr(core, "_PHASOR_ROWS", rows)
+        est = rec.reconstruct_jsi(noisy, grid, window=window, demodulate=demodulate)
+        assert np.linalg.norm(est.values - direct) / np.linalg.norm(direct) <= 1e-9, rows
 
 
 @pytest.mark.parametrize("half_axis", [False, True], ids=["symmetric", "half"])
-def test_kernel_matches_complex_exponential(half_axis):
+def test_kernel_matches_complex_exponential(half_axis, monkeypatch):
+    # 8 delays per block, the last one partial: the blocks' kernels, joined,
+    # are the whole kernel
+    monkeypatch.setattr(core, "_PHASOR_ROWS", 8)
     grid, _, full = small_band()
     t = ifm.Axis("t", *full.axes[0]).values
     t = t[(full.count1 - 1) // 2:] if half_axis else t
     weight = np.hanning(len(t) + 2)[1:-1] * full.step1
-    direct = weight * np.exp(1j * np.outer(grid.axis1, t))
-    assert np.max(np.abs(rec._kernel(grid.axis1, t, weight) - direct)) <= 1e-12
+    direct = weight[:, None] * np.exp(1j * np.outer(t, grid.axis1))
+    blocks = [k for _, _, k in rec._kernels(grid.axis1, t, weight)]
+    assert len(blocks) > 1
+    assert np.max(np.abs(np.concatenate(blocks) - direct)) <= 1e-12
 
 
 def test_inverse_allocates_a_fraction_of_the_lattice():
     # no lattice-sized temporary on any lattice shape.  numpy's copy of a
     # strided G (a CSV column) inside one large product is invisible to
     # tracemalloc, so the resident peak of `reconstruct --input`, not this
-    # test, guards the blocking of Interferogram.contract
+    # test, guards reconstruct_jsi's blocks of rows of G
     grid, sampled, _ = small_band()
     step = 0.9 * rec.nyquist_step(grid)
     axis, half = (-500 * step, step, 1001), (0.0, step, 501)
