@@ -90,7 +90,8 @@ _POSITIVE = (("grid", "n"), ("scan", "fringe_step_um"), ("scan", "dip_step_um"),
              ("source", "pump_fwhm_ps"), ("source", "coherence_fwhm_ps"),
              ("detector", "trigger_rate_mhz"))
 _NONNEGATIVE = (("budget", "singles_rate_1_khz"), ("budget", "singles_rate_2_khz"),
-                ("budget", "coincidence_to_singles"))
+                ("budget", "coincidence_to_singles"), ("jitter", "gvd_fwhm_ps"),
+                ("jitter", "gvd_terms"))
 
 
 class ConfigError(Exception):
@@ -176,6 +177,8 @@ def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) 
     pair_p = cfg.get("budget", "pair_probability_per_pulse")
     if pair_p != "auto" and not 0.0 <= cfg.getfloat("budget", "pair_probability_per_pulse") <= 1.0:
         raise ConfigError(f"[budget] pair_probability_per_pulse: must lie in [0, 1], got {pair_p!r}")
+    if not 0.0 <= cfg.getfloat("jitter", "v_cap") <= 1.0:
+        raise ConfigError(f"[jitter] v_cap: must lie in [0, 1], got {cfg.get('jitter', 'v_cap')!r}")
     return cfg
 
 
@@ -234,9 +237,6 @@ def build_jitter(cfg: RunConfig) -> detector.JitterModel:
     if cfg.getbool("jitter", "include_pump"):
         contributions.append(("pump", cfg.getfloat("source", "pump_fwhm_ps") * 1e-12))
     gvd = cfg.getfloat("jitter", "gvd_fwhm_ps") * 1e-12
-    terms = cfg.getint("jitter", "gvd_terms")
-    if terms < 0:
-        raise ConfigError(f"[jitter] gvd_terms: must be nonnegative, got {terms}")
-    for i in range(terms):
+    for i in range(cfg.getint("jitter", "gvd_terms")):
         contributions.append((f"gvd_{i + 1}", gvd))
     return detector.JitterModel(tuple(contributions))

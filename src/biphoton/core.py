@@ -152,21 +152,17 @@ def grid_for_filters(filter1: SpectralFilter, filter2: SpectralFilter,
     """Default grid spanning both passbands.
 
     Rectangular passbands are padded by _FILTER_PAD (relative) and laid
-    out so the band edges fall exactly on cell boundaries; gaussian
-    passbands get +-5 sigma of span.
+    out so the band edges fall exactly on cell boundaries: n is rounded up
+    to even, so the band's m_band = n - 2 margin cells are even in number
+    and centred. Gaussian passbands get +-5 sigma of span.
     """
     if n % 2:
         n += 1
 
     def bounds(f: SpectralFilter) -> tuple[float, float]:
         if f.shape == "rectangular":
-            margin_cells = int(round(n * _FILTER_PAD / (2.0 * (1.0 + _FILTER_PAD))))
-            m_band = n - 2 * margin_cells
-            if m_band % 2:
-                m_band -= 1
-                margin_cells = (n - m_band) // 2
-            d = f.bandwidth / m_band
-            half = 0.5 * n * d
+            m_band = n - 2 * int(round(n * _FILTER_PAD / (2.0 * (1.0 + _FILTER_PAD))))
+            half = 0.5 * n * (f.bandwidth / m_band)
         else:
             half = 5.0 * f.bandwidth * FWHM_TO_SIGMA
         return f.center - half, f.center + half

@@ -9,11 +9,12 @@ Every fit is a Levenberg-Marquardt solve (`_solve`, numpy only) with an
 analytic Jacobian and Marquardt's column-norm scaling, so its steps do
 not depend on the units of the parameters. The `stderr` of each fit is
 the 1-sigma uncertainty of each parameter: the square root of the
-diagonal of the covariance built from the SVD of the column-scaled
-Jacobian at the optimum, multiplied by the reduced chi-square (residual
-sum of squares over n_data - n_params). A parameter that the data do not
-constrain (one that loads on a singular direction of the scaled
-Jacobian) gets an infinite stderr.
+diagonal of the covariance (J^T J)^-1 at the optimum, multiplied by the
+reduced chi-square (residual sum of squares over n_data - n_params). The
+covariance comes from the same eigendecomposition of the column-scaled
+Js^T Js that the solver steps with, so each Jacobian is factored once. A
+parameter that the data do not constrain (one that loads on a direction
+the step drops) gets an infinite stderr.
 """
 
 from __future__ import annotations
@@ -111,7 +112,12 @@ def _solve(model, jac, p0, x, y):
     _FTOL or less, or when the scaled gradient max |Js^T r| / |r| is at most
     _GTOL. It raises FitConvergenceError after 200 (len(p0) + 1) model
     evaluations, or on a non-finite residual or Jacobian at the iterate.
-    The stderr comes from `_covariance_diag` at the returned point.
+
+    The stderr comes from the eigendecomposition w, v of Js^T Js at the
+    returned point, the one a further step would use: the variance of
+    parameter k is sum v_k^2 / w / |J column k|^2 over the kept directions,
+    times the reduced chi-square, and it is infinite when parameter k loads
+    on a dropped direction (a zero column of J among them).
     """
     p = np.asarray(p0, float)
     max_nfev = 200 * (len(p) + 1)
@@ -122,24 +128,22 @@ def _solve(model, jac, p0, x, y):
             raise FitConvergenceError("fit did not converge: non-finite residual "
                                       "or Jacobian", last_params=p)
         cost = r @ r
-        if done:
-            break
         norms = np.linalg.norm(j, axis=0)
         scale = np.where(norms > 0, norms, 1.0)
         js = j / scale
-        grad = js.T @ r
-        if np.max(np.abs(grad)) <= _GTOL * np.sqrt(cost):
-            break
         w, v = np.linalg.eigh(js.T @ js)
-        gv = v.T @ grad
         keep = w > np.finfo(float).eps * max(j.shape) * w[-1]
+        grad = js.T @ r
+        if done or np.max(np.abs(grad)) <= _GTOL * np.sqrt(cost):
+            break
+        gv = v.T @ grad
         xtol = _XTOL * np.linalg.norm(scale * p)
         nu = 2.0
         while True:  # raise lam until a step lowers the cost
             if nfev >= max_nfev:
                 raise FitConvergenceError(
                     f"fit did not converge in {max_nfev} evaluations", last_params=p)
-            f = np.where(keep, 1.0 / (w + lam), 0.0)
+            f = np.divide(1.0, w + lam, out=np.zeros_like(w), where=keep)
             z = -v @ (f * gv)
             trial = p + z / scale
             r_trial = model(trial, x) - y
@@ -157,29 +161,10 @@ def _solve(model, jac, p0, x, y):
         p, r = trial, r_trial
         j = jac(p, x)
     dof = max(len(y) - len(p), 1)
-    var = _covariance_diag(j)
-    stderr = np.sqrt(np.where(np.isinf(var), np.inf, var * cost / dof))
+    var = np.sum(v[:, keep] ** 2 / w[keep], axis=1) / scale ** 2
+    dropped = np.any(np.abs(v[:, ~keep]) > np.sqrt(np.finfo(float).eps), axis=1)
+    stderr = np.where(dropped, np.inf, np.sqrt(var * cost / dof))
     return p, stderr, np.sqrt(cost / len(y))
-
-
-def _covariance_diag(jac):
-    """Diagonal of (J^T J)^-1, inf for parameters the data do not fix.
-
-    The parameters span many orders of magnitude (counts ~1e4, lengths
-    ~1e-6 m), so J^T J is inverted through the SVD of J with unit-norm
-    columns; the singular-value cut-off is that of scipy's `curve_fit`.
-    """
-    norms = np.linalg.norm(jac, axis=0)
-    free = norms > 0
-    var = np.full(jac.shape[1], np.inf)
-    if not free.any():
-        return var
-    _, s, vt = np.linalg.svd(jac[:, free] / norms[free], full_matrices=False)
-    keep = s > np.finfo(float).eps * max(jac.shape) * s[0]
-    var[free] = np.sum((vt[keep] / s[keep, None]) ** 2, axis=0) / norms[free] ** 2
-    dropped = np.any(np.abs(vt[~keep]) > np.sqrt(np.finfo(float).eps), axis=0)
-    var[np.flatnonzero(free)[dropped]] = np.inf
-    return var
 
 
 def _dsinc(u, sinc_u):

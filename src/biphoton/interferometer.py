@@ -9,10 +9,11 @@ evaluated as a midpoint-rule double sum, with the normalized coincidence
 rate G = 1 - Re(Gamma) in [0, 2].  Lattice scans reuse the factored form
 E1 @ M @ E2^T, the same double sum reassociated; core.phasors builds the
 exp(-i w t) tables E1, E2 from sqrt(n)-sized ones.  Every scan takes
-E1, E2 from core.phasor_blocks, one block of delays at a time:
-gamma_lattice writes each block product into its output and a
-`LatticeScan` holds only M, so beyond the output no scan's memory depends
-on the number of delays.
+E1, E2 from core.phasor_blocks, one block of delays at a time, and builds
+each once: gamma_lattice holds P = conj(E1 @ M) for all S delays, which
+grows with S delays x band (no CLI scan has more than 23 S delays), and
+writes its product with each block of E2 into the output, so nothing
+grows with the L delays but the output.  A `LatticeScan` holds only M.
 
 Interferograms are stored as CSV format 2: '#' headers that define the
 axes, then one 'G[,counts]' row per lattice point with integer counts.
@@ -104,17 +105,18 @@ def gamma_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
 
     Factored evaluation of the same double sum: exp(-i w1 a) and
     exp(-i w2 b) are separable phasor tables E1, E2, so the sum is two
-    matrix products.  The tables come from core.phasor_blocks: each block
-    P = conj(E1 @ M) times each block of E2, both viewed as (re, im) pairs,
-    is one real product written into the output.
+    matrix products.  The tables come from core.phasor_blocks, and each is
+    built once: P = conj(E1 @ M), joined over the blocks of S delays, times
+    each block of E2, both viewed as (re, im) pairs, is one real product
+    written into the output.  P grows with S delays x band (no CLI scan has
+    more than 23 S delays); nothing grows with the L delays but the output.
     """
     m = _joint_measure(phi_a, phi_b)
     s, l = np.atleast_1d(s_delays), np.atleast_1d(l_delays)
+    p = np.concatenate([np.conj(e1 @ m) for _, e1 in phasor_blocks(phi_a.grid.axis1, s)])
     out = np.empty((len(s), len(l)))
-    for i, e1 in phasor_blocks(phi_a.grid.axis1, s):
-        p = np.conj(e1 @ m).view(float)
-        for j, e2 in phasor_blocks(phi_a.grid.axis2, l):
-            np.matmul(p, e2.view(float).T, out=out[i, j])
+    for j, e2 in phasor_blocks(phi_a.grid.axis2, l):
+        np.matmul(p.view(float), e2.view(float).T, out=out[:, j])
     return out
 
 

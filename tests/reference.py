@@ -3,8 +3,9 @@
 Each is the direct, unfactored form of something the package computes a
 faster way: Gamma as the plain double sum at one delay point, the
 closed-form fringe that the quadrature must reproduce, the full (omega1,
-omega2) mesh of a grid, and a grid with more cells over the same
-rectangle for convergence checks.
+omega2) mesh of a grid, a grid with more cells over the same rectangle
+for convergence checks, and the fit covariance from an SVD of the
+Jacobian.
 """
 
 import numpy as np
@@ -46,3 +47,23 @@ def refine(grid: core.FrequencyGrid, factor: int = 2) -> core.FrequencyGrid:
     return core.FrequencyGrid(grid.n1 * factor, grid.n2 * factor,
                               grid.omega1_min, grid.omega1_max,
                               grid.omega2_min, grid.omega2_max)
+
+
+def covariance_diag(jac: np.ndarray) -> np.ndarray:
+    """Diagonal of (J^T J)^-1, inf for parameters the data do not fix.
+
+    The parameters span many orders of magnitude (counts ~1e4, lengths
+    ~1e-6 m), so J^T J is inverted through the SVD of J with unit-norm
+    columns; the singular-value cut-off is that of scipy's `curve_fit`.
+    """
+    norms = np.linalg.norm(jac, axis=0)
+    free = norms > 0
+    var = np.full(jac.shape[1], np.inf)
+    if not free.any():
+        return var
+    _, s, vt = np.linalg.svd(jac[:, free] / norms[free], full_matrices=False)
+    keep = s > np.finfo(float).eps * max(jac.shape) * s[0]
+    var[free] = np.sum((vt[keep] / s[keep, None]) ** 2, axis=0) / norms[free] ** 2
+    dropped = np.any(np.abs(vt[~keep]) > np.sqrt(np.finfo(float).eps), axis=0)
+    var[np.flatnonzero(free)[dropped]] = np.inf
+    return var

@@ -147,9 +147,12 @@ class TestCliExitCodes:
         ("source.pump_fwhm_ps=0", "fringe", "[source] pump_fwhm_ps: must be positive"),
         ("source.coherence_fwhm_ps=-3.5", "fringe",
          "[source] coherence_fwhm_ps: must be positive"),
-        ("jitter.v_cap=-0.5", "hom-dip", "v_cap must lie in [0, 1]"),
-        ("jitter.v_cap=2", "hom-dip", "v_cap must lie in [0, 1]"),
+        ("jitter.v_cap=-0.5", "hom-dip", "v_cap: must lie in [0, 1]"),
+        ("jitter.v_cap=2", "hom-dip", "v_cap: must lie in [0, 1]"),
         ("jitter.gvd_terms=-1", "hom-dip", "[jitter] gvd_terms: must be nonnegative"),
+        ("jitter.gvd_terms=-1", "fringe", "[jitter] gvd_terms: must be nonnegative"),
+        ("jitter.v_cap=2", "budget", "[jitter] v_cap: must lie in [0, 1]"),
+        ("jitter.gvd_fwhm_ps=-1", "budget", "[jitter] gvd_fwhm_ps: must be nonnegative"),
         ("detector.quantum_efficiency=0.5", "budget", "unknown key"),
         ("detector.trigger_rate_mhz=0", "fringe", "[detector] trigger_rate_mhz: must be positive"),
         ("budget.singles_rate_1_khz=-5", "hom-dip",

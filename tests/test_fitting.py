@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from biphoton import cli, core, detector, fitting
 from biphoton import interferometer as ifm
+
+import reference
 
 FWHM = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
@@ -226,22 +229,42 @@ class TestAnalyticJacobians:
 
 
 class TestCovariance:
+    """The stderr of `_solve` on linear models y ~ J p, whose covariance is
+    (J^T J)^-1 exactly."""
+
+    @staticmethod
+    def variance(jac):
+        """stderr^2 dof / cost of the fit of J p to random data: the diagonal
+        of (J^T J)^-1 as the solver's own eigendecomposition gives it."""
+        y = np.random.default_rng(2).normal(size=len(jac))
+        p, stderr, _ = fitting._solve(lambda p, x: jac @ p, lambda p, x: jac,
+                                      np.zeros(jac.shape[1]), None, y)
+        r = jac @ p - y
+        return stderr ** 2 * (len(y) - len(p)) / (r @ r)
+
     def test_badly_scaled_columns(self):
         # amplitude ~1e4 next to lengths ~1e-6: J^T J has cond ~1e24
         base = np.random.default_rng(0).normal(size=(200, 3))
         scale = np.array([1e4, 1e6, 1e-6])
         expected = np.diag(np.linalg.inv(base.T @ base)) / scale ** 2
-        np.testing.assert_allclose(fitting._covariance_diag(base * scale), expected,
-                                   rtol=1e-10)
+        np.testing.assert_allclose(self.variance(base * scale), expected, rtol=1e-10)
 
     def test_unconstrained_parameter_is_infinite(self):
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=(2, 100))
-        var = fitting._covariance_diag(np.column_stack([a, b, 2e-6 * b, np.zeros(100)]))
+        var = self.variance(np.column_stack([a, b, 2e-6 * b, np.zeros(100)]))
         assert np.isfinite(var[0])
         assert np.all(np.isinf(var[1:]))
-        # every column zero: nothing is constrained, and the SVD is empty
-        assert np.all(np.isinf(fitting._covariance_diag(np.zeros((10, 3)))))
+        # every column zero: nothing is constrained, and no direction is kept
+        assert np.all(np.isinf(self.variance(np.zeros((10, 3)))))
+
+    def test_zero_column_steps_without_warnings(self):
+        # the zero column's eigenvalue is exactly 0, and the first step has lam = 0
+        jac = np.column_stack([np.random.default_rng(3).normal(size=(50, 2)), np.zeros(50)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            var = self.variance(jac)
+        assert np.all(np.isfinite(var[:2])) and np.isinf(var[2])
 
 
 SMALL_SCAN2D = ["--set", "grid.n=64", "--set", "scan.x1_halfspan_mm=0.6",
@@ -280,7 +303,7 @@ class TestSolver:
                                 method="lm", x_scale=1.0, xtol=1e-8, ftol=1e-14,
                                 gtol=1e-14, max_nfev=200 * (len(p0) + 1))
             assert ref.success
-            ref_stderr = np.sqrt(fitting._covariance_diag(ref.jac) * 2.0 * ref.cost
+            ref_stderr = np.sqrt(reference.covariance_diag(ref.jac) * 2.0 * ref.cost
                                  / (len(y) - len(p0)))
             assert np.all(np.abs(params - ref.x) <= 1e-3 * stderr)
             np.testing.assert_allclose(stderr, ref_stderr, rtol=1e-6)

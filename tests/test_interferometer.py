@@ -113,6 +113,16 @@ class TestGamma:
         for p, count in ((short, 1733), (long, 17333)):
             assert p < count * ph.grid.n2 * np.dtype(complex).itemsize
 
+    def test_lattice_builds_each_phasor_table_once(self, small_gaussian, monkeypatch):
+        # 300 delays a side in blocks of 128: three E1 blocks, three E2 blocks
+        _, _, sampled = small_gaussian
+        rows, phasors = [], core.phasors
+        monkeypatch.setattr(core, "phasors", lambda w, t: (rows.append(len(t)), phasors(w, t))[1])
+        monkeypatch.setattr(core, "_PHASOR_ROWS", 128)
+        t = 1e-14 * np.arange(300)
+        ifm.gamma_lattice(sampled, sampled, t, t)
+        assert rows == [128, 128, 44] * 2
+
     def test_grid_mismatch_rejected(self, small_gaussian):
         model, grid, sampled = small_gaussian
         other = core.sample_on_grid(model, reference.refine(grid))
