@@ -1,14 +1,13 @@
 """Sectioned key-value run configuration with explicit unit suffixes.
 
-Defaults encode the reference experimental setup (775 nm / 3.5 ps pump,
-1530 nm + energy-matched idler arms, 18 nm rectangular filters, 4 MHz
-trigger), so every command runs without a config file.  Detector
-efficiency and fibre coupling enter only through the measured singles
-rates and coincidence-to-singles ratio of [budget], and gated
-accidentals (N1*N3/f_trig) need no coincidence window.  The idler
-wavelength defaults to 'auto' because the rounded nominal pair
+Defaults encode the reference experimental setup (775 nm / 3.5 ps pump, 1530 nm
++ energy-matched idler arms, 18 nm rectangular filters, 4 MHz trigger), so every
+command runs without a config file.  Detector efficiency and fibre coupling
+enter only through the measured singles rates and coincidence-to-singles ratio
+of [budget], and gated accidentals (N1*N3/f_trig) need no coincidence window.
+The idler wavelength defaults to 'auto' because the rounded nominal pair
 1530/1570 nm violates energy conservation at the 1e-4 level enforced by
-SourceParams.
+SourceParams.  Each key's kind in DEFAULTS names the values load_config allows.
 """
 
 from __future__ import annotations
@@ -20,78 +19,79 @@ import math
 
 from . import core, detector
 
-DEFAULTS: dict[str, dict[str, str]] = {
+DEFAULTS: dict[str, dict[str, tuple[str, str | tuple[str, ...]]]] = {
     "source": {
-        "pump_center_nm": "775",
-        "pump_fwhm_ps": "3.5",
-        "signal_center_nm": "1530",
-        "idler_center_nm": "auto",
-        "sigma1_rad_per_ps": "250",
-        "sigma2_rad_per_ps": "250",
-        "rho": "auto",
-        "coherence_fwhm_ps": "3.5",
+        "pump_center_nm": ("775", "positive"),
+        "pump_fwhm_ps": ("3.5", "positive"),
+        "signal_center_nm": ("1530", "positive"),
+        "idler_center_nm": ("auto", "auto|positive"),
+        "sigma1_rad_per_ps": ("250", "positive"),
+        "sigma2_rad_per_ps": ("250", "positive"),
+        "rho": ("auto", "auto|in (-1, 1)"),
+        "coherence_fwhm_ps": ("3.5", "positive"),
     },
     "filters": {
-        "shape": "rectangular",
-        "signal_center_nm": "1530",
-        "idler_center_nm": "auto",
-        "bandwidth_nm": "18",
+        "shape": ("rectangular", ("rectangular", "gaussian")),
+        "signal_center_nm": ("1530", "positive"),
+        "idler_center_nm": ("auto", "auto|positive"),
+        "bandwidth_nm": ("18", "positive"),
     },
     "grid": {
-        "n": "256",
+        "n": ("256", "integer >= 1"),
     },
     "detector": {
-        "trigger_rate_mhz": "4",
+        "trigger_rate_mhz": ("4", "positive"),
     },
     "budget": {
-        "singles_rate_1_khz": "95",
-        "singles_rate_2_khz": "91",
-        "coincidence_to_singles": "0.047",
-        "car": "2.68",
-        "pair_probability_per_pulse": "auto",
+        "singles_rate_1_khz": ("95", "nonnegative"),
+        "singles_rate_2_khz": ("91", "nonnegative"),
+        "coincidence_to_singles": ("0.047", "nonnegative"),
+        "car": ("2.68", "positive"),
+        "pair_probability_per_pulse": ("auto", "auto|in [0, 1]"),
     },
     "jitter": {
         # relative-timing contributions between the two sources; the pump
         # pulse is common to both crystals, hence excluded by default
-        "gvd_fwhm_ps": "2.34",
-        "gvd_terms": "2",
-        "include_pump": "false",
-        "v_cap": "0.3333333333333333",
+        "gvd_fwhm_ps": ("2.34", "nonnegative"),
+        "gvd_terms": ("2", "integer >= 0"),
+        "include_pump": ("false", "boolean"),
+        "v_cap": ("0.3333333333333333", "in [0, 1]"),
     },
     "scan": {
-        "fringe_halfspan_mm": "0.13",
-        "fringe_step_um": "0.15",
-        "dip_halfspan_mm": "3.0",
-        "dip_step_um": "10",
-        "x1_halfspan_mm": "1.2",
-        "x1_step_mm": "0.1",
-        "bin_duration_s": "10",
+        "fringe_halfspan_mm": ("0.13", "nonnegative"),
+        "fringe_step_um": ("0.15", "positive"),
+        "dip_halfspan_mm": ("3.0", "nonnegative"),
+        "dip_step_um": ("10", "positive"),
+        "x1_halfspan_mm": ("1.2", "nonnegative"),
+        "x1_step_mm": ("0.1", "positive"),
+        "bin_duration_s": ("10", "positive"),
     },
     "reconstruct": {
-        "sigma_rad_per_ps": "7",
-        "rho": "-0.9",
-        "band_n": "96",
-        "span_coherence_times": "5",
-        "step_fraction": "0.9",
-        "window": "none",
-        "demodulate": "true",
+        "sigma_rad_per_ps": ("7", "positive"),
+        "rho": ("-0.9", "in (-1, 1)"),
+        "band_n": ("96", "integer >= 2"),
+        "span_coherence_times": ("5", "positive"),
+        "step_fraction": ("0.9", "positive"),
+        "window": ("none", ("none", "hann")),
+        "demodulate": ("true", "boolean"),
     },
     "run": {
-        "seed": "12345",
+        "seed": ("12345", "integer >= 0"),
     },
 }
 
 
-# keys that must be positive (most divide downstream) or nonnegative, checked
-# here whatever path reads them: out of range is a config error
-_POSITIVE = (("grid", "n"), ("scan", "fringe_step_um"), ("scan", "dip_step_um"),
-             ("scan", "x1_step_mm"), ("scan", "bin_duration_s"),
-             ("reconstruct", "step_fraction"), ("budget", "car"),
-             ("source", "pump_fwhm_ps"), ("source", "coherence_fwhm_ps"),
-             ("detector", "trigger_rate_mhz"))
-_NONNEGATIVE = (("budget", "singles_rate_1_khz"), ("budget", "singles_rate_2_khz"),
-                ("budget", "coincidence_to_singles"), ("jitter", "gvd_fwhm_ps"),
-                ("jitter", "gvd_terms"))
+# a range kind -> (the RunConfig reader, the test a value passes, what it must be)
+_RANGES = {
+    "positive": ("getfloat", lambda v: v > 0, "must be positive"),
+    "nonnegative": ("getfloat", lambda v: v >= 0, "must be nonnegative"),
+    "in [0, 1]": ("getfloat", lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    "in (-1, 1)": ("getfloat", lambda v: -1 < v < 1, "must lie in (-1, 1)"),
+    "integer >= 0": ("getint", lambda v: v >= 0, "must be nonnegative"),
+    "integer >= 1": ("getint", lambda v: v >= 1, "must be positive"),
+    "integer >= 2": ("getint", lambda v: v >= 2, "must be at least 2"),
+    "boolean": ("getbool", lambda v: True, ""),
+}
 
 
 class ConfigError(Exception):
@@ -145,8 +145,8 @@ class RunConfig:
 
 
 def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) -> RunConfig:
-    """Load a config file over the defaults; unknown keys are rejected."""
-    sections = {s: dict(kv) for s, kv in DEFAULTS.items()}
+    """Load a config file over the defaults; unknown keys and out-of-kind values are rejected."""
+    sections = {s: {k: v for k, (v, _) in kv.items()} for s, kv in DEFAULTS.items()}
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
@@ -168,17 +168,20 @@ def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) 
             raise ConfigError(f"override targets unknown key [{section}] {key}")
         sections[section][key] = str(val)
     cfg = RunConfig(sections)
-    for section, key in _POSITIVE:
-        if not cfg.getfloat(section, key) > 0:
-            raise ConfigError(f"[{section}] {key}: must be positive, got {cfg.get(section, key)!r}")
-    for section, key in _NONNEGATIVE:
-        if cfg.getfloat(section, key) < 0:
-            raise ConfigError(f"[{section}] {key}: must be nonnegative, got {cfg.get(section, key)!r}")
-    pair_p = cfg.get("budget", "pair_probability_per_pulse")
-    if pair_p != "auto" and not 0.0 <= cfg.getfloat("budget", "pair_probability_per_pulse") <= 1.0:
-        raise ConfigError(f"[budget] pair_probability_per_pulse: must lie in [0, 1], got {pair_p!r}")
-    if not 0.0 <= cfg.getfloat("jitter", "v_cap") <= 1.0:
-        raise ConfigError(f"[jitter] v_cap: must lie in [0, 1], got {cfg.get('jitter', 'v_cap')!r}")
+    for section, keys in DEFAULTS.items():
+        for key, (_, kind) in keys.items():
+            raw = sections[section][key]
+            if isinstance(kind, tuple):
+                if raw not in kind:
+                    raise ConfigError(f"[{section}] {key}: must be one of {kind}, got {raw!r}")
+            elif not (raw == "auto" and kind.startswith("auto|")):
+                read, ok, must = _RANGES[kind.removeprefix("auto|")]
+                if not ok(getattr(cfg, read)(section, key)):
+                    raise ConfigError(f"[{section}] {key}: {must}, got {raw!r}")
+    try:  # the one rule across keys: an auto pair probability 1/car must lie in [0, 1]
+        build_budget(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"[budget] {exc} (an auto value is 1/car)") from None
     return cfg
 
 

@@ -13,7 +13,34 @@ import pytest
 from biphoton import cli, core
 from biphoton import interferometer as ifm
 from biphoton import reconstruction as rec
-from biphoton.config import ConfigError, build_jitter, build_model, build_source_params, load_config
+from biphoton.config import (DEFAULTS, ConfigError, build_jitter, build_model, build_source_params,
+                             load_config)
+
+# values outside each range kind of DEFAULTS; a kind missing here fails the contract test
+OUTSIDE = {
+    "positive": ["0", "-1"],
+    "nonnegative": ["-1"],
+    "in [0, 1]": ["-0.5", "1.5"],
+    "in (-1, 1)": ["-1", "1.5"],
+    "integer >= 0": ["-1", "1.5"],
+    "integer >= 1": ["0", "64.5"],
+    "integer >= 2": ["1", "95.5"],
+    "boolean": ["maybe"],
+}
+
+
+def outside(kind) -> list[str]:
+    """Values outside a DEFAULTS kind: a word it does not list, or values
+    outside its range, and 'auto' where the kind does not admit it."""
+    if isinstance(kind, tuple):
+        return ["foo"]
+    if kind.startswith("auto|"):
+        return OUTSIDE[kind.removeprefix("auto|")]
+    return [*OUTSIDE[kind], "auto"]
+
+
+OUT_OF_KIND = [(section, key, value) for section, keys in DEFAULTS.items()
+               for key, (_, kind) in keys.items() for value in outside(kind)]
 
 
 class TestLoadConfig:
@@ -50,9 +77,13 @@ class TestLoadConfig:
     def test_type_errors_are_config_errors(self):
         with pytest.raises(ConfigError, match="not a number"):
             load_config(overrides={("source", "pump_fwhm_ps"): "fast"})
-        cfg = load_config(overrides={("reconstruct", "demodulate"): "maybe"})
         with pytest.raises(ConfigError, match="not a boolean"):
-            cfg.getbool("reconstruct", "demodulate")
+            load_config(overrides={("reconstruct", "demodulate"): "maybe"})
+
+    def test_every_default_passes(self):
+        cfg = load_config()
+        assert cfg.sections == {s: {k: v for k, (v, _) in keys.items()}
+                                for s, keys in DEFAULTS.items()}
 
     def test_sha_tracks_content(self):
         a = load_config()
@@ -159,12 +190,43 @@ class TestCliExitCodes:
          "[budget] singles_rate_1_khz: must be nonnegative"),
         ("budget.pair_probability_per_pulse=2", "fringe",
          "[budget] pair_probability_per_pulse: must lie in [0, 1]"),
+        ("source.pump_center_nm=0", "fringe", "[source] pump_center_nm: must be positive"),
+        ("source.pump_center_nm=0", "hom-dip", "[source] pump_center_nm: must be positive"),
+        ("source.pump_center_nm=0", "reconstruct", "[source] pump_center_nm: must be positive"),
+        ("source.signal_center_nm=0", "fringe", "[source] signal_center_nm: must be positive"),
+        ("source.signal_center_nm=0", "hom-dip", "[source] signal_center_nm: must be positive"),
+        ("source.signal_center_nm=0", "reconstruct",
+         "[source] signal_center_nm: must be positive"),
+        ("filters.signal_center_nm=0", "fringe", "[filters] signal_center_nm: must be positive"),
+        ("filters.idler_center_nm=0", "fringe", "[filters] idler_center_nm: must be positive"),
+        ("filters.bandwidth_nm=0", "hom-dip", "[filters] bandwidth_nm: must be positive"),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, override, command, message):
         code = cli.main(["--out", str(tmp_path / "o"), "--noiseless",
                          "--set", override, command])
         assert code == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["budget"], ["--noiseless", "fringe"],
+                                         ["--noiseless", "hom-dip"]], ids=" ".join)
+    @pytest.mark.parametrize("section,key,value", OUT_OF_KIND,
+                             ids=[f"{s}.{k}={v}" for s, k, v in OUT_OF_KIND])
+    def test_every_key_refuses_values_outside_its_kind(self, tmp_path, capsys, section, key,
+                                                       value, command):
+        code = cli.main(["--out", str(tmp_path / "o"), "--set", f"{section}.{key}={value}",
+                         *command])
+        assert code == cli.EXIT_CONFIG
+        assert f"[{section}] {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["budget"], ["hom-dip"], ["--noiseless", "hom-dip"],
+                                         ["--noiseless", "reconstruct"]], ids=" ".join)
+    def test_auto_pair_probability_above_one_is_a_config_error(self, tmp_path, capsys, command):
+        # the auto pair probability is 1/car = 2
+        code = cli.main(["--out", str(tmp_path / "o"), "--set", "budget.car=0.5", *command])
+        assert code == cli.EXIT_CONFIG
+        assert "[budget] pair_probability_per_pulse must be in [0, 1]" in capsys.readouterr().err
+        assert cli.main(["--out", str(tmp_path / "o"), "--set", "budget.car=0.5",
+                         "--set", "budget.pair_probability_per_pulse=0.1", *command]) == cli.EXIT_OK
 
     def test_reconstruct_rejects_lattice_without_origin(self, tmp_path):
         ax1 = ifm.Axis("delta_tau_S", 0.5e-15, 1e-15, 4)
