@@ -13,8 +13,9 @@ inverse needs.  The demo scans only that half, as `biphoton reconstruct`
 does, which halves the forward product and, in the laboratory, the
 acquisition time; the inverse reads it as a half lattice.  Like
 `biphoton reconstruct`, it never forms the lattice: a LatticeScan holds
-only the sampled amplitude's M = |Phi|^2 measure, and the inverse builds
-the scan's phasor tables one block of delays at a time.
+only the sampled amplitude's M = |Phi|^2 measure, and the inverse takes
+every sum over the lattice from 2n - 1 difference and 2n - 1 sum
+frequencies of each axis's sum over its delays.
 """
 
 import numpy as np
@@ -41,9 +42,10 @@ def main():
         est = rec.reconstruct_jsi(scan, grid, demodulate=True)
 
         err = rec.l2_error(est, sampled)
-        corr = core.jsi_correlation(est.values, grid)
+        # a correlation that prints as zero is rounding noise: drop its sign
+        corr = format(core.jsi_correlation(est.values, grid), "+.3f").replace("-0.000", "+0.000")
         print(f"rho = {rho:+.1f}: lattice {lattice.count1}x{lattice.count2}, "
-              f"relative L2 error {err:.2e}, recovered correlation {corr:+.3f}, "
+              f"relative L2 error {err:.2e}, recovered correlation {corr}, "
               f"negativity fraction {est.negativity_fraction:.2e}")
 
 

@@ -21,10 +21,10 @@ from . import core, detector
 
 DEFAULTS: dict[str, dict[str, tuple[str, str | tuple[str, ...]]]] = {
     "source": {
-        "pump_center_nm": ("775", "positive"),
+        "pump_center_nm": ("775", "in [100, 10000]"),
         "pump_fwhm_ps": ("3.5", "positive"),
-        "signal_center_nm": ("1530", "positive"),
-        "idler_center_nm": ("auto", "auto|positive"),
+        "signal_center_nm": ("1530", "in [100, 10000]"),
+        "idler_center_nm": ("auto", "auto|in [100, 10000]"),
         "sigma1_rad_per_ps": ("250", "positive"),
         "sigma2_rad_per_ps": ("250", "positive"),
         "rho": ("auto", "auto|in (-1, 1)"),
@@ -32,8 +32,8 @@ DEFAULTS: dict[str, dict[str, tuple[str, str | tuple[str, ...]]]] = {
     },
     "filters": {
         "shape": ("rectangular", ("rectangular", "gaussian")),
-        "signal_center_nm": ("1530", "positive"),
-        "idler_center_nm": ("auto", "auto|positive"),
+        "signal_center_nm": ("1530", "in [100, 10000]"),
+        "idler_center_nm": ("auto", "auto|in [100, 10000]"),
         "bandwidth_nm": ("18", "positive"),
     },
     "grid": {
@@ -52,8 +52,8 @@ DEFAULTS: dict[str, dict[str, tuple[str, str | tuple[str, ...]]]] = {
     "jitter": {
         # relative-timing contributions between the two sources; the pump
         # pulse is common to both crystals, hence excluded by default
-        "gvd_fwhm_ps": ("2.34", "nonnegative"),
-        "gvd_terms": ("2", "integer >= 0"),
+        "gvd_fwhm_ps": ("2.34", "in [0, 1000]"),
+        "gvd_terms": ("2", "integer in [0, 100]"),
         "include_pump": ("false", "boolean"),
         "v_cap": ("0.3333333333333333", "in [0, 1]"),
     },
@@ -87,9 +87,12 @@ _RANGES = {
     "nonnegative": ("getfloat", lambda v: v >= 0, "must be nonnegative"),
     "in [0, 1]": ("getfloat", lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
     "in (-1, 1)": ("getfloat", lambda v: -1 < v < 1, "must lie in (-1, 1)"),
+    "in [0, 1000]": ("getfloat", lambda v: 0 <= v <= 1000, "must lie in [0, 1000]"),
+    "in [100, 10000]": ("getfloat", lambda v: 100 <= v <= 10000, "must lie in [100, 10000]"),
     "integer >= 0": ("getint", lambda v: v >= 0, "must be nonnegative"),
     "integer >= 1": ("getint", lambda v: v >= 1, "must be positive"),
     "integer >= 2": ("getint", lambda v: v >= 2, "must be at least 2"),
+    "integer in [0, 100]": ("getint", lambda v: 0 <= v <= 100, "must lie in [0, 100]"),
     "boolean": ("getbool", lambda v: True, ""),
 }
 
@@ -178,7 +181,16 @@ def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) 
                 read, ok, must = _RANGES[kind.removeprefix("auto|")]
                 if not ok(getattr(cfg, read)(section, key)):
                     raise ConfigError(f"[{section}] {key}: {must}, got {raw!r}")
-    try:  # the one rule across keys: an auto pair probability 1/car must lie in [0, 1]
+    # the rules across keys: each photon of a pair is longer than the pump
+    # photon it comes from (or the auto idler is negative), and an auto pair
+    # probability 1/car must lie in [0, 1]
+    pump = cfg.getfloat("source", "pump_center_nm")
+    for key in ("signal_center_nm", "idler_center_nm"):
+        raw = cfg.get("source", key)
+        if raw != "auto" and not cfg.getfloat("source", key) > pump:
+            raise ConfigError(f"[source] {key}: must be longer than pump_center_nm "
+                              f"({pump:g}), got {raw!r}")
+    try:
         build_budget(cfg)
     except ValueError as exc:
         raise ConfigError(f"[budget] {exc} (an auto value is 1/car)") from None

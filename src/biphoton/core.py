@@ -84,12 +84,12 @@ class FrequencyGrid:
         return self.d1 * self.d2
 
 
-def phasors(omega: np.ndarray, t) -> np.ndarray:
-    """exp(-i outer(t, omega)), shape (len(t), n), for a uniform omega axis:
-    the broadcast product of tables at every b-th frequency and at the
-    offsets k dw, k < b = ceil(sqrt(n)), i.e. n/b + b exponentials per delay.
-    The large phases p = fl(t omega) of the first table carry their rounding
-    error e (Dekker's exact product) as exp(-i p) (1 - i e)."""
+def _phasor_tables(omega: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """The coarse and fine tables of phasors(omega, t) for a uniform omega
+    axis: exp(-i outer(t, omega[::b])) and exp(-i outer(t, k dw)), k < b =
+    ceil(sqrt(n)), i.e. n/b + b exponentials per delay.  The large phases
+    p = fl(t omega) of the coarse table carry their rounding error e
+    (Dekker's exact product) as exp(-i p) (1 - i e)."""
     omega = np.asarray(omega, float)
     t = np.atleast_1d(np.asarray(t, float))[:, None]
     n = len(omega)
@@ -98,7 +98,24 @@ def phasors(omega: np.ndarray, t) -> np.ndarray:
     p = t * omega[::b]
     coarse = np.exp(-1j * p) * (1.0 - 1j * (((th * wh - p) + th * wl + tl * wh) + tl * wl))
     fine = np.exp(-1j * t * (np.arange(b) * ((omega[-1] - omega[0]) / max(n - 1, 1))))
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(t), -1)[:, :n]
+    return coarse, fine
+
+
+def phasors(omega: np.ndarray, t) -> np.ndarray:
+    """exp(-i outer(t, omega)), shape (len(t), n), for a uniform omega axis:
+    the broadcast product of the coarse and fine tables (`_phasor_tables`)."""
+    coarse, fine = _phasor_tables(omega, t)
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(coarse), -1)[:, :np.size(omega)]
+
+
+def phasor_sum(omega: np.ndarray, t, w: np.ndarray) -> np.ndarray:
+    """phasors(omega, t) @ w without forming the table: w, zero-padded and
+    folded into rows of the fine table's width, meets the fine table in one
+    product, and the coarse table sums that per t."""
+    coarse, fine = _phasor_tables(omega, t)
+    folded = np.zeros(coarse.shape[1] * fine.shape[1], np.result_type(w, float))
+    folded[:len(w)] = w
+    return np.sum(coarse * (fine @ folded.reshape(-1, fine.shape[1]).T), axis=1)
 
 
 def phasor_blocks(omega: np.ndarray, t: np.ndarray):

@@ -163,6 +163,8 @@ def scan_2d(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
 class LatticeScan:
     """scan_2d's lattice, never formed: a record of its `axes`, the sampling
     `grid` and M = phi_a conj(phi_b) measure, with 1 - G = Re(E1 @ M @ E2^T).
+    reconstruction._invert_scan inverts it from sums over each axis alone,
+    without its phasor tables.
 
     G's range is certified instead of checked: the phasor tables have unit
     modulus, so |Re Gamma| <= sum |M|, and a sum <= 1 + _RANGE_TOL puts

@@ -7,9 +7,8 @@ nonnegative) JSI, so the JSI is recovered by the inverse cosine-kernel sum
 
 evaluated on a requested frequency band as Re(A^T h B), with the inverse
 kernels A = conj(E1) wa and B = conj(E2) wb.  One generator, `_kernels`,
-yields each block of delays' phasor table E (core.phasor_blocks) with its
-kernel conj(E) w, where w carries the window, half-axis weight and cell
-area.
+yields them for each block of delays (core.phasor_blocks), where w
+carries the window, half-axis weight and cell area.
 
 cos is even and the window symmetric, so the terms at (a, b) and (-a, -b)
 share one kernel value.  One rule per axis then covers every lattice: an
@@ -18,15 +17,18 @@ at 0 stands for its mirrored axis (the other half-plane is taken to be the
 point reflection of the measured one), so it takes the right half of the
 window over that axis and weight 2 off 0.
 
-Two branches use the kernels.  An Interferogram keeps B whole, as (re, im)
-pairs, and adds Re(A_block^T (sum_b B - G_block B)) for each block of rows
-of G, so no lattice-sized temporary exists.  An interferometer.LatticeScan
-(the noiseless `reconstruct`) is inverted on its sampling grid, where its
-forward tables E are the ones the kernels conjugate: each block of delays
-is built once and only two Gram sums are kept, so no (delays x band) array
-exists.  On the default 1432 x 2863 half lattice the round trip does
-0.44 GFLOP (forming h and its product took 3.2) and its traced peak is
-~2 MB at any span.
+An Interferogram keeps B whole, as (re, im) pairs, and adds
+Re(A_block^T (sum_b B - G_block B)) for each block of rows of G, so no
+lattice-sized temporary exists.  An interferometer.LatticeScan (the
+noiseless `reconstruct`) needs no kernel table: with 1 - G = Re(E1 M E2^T)
+on its sampling grid, every sum over the lattice is a value of one axis's
+D(nu) = sum_t w(t) exp(i nu t) at the difference (Toeplitz) or the sum
+(Hankel) of two band frequencies, 2n - 1 values of each per axis, and
+est = Re(T1 M T2^T + H1 conj(M) H2^T) / 2 (`_invert_scan`).
+core.phasor_sum takes each D over a block of delays from sqrt-sized
+tables, so no (delays x band) array exists.  On the default 1432 x 2863
+half lattice the round trip does ~0.04 GFLOP (0.44 from per-delay phasor
+tables) and its traced peak is ~1.2 MB, ~1.3 MB at four times the span.
 
 `check_sampling` refuses a lattice step that aliases the band: pi / w_max
 per axis, or with `demodulate` pi over the band half-width per axis plus
@@ -42,8 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BiphotonAmplitude, FrequencyGrid, SampledAmplitude, jsi, phasor_blocks,
-                   sample_on_grid)
+                   phasor_sum, phasors, sample_on_grid)
 from .interferometer import Interferogram, LatticeScan
+
+_SUM_ROWS = 1024  # delays per block of _lattice_sums; larger blocks raise peak memory
 
 
 class AliasingError(ValueError):
@@ -150,11 +154,11 @@ def _window(n: int, kind: str) -> np.ndarray:
 
 
 def _kernels(omega: np.ndarray, t: np.ndarray, weight: np.ndarray):
-    """(rows, E, conj(E) * weight[rows]) for each block of delays t of
-    core.phasor_blocks, E = exp(-i outer(t[rows], omega)): the forward table
-    and the inverse kernel, weighted per delay (`_weights`)."""
+    """(rows, conj(E) * weight[rows]) for each block of delays t of
+    core.phasor_blocks, E = exp(-i outer(t[rows], omega)): the inverse
+    kernel, weighted per delay (`_weights`)."""
     for rows, e in phasor_blocks(omega, t):
-        yield rows, e, np.conj(e) * weight[rows, None]
+        yield rows, np.conj(e) * weight[rows, None]
 
 
 def _half_axis(axes) -> int | None:
@@ -188,21 +192,39 @@ def _weights(ax, window: str, half: bool) -> np.ndarray:
     return w
 
 
+def _lattice_sums(ax, weight: np.ndarray, lo: float, d: float, n: int):
+    """(T, H), T[p, k] = D(w_p - w_k) and H[p, k] = D(w_p + w_k), of
+    D(nu) = sum_t weight(t) exp(i nu t) over the delays t of axis `ax`, on a
+    band w_k = lo + (k + 1/2) d, k < n: a Toeplitz and a Hankel matrix, from
+    D at the 2n - 1 differences m d and the 2n - 1 sums 2 lo + m d.
+
+    Each block of _SUM_ROWS delays adds core.phasor_sum over its uniform
+    delays; the sums carry exp(i 2 lo t) per delay (core.phasors, Dekker's
+    exact product), so no sum frequency is rounded to a double.
+    D(-nu) = conj D(nu) gives the negative differences."""
+    diff, total = np.zeros(n, complex), np.zeros(2 * n - 1, complex)
+    for r in range(0, ax.count, _SUM_ROWS):
+        t = ax.start + ax.step * np.arange(r, min(r + _SUM_ROWS, ax.count))
+        w = weight[r:r + _SUM_ROWS]
+        diff += phasor_sum(t, -d * np.arange(n), w)
+        total += phasor_sum(t, -d * np.arange(1, 2 * n), w * np.conj(phasors([2.0 * lo], t)[:, 0]))
+    diff = np.concatenate([np.conj(diff[:0:-1]), diff])
+    k = np.arange(n)
+    return diff[n - 1 + k[:, None] - k], total[k[:, None] + k]
+
+
 def _invert_scan(scan: LatticeScan, band: FrequencyGrid, wa: np.ndarray,
                  wb: np.ndarray) -> np.ndarray:
     """Re sum_ab wa(a) wb(b) (1 - G(a, b)) exp(i (w1 a + w2 b)) of a scan on
-    `band`, which must be its sampling grid (ValueError otherwise).  There
-    the scan's tables E are the ones the kernels conjugate, so each block of
-    delays is built once and adds to two Gram sums of (re, im) pairs:
-    X = E2^T (conj E2 wb) and Y = (conj E1 wa)^T conj(E1 M); est = Re(Y X).
-    """
+    `band`, which must be its sampling grid (ValueError otherwise).  As
+    1 - G = Re(E1 M E2^T), it is Re(T1 M T2^T + H1 conj(M) H2^T) / 2 with
+    each axis's Toeplitz and Hankel lattice sums (`_lattice_sums`)."""
     if band != scan.grid:
         raise ValueError("a LatticeScan is inverted on the grid it was sampled on")
     ax_a, ax_b = scan.axes
-    x = sum(e.view(float).T @ k.view(float) for _, e, k in _kernels(band.axis2, ax_b.values, wb))
-    y = sum(np.conj(e @ scan.m).view(float).T @ k.view(float)
-            for _, e, k in _kernels(band.axis1, ax_a.values, wa))
-    return (y.view(complex).T @ x.view(complex)).real
+    t1, h1 = _lattice_sums(ax_a, wa, band.omega1_min, band.d1, band.n1)
+    t2, h2 = _lattice_sums(ax_b, wb, band.omega2_min, band.d2, band.n2)
+    return 0.5 * (t1 @ scan.m @ t2.T + h1 @ np.conj(scan.m) @ h2.T).real
 
 
 def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyGrid,
@@ -227,10 +249,10 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
         # B as (re, im) column pairs, so each block's product with 1 - G is
         # real and gives (1 - G) B as pairs; a G read from a CSV is a strided
         # column, which one product over all rows would copy whole
-        b = np.concatenate([k for _, _, k in _kernels(band.axis2, ax_b.values, wb)]).view(float)
+        b = np.concatenate([k for _, k in _kernels(band.axis2, ax_b.values, wb)]).view(float)
         total = b.sum(axis=0)
         est = np.zeros((band.n1, band.n2))
-        for rows, _, a in _kernels(band.axis1, ax_a.values, wa):
+        for rows, a in _kernels(band.axis1, ax_a.values, wa):
             est += (a.T @ (total - interferogram.values[rows] @ b).view(complex)).real
 
     total_abs = np.sum(np.abs(est))

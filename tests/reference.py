@@ -4,8 +4,9 @@ Each is the direct, unfactored form of something the package computes a
 faster way: Gamma as the plain double sum at one delay point, the
 closed-form fringe that the quadrature must reproduce, the full (omega1,
 omega2) mesh of a grid, a grid with more cells over the same rectangle
-for convergence checks, and the fit covariance from an SVD of the
-Jacobian.
+for convergence checks, the fit covariance from an SVD of the Jacobian,
+and the inverse transform of a noiseless lattice scan as a long-double
+direct sum.
 """
 
 import numpy as np
@@ -67,3 +68,30 @@ def covariance_diag(jac: np.ndarray) -> np.ndarray:
     dropped = np.any(np.abs(vt[~keep]) > np.sqrt(np.finfo(float).eps), axis=0)
     var[np.flatnonzero(free)[dropped]] = np.inf
     return var
+
+
+def inverse_longdouble(m: np.ndarray, band: core.FrequencyGrid, axes, wa, wb) -> np.ndarray:
+    """Re sum_ab wa(a) wb(b) (1 - G(a, b)) exp(i (w1 a + w2 b)), with
+    1 - G = Re sum_jk m_jk exp(-i (w1_j a + w2_k b)), as a direct sum in
+    long double on the ideal axes: delays start + k step and band
+    frequencies omega_min + (k + 1/2) d, exact in their double parameters.
+    `axes` are (start, step, count) tuples."""
+    ld = np.longdouble
+
+    def phase(ax, lo, d, n):
+        start, step, count = ax
+        t = ld(start) + ld(step) * np.arange(count, dtype=ld)
+        omega = ld(lo) + ld(d) * (np.arange(n, dtype=ld) + ld(0.5))
+        theta = np.outer(t, omega)
+        return np.cos(theta), np.sin(theta)  # exp(-i theta) = cos - i sin
+
+    (c1, s1), (c2, s2) = (phase(ax, lo, d, n) for ax, lo, d, n in
+                          zip(axes, (band.omega1_min, band.omega2_min),
+                              (band.d1, band.d2), (band.n1, band.n2)))
+    mr, mi = m.real.astype(ld), m.imag.astype(ld)
+    # h = Re(E1 M E2^T) with E = c - i s
+    h = c1 @ (mr @ c2.T + mi @ s2.T) - s1 @ (mr @ s2.T - mi @ c2.T)
+    wa, wb = np.asarray(wa, ld), np.asarray(wb, ld)
+    hw = h * wa[:, None] * wb[None, :]
+    # Re(K1^T h K2) with K = w exp(i theta) = w (c + i s)
+    return c1.T @ hw @ c2 - s1.T @ hw @ s2

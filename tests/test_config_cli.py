@@ -22,9 +22,12 @@ OUTSIDE = {
     "nonnegative": ["-1"],
     "in [0, 1]": ["-0.5", "1.5"],
     "in (-1, 1)": ["-1", "1.5"],
+    "in [0, 1000]": ["-1", "1001", "1e300"],
+    "in [100, 10000]": ["0", "-1", "99", "10001", "1e-300", "1e300"],
     "integer >= 0": ["-1", "1.5"],
     "integer >= 1": ["0", "64.5"],
     "integer >= 2": ["1", "95.5"],
+    "integer in [0, 100]": ["-1", "1.5", "101", "1e300"],
     "boolean": ["maybe"],
 }
 
@@ -180,25 +183,31 @@ class TestCliExitCodes:
          "[source] coherence_fwhm_ps: must be positive"),
         ("jitter.v_cap=-0.5", "hom-dip", "v_cap: must lie in [0, 1]"),
         ("jitter.v_cap=2", "hom-dip", "v_cap: must lie in [0, 1]"),
-        ("jitter.gvd_terms=-1", "hom-dip", "[jitter] gvd_terms: must be nonnegative"),
-        ("jitter.gvd_terms=-1", "fringe", "[jitter] gvd_terms: must be nonnegative"),
+        ("jitter.gvd_terms=-1", "hom-dip", "[jitter] gvd_terms: must lie in [0, 100]"),
+        ("jitter.gvd_terms=-1", "fringe", "[jitter] gvd_terms: must lie in [0, 100]"),
         ("jitter.v_cap=2", "budget", "[jitter] v_cap: must lie in [0, 1]"),
-        ("jitter.gvd_fwhm_ps=-1", "budget", "[jitter] gvd_fwhm_ps: must be nonnegative"),
+        ("jitter.gvd_fwhm_ps=-1", "budget", "[jitter] gvd_fwhm_ps: must lie in [0, 1000]"),
         ("detector.quantum_efficiency=0.5", "budget", "unknown key"),
         ("detector.trigger_rate_mhz=0", "fringe", "[detector] trigger_rate_mhz: must be positive"),
         ("budget.singles_rate_1_khz=-5", "hom-dip",
          "[budget] singles_rate_1_khz: must be nonnegative"),
         ("budget.pair_probability_per_pulse=2", "fringe",
          "[budget] pair_probability_per_pulse: must lie in [0, 1]"),
-        ("source.pump_center_nm=0", "fringe", "[source] pump_center_nm: must be positive"),
-        ("source.pump_center_nm=0", "hom-dip", "[source] pump_center_nm: must be positive"),
-        ("source.pump_center_nm=0", "reconstruct", "[source] pump_center_nm: must be positive"),
-        ("source.signal_center_nm=0", "fringe", "[source] signal_center_nm: must be positive"),
-        ("source.signal_center_nm=0", "hom-dip", "[source] signal_center_nm: must be positive"),
+        ("source.pump_center_nm=0", "fringe", "[source] pump_center_nm: must lie in [100, 10000]"),
+        ("source.pump_center_nm=0", "hom-dip",
+         "[source] pump_center_nm: must lie in [100, 10000]"),
+        ("source.pump_center_nm=0", "reconstruct",
+         "[source] pump_center_nm: must lie in [100, 10000]"),
+        ("source.signal_center_nm=0", "fringe",
+         "[source] signal_center_nm: must lie in [100, 10000]"),
+        ("source.signal_center_nm=0", "hom-dip",
+         "[source] signal_center_nm: must lie in [100, 10000]"),
         ("source.signal_center_nm=0", "reconstruct",
-         "[source] signal_center_nm: must be positive"),
-        ("filters.signal_center_nm=0", "fringe", "[filters] signal_center_nm: must be positive"),
-        ("filters.idler_center_nm=0", "fringe", "[filters] idler_center_nm: must be positive"),
+         "[source] signal_center_nm: must lie in [100, 10000]"),
+        ("filters.signal_center_nm=0", "fringe",
+         "[filters] signal_center_nm: must lie in [100, 10000]"),
+        ("filters.idler_center_nm=0", "fringe",
+         "[filters] idler_center_nm: must lie in [100, 10000]"),
         ("filters.bandwidth_nm=0", "hom-dip", "[filters] bandwidth_nm: must be positive"),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, override, command, message):
@@ -227,6 +236,21 @@ class TestCliExitCodes:
         assert "[budget] pair_probability_per_pulse must be in [0, 1]" in capsys.readouterr().err
         assert cli.main(["--out", str(tmp_path / "o"), "--set", "budget.car=0.5",
                          "--set", "budget.pair_probability_per_pulse=0.1", *command]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("command", [["budget"], ["--noiseless", "fringe"],
+                                         ["--noiseless", "hom-dip"], ["--noiseless", "scan2d"],
+                                         ["--noiseless", "reconstruct"]], ids=" ".join)
+    @pytest.mark.parametrize("override,key", [
+        ("source.signal_center_nm=500", "signal_center_nm"),
+        ("source.signal_center_nm=775", "signal_center_nm"),
+        ("source.idler_center_nm=700", "idler_center_nm"),
+    ])
+    def test_pair_photon_not_longer_than_the_pump_is_a_config_error(self, tmp_path, capsys,
+                                                                    override, key, command):
+        # at signal 500 nm the auto idler would be -1409 nm
+        code = cli.main(["--out", str(tmp_path / "o"), "--set", override, *command])
+        assert code == cli.EXIT_CONFIG
+        assert f"[source] {key}: must be longer than pump_center_nm" in capsys.readouterr().err
 
     def test_reconstruct_rejects_lattice_without_origin(self, tmp_path):
         ax1 = ifm.Axis("delta_tau_S", 0.5e-15, 1e-15, 4)

@@ -86,6 +86,17 @@ class TestPhasors:
         whole = np.concatenate([e for _, e in blocks])
         assert np.array_equal(whole, core.phasors(grid.axis1, t))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 96, 97, 1024])
+    def test_sum_matches_the_table_product(self, n):
+        # a uniform delay axis in the omega slot, as the inverse uses it; n
+        # not a multiple of the fine table's width pads the last coarse row
+        delays = -3e-12 + 2.2e-15 * np.arange(n)
+        nu = -7.3e11 * np.arange(191) - 2.4e15
+        rng = np.random.default_rng(n)
+        for w in (rng.uniform(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
+            err = np.abs(core.phasor_sum(delays, nu, w) - core.phasors(delays, nu) @ w)
+            assert np.max(err) <= 1e-15 * np.sum(np.abs(w))
+
 
 class TestSpectralFilter:
     def test_rectangular_exact_passband(self):

@@ -336,23 +336,20 @@ def test_lattice_scan_out_of_range_is_refused(spoil):
 
 
 def test_lattice_scan_block_sums_match_scan_2d(reference_sampled, monkeypatch):
-    # the streamed Gram sums against the explicit lattice's transform;
-    # 8 delays per block: 3 blocks on axis S and 8 on axis L, each axis's
-    # last one partial
-    monkeypatch.setattr(core, "_PHASOR_ROWS", 8)
+    # the blocked lattice sums against a long-double direct sum over the
+    # scan_2d lattice on its ideal axes; 8 delays per block: 3 blocks on
+    # axis S and 8 on axis L, each axis's last one partial
+    monkeypatch.setattr(rec, "_SUM_ROWS", 8)
     ph, grid = reference_sampled, reference_sampled.grid
     axes = ((0.0, 1e-13, 21), (-3e-12, 1e-13, 61))
-    ref = ifm.scan_2d(ph, ph, *axes)
     scan = ifm.LatticeScan(ph, ph, *axes)
-    assert scan.axes == ref.axes
+    assert scan.axes == ifm.scan_2d(ph, ph, *axes).axes
     rng = np.random.default_rng(3)
     wa, wb = rng.uniform(size=21), rng.uniform(size=61)
-    ka, kb = (np.conj(core.phasors(omega, ax.values)) * w[:, None]
-              for omega, ax, w in zip((grid.axis1, grid.axis2), ref.axes, (wa, wb)))
-    expected = (ka.T @ (1.0 - ref.values) @ kb).real
+    expected = reference.inverse_longdouble(scan.m, grid, axes, wa, wb).astype(float)
     # |1 - G| <= 1, so no entry exceeds the weights' sum product
     scale = wa.sum() * wb.sum()
-    assert np.max(np.abs(rec._invert_scan(scan, grid, wa, wb) - expected)) <= 1e-15 * scale
+    assert np.max(np.abs(rec._invert_scan(scan, grid, wa, wb) - expected)) <= 5e-15 * scale
 
 
 def test_lattice_scan_inverts_only_on_its_own_grid():
@@ -388,6 +385,30 @@ def test_lattice_scan_inverts_on_every_lattice_shape(half_axis):
         assert np.max(np.abs(lazy.values - ref.values)) <= 1e-14 * np.max(ref.values)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is plain double here")
+@pytest.mark.parametrize("half_axis", [None, 1, 2], ids=["symmetric", "half-S", "half-L"])
+@pytest.mark.parametrize("window", ["none", "hann"])
+@pytest.mark.parametrize("mirrored", [False, True], ids=["nyquist", "mirror-on-band"])
+def test_lattice_scan_inverse_matches_long_double_on_a_physical_band(mirrored, window,
+                                                                     half_axis):
+    # sum frequencies near 2.4e15 rad/s over delays up to ~0.6 ps: phases of
+    # ~1e3 rad.  A step of pi / w_c1 (which check_sampling refuses) aliases
+    # the sum band onto the band, so the Hankel sums weigh as much as the
+    # Toeplitz ones: rounding each sum frequency to a double misses 1e-14
+    model = core.BiphotonAmplitude.gaussian(1.23e15, 1.20e15, 7e12, 7e12, rho=-0.5)
+    grid = core.grid_for_gaussian(model, n=32)
+    sampled = core.sample_on_grid(model, grid)
+    fraction = grid.omega1_max / model.omega_c1 if mirrored else 0.9
+    axes = shaped_axes(make_lattice(grid, 7e12, -0.5, span=2.0, step_fraction=fraction),
+                       half_axis)
+    scan = ifm.LatticeScan(sampled, sampled, *axes)
+    wa, wb = (rec._weights(ax, window, half_axis == i) for i, ax in enumerate(scan.axes, 1))
+    expected = reference.inverse_longdouble(scan.m, grid, axes, wa, wb).astype(float)
+    est = rec._invert_scan(scan, grid, wa, wb)
+    assert np.max(np.abs(est - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 @pytest.mark.parametrize("half_axis", [None, 1, 2], ids=["symmetric", "half-S", "half-L"])
 @pytest.mark.parametrize("demodulate", [False, True])
 @pytest.mark.parametrize("window", ["none", "hann"])
@@ -419,7 +440,7 @@ def test_kernel_matches_complex_exponential(half_axis, monkeypatch):
     t = t[(full.count1 - 1) // 2:] if half_axis else t
     weight = np.hanning(len(t) + 2)[1:-1] * full.step1
     direct = weight[:, None] * np.exp(1j * np.outer(t, grid.axis1))
-    blocks = [k for _, _, k in rec._kernels(grid.axis1, t, weight)]
+    blocks = [k for _, k in rec._kernels(grid.axis1, t, weight)]
     assert len(blocks) > 1
     assert np.max(np.abs(np.concatenate(blocks) - direct)) <= 1e-12
 
