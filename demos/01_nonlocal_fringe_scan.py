@@ -5,6 +5,8 @@ Each photon enters its own unbalanced interferometer; coincidences are
 recorded while the arm-2 path difference is scanned.  Even though neither
 single-photon rate shows any modulation, the coincidence rate oscillates at
 the arm-2 center wavelength under a sinc envelope set by the 18 nm filter.
+The scan's delay axis is `ig.axes[0]`, and the scan is written as a
+format-2 CSV, the format `biphoton reconstruct --input` reads.
 """
 
 import numpy as np
@@ -29,7 +31,7 @@ def main():
     taus = np.sort(-x2 / core.C)
     ig = ifm.scan_1d(sampled, sampled, "L", 0.0,
                      taus[0], taus[1] - taus[0], len(taus))
-    x = -core.C * ig.coords(0)
+    x = -core.C * ig.axes[0].values
     order = np.argsort(x)
     fit = fitting.fit_fringe(x[order], ig.values[order])
 

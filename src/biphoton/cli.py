@@ -64,23 +64,24 @@ def _symmetric_positions(half: float, step: float, key: str) -> np.ndarray:
     return step * np.arange(-n, n + 1)
 
 
-def _check_fringe_step(step: float, grid: core.FrequencyGrid) -> None:
-    """Refuse a delta_x2 step (m) whose delay step undersamples the grid's band."""
+def _fringe_delays(cfg: RunConfig, grid: core.FrequencyGrid, widen: float = 0.0):
+    """The ascending delta_tau_L = -delta_x2/c axis (start, step, count) over [scan]
+    fringe_halfspan_mm widened by `widen` (m), at fringe_step_um; a step whose
+    delay step undersamples the grid's band raises AliasingError."""
+    step = cfg.getfloat("scan", "fringe_step_um") * 1e-6
+    x2 = _symmetric_positions(cfg.getfloat("scan", "fringe_halfspan_mm") * 1e-3 + widen,
+                              step, "fringe_halfspan_mm")
     bound = rec.nyquist_step(grid)
     if step / core.C > bound:
         raise rec.AliasingError("delta_tau_L", step / core.C, bound)
+    taus = np.sort(-x2 / core.C)
+    return taus[0], taus[1] - taus[0], len(taus)
 
 
 def _fringe(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     _, sampled = _prepare(cfg)
-    half = cfg.getfloat("scan", "fringe_halfspan_mm") * 1e-3
-    step = cfg.getfloat("scan", "fringe_step_um") * 1e-6
-    x2 = _symmetric_positions(half, step, "fringe_halfspan_mm")  # delta_x2 positions, m
-    _check_fringe_step(step, sampled.grid)
-    # delta_tau_L = -delta_x2/c; scan over an ascending delay axis
-    taus = np.sort(-x2 / core.C)
-    ig = ifm.scan_1d(sampled, sampled, "L", 0.0, taus[0], taus[1] - taus[0], len(taus))
-    x = fitting.delay_to_position(ig.coords(0), "delta_tau_L")
+    ig = ifm.scan_1d(sampled, sampled, "L", 0.0, *_fringe_delays(cfg, sampled.grid))
+    x = fitting.delay_to_position(ig.axes[0].values, "delta_tau_L")
     order = np.argsort(x)
     if not args.noiseless:
         ig = _noisy(cfg, ig, args.seed)
@@ -121,7 +122,7 @@ def _ideal_dip_profile(cfg: RunConfig, src: core.SourceParams):
 
 def _hom_dip(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     dt, vis = _ideal_dip_profile(cfg, build_source_params(cfg))
-    jitter = build_jitter(cfg)
+    jitter = build_jitter(cfg)  # FWHM, s
     g = 1.0 - detector.independent_hom_dip(dt, vis, jitter, v_cap=cfg.getfloat("jitter", "v_cap"))
     ig = ifm.Interferogram((ifm.Axis("delta_tau", dt[0], dt[1] - dt[0], len(dt)),), g)
     if not args.noiseless:
@@ -132,7 +133,7 @@ def _hom_dip(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
         f"visibility_percent: {_num(fit.visibility * 100, '.4f')} +- {fit.stderr['visibility'] * 100:.4f}",
         f"fwhm_mm: {fit.fwhm * 1e3:.4f} +- {fit.stderr['fwhm'] * 1e3:.4f}",
         f"center_um: {_num(fit.center * 1e6, '.4f')}",
-        f"jitter_fwhm_ps: {jitter.combined_fwhm * 1e12:.4f}",
+        f"jitter_fwhm_ps: {jitter * 1e12:.4f}",
         f"residual_rms: {fit.residual_rms:.6g}",
     ]
 
@@ -140,18 +141,11 @@ def _hom_dip(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
 def _scan2d(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     src, sampled = _prepare(cfg)
     x1_half = cfg.getfloat("scan", "x1_halfspan_mm") * 1e-3
-    x1_step = cfg.getfloat("scan", "x1_step_mm") * 1e-3
-    x1 = _symmetric_positions(x1_half, x1_step, "x1_halfspan_mm")
-    fringe_half = cfg.getfloat("scan", "fringe_halfspan_mm") * 1e-3
-    step = cfg.getfloat("scan", "fringe_step_um") * 1e-6
+    tau_s = _symmetric_positions(x1_half, cfg.getfloat("scan", "x1_step_mm") * 1e-3,
+                                 "x1_halfspan_mm") / core.C
     # the fringe ridge tracks delta_x2 = -delta_x1; cover it for every slice
-    x2 = _symmetric_positions(x1_half + fringe_half, step, "fringe_halfspan_mm")
-    _check_fringe_step(step, sampled.grid)
-    tau_s = x1 / core.C
-    tau_l = np.sort(-x2 / core.C)
-    ig = ifm.scan_2d(sampled, sampled,
-                     (tau_s[0], tau_s[1] - tau_s[0], len(tau_s)),
-                     (tau_l[0], tau_l[1] - tau_l[0], len(tau_l)))
+    ig = ifm.scan_2d(sampled, sampled, (tau_s[0], tau_s[1] - tau_s[0], len(tau_s)),
+                     _fringe_delays(cfg, sampled.grid, widen=x1_half))
     if not args.noiseless:
         ig = _noisy(cfg, ig, args.seed)
     _write_csv(args.out, cfg, ig, "scan2d.csv")
@@ -214,9 +208,8 @@ def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
 
 
 def _budget(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
-    budget, det = build_budget(cfg), build_detector(cfg)
-    acc = detector.accidentals(budget.singles_rate_1, budget.singles_rate_2,
-                               det.trigger_rate)
+    budget = build_budget(cfg)
+    acc = detector.accidentals(budget.singles_rate_1, budget.singles_rate_2, build_detector(cfg))
     lines = [
         f"accidentals_hz: {acc!r}",
         f"pair_probability_per_pulse: {budget.pair_probability_per_pulse:.4g}",

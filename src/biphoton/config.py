@@ -4,10 +4,12 @@ Defaults encode the reference experimental setup (775 nm / 3.5 ps pump, 1530 nm
 + energy-matched idler arms, 18 nm rectangular filters, 4 MHz trigger), so every
 command runs without a config file.  Detector efficiency and fibre coupling
 enter only through the measured singles rates and coincidence-to-singles ratio
-of [budget], and gated accidentals (N1*N3/f_trig) need no coincidence window.
-The idler wavelength defaults to 'auto' because the rounded nominal pair
-1530/1570 nm violates energy conservation at the 1e-4 level enforced by
-SourceParams.  Each key's kind in DEFAULTS names the values load_config allows.
+of [budget], and gated accidentals (N1*N3/f_trig) need no coincidence window,
+so build_detector returns the trigger rate (Hz) alone; build_jitter returns the
+combined jitter FWHM (s).  The idler wavelength defaults to 'auto' because the
+rounded nominal pair 1530/1570 nm violates energy conservation at the 1e-4
+level enforced by SourceParams.  Each key's kind in DEFAULTS names the values
+load_config allows; the grid sizes are bounded to keep their arrays in memory.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ DEFAULTS: dict[str, dict[str, tuple[str, str | tuple[str, ...]]]] = {
         "bandwidth_nm": ("18", "positive"),
     },
     "grid": {
-        "n": ("256", "integer >= 1"),
+        "n": ("256", "integer in [1, 2048]"),
     },
     "detector": {
         "trigger_rate_mhz": ("4", "positive"),
@@ -69,7 +71,7 @@ DEFAULTS: dict[str, dict[str, tuple[str, str | tuple[str, ...]]]] = {
     "reconstruct": {
         "sigma_rad_per_ps": ("7", "positive"),
         "rho": ("-0.9", "in (-1, 1)"),
-        "band_n": ("96", "integer >= 2"),
+        "band_n": ("96", "integer in [2, 1024]"),
         "span_coherence_times": ("5", "positive"),
         "step_fraction": ("0.9", "positive"),
         "window": ("none", ("none", "hann")),
@@ -90,8 +92,8 @@ _RANGES = {
     "in [0, 1000]": ("getfloat", lambda v: 0 <= v <= 1000, "must lie in [0, 1000]"),
     "in [100, 10000]": ("getfloat", lambda v: 100 <= v <= 10000, "must lie in [100, 10000]"),
     "integer >= 0": ("getint", lambda v: v >= 0, "must be nonnegative"),
-    "integer >= 1": ("getint", lambda v: v >= 1, "must be positive"),
-    "integer >= 2": ("getint", lambda v: v >= 2, "must be at least 2"),
+    "integer in [1, 2048]": ("getint", lambda v: 1 <= v <= 2048, "must lie in [1, 2048]"),
+    "integer in [2, 1024]": ("getint", lambda v: 2 <= v <= 1024, "must lie in [2, 1024]"),
     "integer in [0, 100]": ("getint", lambda v: 0 <= v <= 100, "must lie in [0, 100]"),
     "boolean": ("getbool", lambda v: True, ""),
 }
@@ -230,8 +232,8 @@ def build_model(cfg: RunConfig, src: core.SourceParams) -> core.BiphotonAmplitud
     return core.BiphotonAmplitude.gaussian(wc1, wc2, s1, s2, rho=cfg.getfloat("source", "rho"))
 
 
-def build_detector(cfg: RunConfig) -> detector.DetectorConfig:
-    return detector.DetectorConfig(trigger_rate=cfg.getfloat("detector", "trigger_rate_mhz") * 1e6)
+def build_detector(cfg: RunConfig) -> float:
+    return cfg.getfloat("detector", "trigger_rate_mhz") * 1e6
 
 
 def build_budget(cfg: RunConfig) -> detector.SourceBudget:
@@ -247,11 +249,10 @@ def build_budget(cfg: RunConfig) -> detector.SourceBudget:
         car=car)
 
 
-def build_jitter(cfg: RunConfig) -> detector.JitterModel:
-    contributions = []
-    if cfg.getbool("jitter", "include_pump"):
-        contributions.append(("pump", cfg.getfloat("source", "pump_fwhm_ps") * 1e-12))
-    gvd = cfg.getfloat("jitter", "gvd_fwhm_ps") * 1e-12
-    for i in range(cfg.getint("jitter", "gvd_terms")):
-        contributions.append((f"gvd_{i + 1}", gvd))
-    return detector.JitterModel(tuple(contributions))
+def build_jitter(cfg: RunConfig) -> float:
+    """The relative-timing jitter FWHM (s): the pump's when include_pump,
+    then gvd_terms copies of gvd_fwhm_ps, summed in quadrature."""
+    spreads = ([cfg.getfloat("source", "pump_fwhm_ps") * 1e-12]
+               if cfg.getbool("jitter", "include_pump") else [])
+    spreads += [cfg.getfloat("jitter", "gvd_fwhm_ps") * 1e-12] * cfg.getint("jitter", "gvd_terms")
+    return math.sqrt(sum(s * s for s in spreads))

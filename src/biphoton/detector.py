@@ -1,9 +1,9 @@
 """Gated-detector counting statistics: accidentals, pair budget, Poisson
 noise synthesis, multi-pair visibility cap and timing-jitter broadening.
 
-FWHM <-> rms conversions use the Gaussian factor 2*sqrt(2*ln 2).
-Time <-> length conversions use vacuum c (delays are free-space path
-lengths set by optical delay lines).
+The detector enters as its trigger rate (Hz) and the timing jitter as one
+combined FWHM (s), both plain numbers.  FWHM <-> rms conversions use the
+Gaussian factor 2*sqrt(2*ln 2).
 """
 
 from __future__ import annotations
@@ -14,15 +14,6 @@ import numpy as np
 
 from .core import FWHM_TO_SIGMA
 from .interferometer import Interferogram
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    trigger_rate: float  # Hz
-
-    def __post_init__(self):
-        if self.trigger_rate <= 0:
-            raise ValueError("trigger_rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -40,26 +31,6 @@ class SourceBudget:
             raise ValueError("car must be positive")
         if not 0.0 <= self.pair_probability_per_pulse <= 1.0:
             raise ValueError("pair_probability_per_pulse must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class JitterModel:
-    """Relative-timing jitter contributions, FWHM seconds, combined in
-    quadrature."""
-
-    contributions: tuple[tuple[str, float], ...]
-
-    def __post_init__(self):
-        if any(spread < 0 for _, spread in self.contributions):
-            raise ValueError("timing spreads must be nonnegative")
-
-    @property
-    def combined_fwhm(self) -> float:
-        return float(np.sqrt(sum(s * s for _, s in self.contributions)))
-
-    @property
-    def combined_rms(self) -> float:
-        return self.combined_fwhm * FWHM_TO_SIGMA
 
 
 def accidentals(n1: float, n3: float, f_trig: float) -> float:
@@ -82,11 +53,11 @@ def subtract_accidentals(raw, accidental_counts: float) -> np.ndarray:
 
 
 def independent_hom_dip(delta_t: np.ndarray, visibility: np.ndarray,
-                        jitter: JitterModel, v_cap: float = 1.0 / 3.0) -> np.ndarray:
+                        jitter_fwhm: float, v_cap: float = 1.0 / 3.0) -> np.ndarray:
     """Jitter-broadened visibility profile for HOM between independent photons.
 
     Convolves the ideal visibility profile V(dt) with a zero-mean Gaussian
-    of rms equal to the combined jitter, then scales the result by the
+    of FWHM `jitter_fwhm` (s), then scales the result by the
     multi-pair cap v_cap.  delta_t must be uniformly spaced and the
     profile should have decayed at the edges (zero padding is used).
     """
@@ -96,11 +67,13 @@ def independent_hom_dip(delta_t: np.ndarray, visibility: np.ndarray,
         raise ValueError("ideal visibility profile must lie in [0, 1]")
     if not 0.0 <= v_cap <= 1.0:
         raise ValueError(f"v_cap must lie in [0, 1], got {v_cap!r}")
+    if not jitter_fwhm >= 0.0:
+        raise ValueError(f"jitter_fwhm must be nonnegative, got {jitter_fwhm!r}")
     step = np.diff(dt)
     if not np.allclose(step, step[0], rtol=1e-9, atol=0.0):
         raise ValueError("delta_t must be uniformly spaced")
     h = float(step[0])
-    sig = jitter.combined_rms
+    sig = jitter_fwhm * FWHM_TO_SIGMA
     if sig < 0.1 * h:
         return v_cap * vis
     half = int(np.ceil(5.0 * sig / h))
@@ -117,20 +90,20 @@ def _poisson(mu: np.ndarray, seed: int) -> np.ndarray:
 
 
 def rate_to_counts(normalized: Interferogram, budget: SourceBudget,
-                   det: DetectorConfig, bin_duration: float, seed: int) -> Interferogram:
+                   trigger_rate: float, bin_duration: float, seed: int) -> Interferogram:
     """Synthesize noisy counts for a normalized interferogram.
 
     Expected counts per lattice point are baseline*G + accidentals, with
-    baseline = singles_rate_1 * coincidence_to_singles * bin_duration,
-    drawn for the whole lattice from one generator seeded with `seed`.
+    baseline = singles_rate_1 * coincidence_to_singles * bin_duration and
+    accidentals at the gated trigger rate (Hz), drawn for the whole lattice
+    from one generator seeded with `seed`.
     """
+    if not trigger_rate > 0:
+        raise ValueError(f"trigger_rate must be positive, got {trigger_rate!r}")
     baseline = budget.singles_rate_1 * budget.coincidence_to_singles * bin_duration
-    acc = accidentals(budget.singles_rate_1, budget.singles_rate_2,
-                      det.trigger_rate) * bin_duration
+    acc = accidentals(budget.singles_rate_1, budget.singles_rate_2, trigger_rate) * bin_duration
     mu = baseline * normalized.values + acc
-    counts = _poisson(mu, seed)
-    meta = dict(normalized.metadata)
-    meta.update(seed=seed, baseline_counts=baseline, accidental_counts=acc,
-                bin_duration_s=bin_duration)
-    return Interferogram(normalized.axes, normalized.values, counts=counts,
+    meta = dict(normalized.metadata, seed=seed, baseline_counts=baseline,
+                accidental_counts=acc, bin_duration_s=bin_duration)
+    return Interferogram(normalized.axes, normalized.values, counts=_poisson(mu, seed),
                          metadata=meta)

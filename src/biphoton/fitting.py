@@ -391,7 +391,7 @@ def visibility_envelope(scan2d: Interferogram,
     is one slice, at its first-axis coordinate. Slice fit failures are
     excluded unless more than half of them fail.
     """
-    if scan2d.ndim != 2:
+    if len(scan2d.axes) != 2:
         raise ValueError("visibility_envelope needs a 2D interferogram")
     xi, x = (delay_to_position(ax.values, ax.name) for ax in scan2d.axes)
     order = np.argsort(x)

@@ -17,7 +17,8 @@ grows with the L delays but the output.  A `LatticeScan` holds only M.
 
 Interferograms are stored as CSV format 2: '#' headers that define the
 axes, then one 'G[,counts]' row per lattice point with integer counts.
-Format-1 files, whose rows lead with the coordinates, still read.
+The coordinates of a point are its axes' `values`; a file without the
+'# format=2' header is refused.
 """
 
 from __future__ import annotations
@@ -75,13 +76,6 @@ class Interferogram:
             if array is not None and array.shape != shape:
                 raise ValueError(f"{name} shape {array.shape} does not match axes {shape}")
         object.__setattr__(self, "values", _checked_g(self.values))
-
-    @property
-    def ndim(self) -> int:
-        return len(self.axes)
-
-    def coords(self, i: int) -> np.ndarray:
-        return self.axes[i].values
 
 
 def _checked_g(values: np.ndarray) -> np.ndarray:
@@ -218,9 +212,8 @@ def write_interferogram_csv(ig: Interferogram, path) -> None:
 def read_interferogram_csv(path) -> Interferogram:
     """Inverse of write_interferogram_csv: '#' headers first, then the rows.
 
-    Files without a '# format' header are format 1, whose rows lead with
-    the coordinates: 'coord1[,coord2],G[,counts]'.  G must lie in [0, 2]
-    and counts must be finite and nonnegative (ValueError otherwise).
+    The headers must include '# format=2'.  G must lie in [0, 2] and counts
+    must be finite and nonnegative (ValueError otherwise).
     """
     axes: list[Axis] = []
     metadata: dict = {}
@@ -241,17 +234,15 @@ def read_interferogram_csv(path) -> Interferogram:
             raise ValueError(f"{path}: no data rows")
     if not axes:
         raise ValueError(f"{path}: no axis headers found")
-    fmt = metadata.pop("format", "1")
-    if fmt not in ("1", "2"):
-        raise ValueError(f"{path}: unknown format {fmt!r}")
+    if (fmt := metadata.pop("format", None)) != "2":
+        raise ValueError(f"{path}: unknown format {fmt!r}; expected a '# format=2' header")
     data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     shape = tuple(ax.count for ax in axes)
-    ncoord = len(axes) if fmt == "1" else 0
-    if data.shape[0] != np.prod(shape) or data.shape[1] not in (ncoord + 1, ncoord + 2):
+    if data.shape[0] != np.prod(shape) or data.shape[1] not in (1, 2):
         raise ValueError(f"{path}: {data.shape[0]} rows of {data.shape[1]} columns"
                          f" do not match axes {shape} and G[,counts]")
-    values = data[:, ncoord].reshape(shape)
-    counts = data[:, ncoord + 1].reshape(shape) if data.shape[1] > ncoord + 1 else None
+    values = data[:, 0].reshape(shape)
+    counts = data[:, 1].reshape(shape) if data.shape[1] > 1 else None
     if counts is not None and not (counts.min() >= 0.0 and counts.max() < np.inf):
         raise ValueError(f"{path}: counts must be finite and nonnegative")
     return Interferogram(tuple(axes), values, counts=counts, metadata=metadata)

@@ -38,7 +38,7 @@ def fringe_fit(reference_sampled):
     taus = np.sort(-x2 / core.C)
     ig = ifm.scan_1d(reference_sampled, reference_sampled, "L", 0.0,
                      taus[0], taus[1] - taus[0], len(taus))
-    x = -core.C * ig.coords(0)
+    x = -core.C * ig.axes[0].values
     order = np.argsort(x)
     fit = fitting.fit_fringe(x[order], ig.values[order])
     return fit, ig, x[order], time.perf_counter() - t0
@@ -71,7 +71,7 @@ def test_criterion_3_phase_sensitive_visibility(fringe_fit, report):
     vs, errs = [], []
     for seed in range(10):
         noisy = detector.rate_to_counts(ig, budget, det, 10.0, seed)
-        order = np.argsort(-core.C * ig.coords(0))
+        order = np.argsort(-core.C * ig.axes[0].values)
         f = fitting.fit_fringe(x, fitting.fit_data(noisy)[order])
         vs.append(f.visibility)
         errs.append(f.stderr["visibility"])
@@ -98,7 +98,7 @@ def test_criterion_4_analytic_numeric_oracle(report):
     x2 = np.linspace(-span, span, 4001)
     taus = np.sort(-x2 / core.C)
     ig = ifm.scan_1d(sampled, sampled, "L", 0.0, taus[0], taus[1] - taus[0], len(taus))
-    x = -core.C * ig.coords(0)
+    x = -core.C * ig.axes[0].values
     numeric = ig.values / 2.0
     analytic = reference.hom_fringe_analytic(1.0, sigma_x, lam, x)
     max_dev = float(np.max(np.abs(numeric - analytic)))

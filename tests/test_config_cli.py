@@ -25,8 +25,8 @@ OUTSIDE = {
     "in [0, 1000]": ["-1", "1001", "1e300"],
     "in [100, 10000]": ["0", "-1", "99", "10001", "1e-300", "1e300"],
     "integer >= 0": ["-1", "1.5"],
-    "integer >= 1": ["0", "64.5"],
-    "integer >= 2": ["1", "95.5"],
+    "integer in [1, 2048]": ["0", "64.5", "2049", "1e300"],
+    "integer in [2, 1024]": ["1", "95.5", "1025", "1e300"],
     "integer in [0, 100]": ["-1", "1.5", "101", "1e300"],
     "boolean": ["maybe"],
 }
@@ -95,11 +95,10 @@ class TestLoadConfig:
         assert a.sha256() == load_config().sha256()
 
     def test_jitter_defaults_exclude_common_mode_pump(self):
-        j = build_jitter(load_config())
-        labels = [name for name, _ in j.contributions]
-        assert labels == ["gvd_1", "gvd_2"]
-        j2 = build_jitter(load_config(overrides={("jitter", "include_pump"): "true"}))
-        assert [n for n, _ in j2.contributions][0] == "pump"
+        gvd = build_jitter(load_config())
+        assert gvd == pytest.approx(np.sqrt(2) * 2.34e-12)
+        with_pump = build_jitter(load_config(overrides={("jitter", "include_pump"): "true"}))
+        assert with_pump**2 == pytest.approx(gvd**2 + 3.5e-12**2)
 
 
 def read_report(path):
@@ -162,7 +161,7 @@ class TestCliExitCodes:
         assert not (out / "fringe.csv").exists()
 
     @pytest.mark.parametrize("override,command,message", [
-        ("grid.n=0", "fringe", "must be positive"),
+        ("grid.n=0", "fringe", "[grid] n: must lie in [1, 2048]"),
         ("scan.dip_step_um=0", "hom-dip", "must be positive"),
         ("budget.car=0", "budget", "must be positive"),
         ("grid.n=256.7", "fringe", "not an integer"),
@@ -226,6 +225,16 @@ class TestCliExitCodes:
                          *command])
         assert code == cli.EXIT_CONFIG
         assert f"[{section}] {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override,command", [("grid.n=100000", "fringe"),
+                                                  ("reconstruct.band_n=50000", "reconstruct")])
+    def test_grid_size_too_large_to_hold_is_a_config_error(self, tmp_path, capsys, override,
+                                                           command):
+        # unbounded, these sizes ask numpy for 74.5 GiB and 18.6 GiB
+        code = cli.main(["--out", str(tmp_path / "o"), "--noiseless", "--set", override, command])
+        assert code == cli.EXIT_CONFIG
+        section, key = override.split("=")[0].split(".")
+        assert f"[{section}] {key}: must lie in [" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["budget"], ["hom-dip"], ["--noiseless", "hom-dip"],
                                          ["--noiseless", "reconstruct"]], ids=" ".join)
@@ -577,38 +586,19 @@ class TestReconstructCommand:
         report = read_report(out / "recon_report.txt")
         assert abs(float(report["correlation"])) < 0.05
 
-    def test_format_1_and_format_2_inputs_give_one_report(self, tmp_path):
-        sigma = 7e12
-        model = core.BiphotonAmplitude.gaussian(1.23e15, 1.20e15, sigma, sigma, rho=0.0)
-        grid = core.grid_for_gaussian(model, n=32)
-        step = 0.9 * rec.nyquist_step(grid)
-        lat = rec.DelayLattice.symmetric(step, 40, step, 40)
-        sampled = core.sample_on_grid(model, grid)
-        ig = ifm.scan_2d(sampled, sampled, (lat.start1, lat.step1, lat.count1),
-                         (lat.start2, lat.step2, lat.count2))
-        ig = ifm.Interferogram(ig.axes, ig.values, counts=np.round(1e4 * ig.values),
-                               metadata={"seed": 3})
-        fmt2 = tmp_path / "fmt2.csv"
-        ifm.write_interferogram_csv(ig, fmt2)
-        # the rows of the format-1 writer: coordinates first, counts as floats
-        coords = [c.reshape(-1) for c in np.meshgrid(*(ax.values for ax in ig.axes),
-                                                     indexing="ij")]
-        columns = [*coords, ig.values.reshape(-1), ig.counts.reshape(-1)]
-        fmt1 = tmp_path / "fmt1.csv"
-        fmt1.write_text("".join(
-            [f"# axis{i} {ax.name},{ax.start!r},{ax.step!r},{ax.count}\n"
-             for i, ax in enumerate(ig.axes, start=1)]
-            + ["# seed=3\n"]
-            + [",".join(map(repr, row)) + "\n" for row in zip(*(c.tolist() for c in columns))]))
-        reports = []
-        for path in (fmt1, fmt2):
-            out = tmp_path / path.stem
-            assert cli.main(["--out", str(out), "--set", "reconstruct.band_n=32",
-                             "--set", "reconstruct.rho=0", "reconstruct",
-                             "--input", str(path)]) == cli.EXIT_OK
-            reports.append((out / "recon_report.txt").read_bytes())
-        assert reports[0] == reports[1]
-        assert fmt2.stat().st_size < fmt1.stat().st_size
+    def test_input_without_format_header_is_a_config_error(self, tmp_path, capsys):
+        # the rows of a scan CSV from before the '# format=2' header: coordinates first
+        path = tmp_path / "headerless.csv"
+        path.write_text("# axis1 delta_tau_S,0.0,0.5,2\n"
+                        "# axis2 delta_tau_L,1.0,0.25,2\n"
+                        "0.0,1.0,0.0\n"
+                        "0.0,1.25,0.5\n"
+                        "0.5,1.0,1.5\n"
+                        "0.5,1.25,2.0\n")
+        code = cli.main(["--out", str(tmp_path / "o"), "reconstruct", "--input", str(path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "expected a '# format=2' header" in err[0]
 
     @pytest.mark.parametrize("demodulate", ["true", "false"])
     @pytest.mark.parametrize("window", ["none", "hann"])

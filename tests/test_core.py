@@ -264,7 +264,7 @@ def test_two_photon_coherence_length_examples():
         cfg = config.load_config(overrides={("jitter", "include_pump"): "true",
                                             ("source", "pump_fwhm_ps"): pump_fwhm_ps,
                                             ("jitter", "gvd_terms"): gvd_terms})
-        return config.build_jitter(cfg).combined_fwhm
+        return config.build_jitter(cfg)
 
     assert coherence_time(gvd_terms="0") == pytest.approx(3.5e-12)
     with_gvd = core.C * coherence_time()

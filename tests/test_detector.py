@@ -4,6 +4,7 @@ from scipy import stats
 
 from biphoton import core, detector
 from biphoton import interferometer as ifm
+from biphoton.config import build_jitter, load_config
 
 FWHM = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
@@ -102,15 +103,21 @@ class TestSubtractAccidentals:
         assert detector.subtract_accidentals(0.0, 100.0) == -100.0
 
 
-class TestJitterModel:
-    def test_quadrature_combination(self):
-        j = detector.JitterModel((("pump", 3.5e-12), ("gvd", 2.34e-12), ("gvd", 2.34e-12)))
-        assert j.combined_fwhm == pytest.approx(np.sqrt(3.5**2 + 2 * 2.34**2) * 1e-12)
-        assert j.combined_rms == pytest.approx(j.combined_fwhm / FWHM)
+class TestBuildJitter:
+    @staticmethod
+    def jitter(**overrides):
+        return build_jitter(load_config(overrides={("jitter", k): v for k, v in overrides.items()}))
 
-    def test_negative_spread_rejected(self):
-        with pytest.raises(ValueError):
-            detector.JitterModel((("bad", -1e-12),))
+    def test_quadrature_combination(self):
+        assert self.jitter() == pytest.approx(np.sqrt(2 * 2.34**2) * 1e-12)
+        assert self.jitter(gvd_terms="3", gvd_fwhm_ps="1.5") == pytest.approx(
+            np.sqrt(3 * 1.5**2) * 1e-12)
+        assert self.jitter(gvd_terms="0") == 0.0
+
+    def test_include_pump(self):
+        assert self.jitter(include_pump="true") == pytest.approx(
+            np.sqrt(3.5**2 + 2 * 2.34**2) * 1e-12)
+        assert self.jitter(include_pump="true", gvd_terms="0") == pytest.approx(3.5e-12)
 
 
 class TestIndependentHomDip:
@@ -122,34 +129,32 @@ class TestIndependentHomDip:
 
     def test_zero_jitter_caps_only(self):
         dt, vis = self._gaussian_profile()
-        out = detector.independent_hom_dip(dt, vis, detector.JitterModel(()))
+        out = detector.independent_hom_dip(dt, vis, 0.0)
         assert np.allclose(out, vis / 3.0, atol=1e-15)
         assert out.max() == pytest.approx(1.0 / 3.0)
 
     def test_never_exceeds_cap(self):
         dt, vis = self._gaussian_profile()
         for fwhm in (0.0, 1e-12, 3e-12, 1e-11):
-            j = detector.JitterModel((("j", fwhm),))
-            assert detector.independent_hom_dip(dt, vis, j).max() <= 1.0 / 3.0 + 1e-12
+            assert detector.independent_hom_dip(dt, vis, fwhm).max() <= 1.0 / 3.0 + 1e-12
 
     def test_never_narrows(self):
         dt, vis = self._gaussian_profile()
-        base = detector.independent_hom_dip(dt, vis, detector.JitterModel(()))
+        base = detector.independent_hom_dip(dt, vis, 0.0)
 
         def fwhm_of(y):
             above = y >= 0.5 * y.max()
             return dt[above][-1] - dt[above][0]
 
         for fwhm in (1e-12, 3e-12, 6e-12):
-            out = detector.independent_hom_dip(dt, vis, detector.JitterModel((("j", fwhm),)))
+            out = detector.independent_hom_dip(dt, vis, fwhm)
             assert fwhm_of(out) >= fwhm_of(base)
 
     def test_gaussian_convolution_width_oracle(self):
         in_fwhm = 3.17e-12
         jit_fwhm = 3.31e-12
         dt, vis = self._gaussian_profile(fwhm=in_fwhm, half=3e-11)
-        out = detector.independent_hom_dip(dt, vis, detector.JitterModel((("j", jit_fwhm),)),
-                                           v_cap=1.0)
+        out = detector.independent_hom_dip(dt, vis, jit_fwhm, v_cap=1.0)
         from biphoton import fitting
         fit = fitting.fit_dip(dt, 1.0 - out)
         expect = np.sqrt(in_fwhm**2 + jit_fwhm**2)
@@ -158,12 +163,18 @@ class TestIndependentHomDip:
     def test_nonuniform_spacing_rejected(self):
         dt = np.array([0.0, 1e-12, 3e-12])
         with pytest.raises(ValueError, match="uniform"):
-            detector.independent_hom_dip(dt, np.zeros(3), detector.JitterModel(()))
+            detector.independent_hom_dip(dt, np.zeros(3), 0.0)
+
+    @pytest.mark.parametrize("fwhm", [-1e-12, np.nan])
+    def test_negative_or_nan_jitter_rejected(self, fwhm):
+        dt = np.linspace(-1e-12, 1e-12, 9)
+        with pytest.raises(ValueError, match="jitter_fwhm"):
+            detector.independent_hom_dip(dt, np.zeros(9), fwhm)
 
     def test_out_of_range_profile_rejected(self):
         dt = np.linspace(-1e-12, 1e-12, 9)
         with pytest.raises(ValueError):
-            detector.independent_hom_dip(dt, np.full(9, 1.5), detector.JitterModel(()))
+            detector.independent_hom_dip(dt, np.full(9, 1.5), 0.0)
 
 
 @pytest.fixture
@@ -175,7 +186,7 @@ def budget():
 
 @pytest.fixture
 def det_config():
-    return detector.DetectorConfig(trigger_rate=4e6)
+    return 4e6  # trigger rate, Hz
 
 
 class TestRateToCounts:
@@ -214,11 +225,12 @@ class TestRateToCounts:
 
 
 class TestConfigValidation:
-    def test_detector_config(self):
-        with pytest.raises(ValueError):
-            detector.DetectorConfig(0.0)
-        with pytest.raises(ValueError):
-            detector.DetectorConfig(-1.0)
+    def test_trigger_rate(self, budget):
+        ig = ifm.Interferogram((ifm.Axis("delta_tau_L", 0.0, 1e-14, 4),), np.ones(4))
+        with pytest.raises(ValueError, match="trigger_rate"):
+            detector.rate_to_counts(ig, budget, 0.0, 10.0, seed=3)
+        with pytest.raises(ValueError, match="trigger_rate"):
+            detector.rate_to_counts(ig, budget, -1.0, 10.0, seed=3)
 
     def test_source_budget(self):
         with pytest.raises(ValueError):

@@ -161,14 +161,14 @@ class TestScans:
     def test_scan1d_minimum_at_origin(self, reference_sampled):
         ig = ifm.scan_1d(reference_sampled, reference_sampled, "L", 0.0, -2e-13, 1e-14, 41)
         i_min = int(np.argmin(ig.values))
-        assert abs(ig.coords(0)[i_min]) < 1e-14 / 2
+        assert abs(ig.axes[0].values[i_min]) < 1e-14 / 2
 
     def test_scan1d_period_matches_arm2_center(self, reference_setup, reference_sampled):
         src, _, _, _ = reference_setup
         step = 0.15e-6 / core.C
         n = 1201
         ig = ifm.scan_1d(reference_sampled, reference_sampled, "L", 0.0, -step * (n // 2), step, n)
-        x = -core.C * ig.coords(0)  # delta_x2 positions
+        x = -core.C * ig.axes[0].values  # delta_x2 positions
         order = np.argsort(x)
         period = fitting.fringe_period(x[order], ig.values[order])
         assert period == pytest.approx(src.idler_center_wavelength, rel=5e-3)
@@ -182,17 +182,18 @@ class TestScans:
         offset = 3.5e-12 / 2.0
         off_ridge = ifm.scan_1d(reference_sampled, reference_sampled, "S", 0.0,
                                 -step * (n // 2) + offset, step, n)
-        x = core.C * at_ridge.coords(0)
+        x = core.C * at_ridge.axes[0].values
         f0 = fitting.fit_fringe(x, at_ridge.values)
-        f1 = fitting.fit_fringe(core.C * off_ridge.coords(0), off_ridge.values)
+        f1 = fitting.fit_fringe(core.C * off_ridge.axes[0].values, off_ridge.values)
         assert f1.period == pytest.approx(f0.period, rel=5e-3)
         assert f1.visibility < 0.8 * f0.visibility
 
     def test_scan2d_consistent_with_pointwise_gamma(self, reference_sampled):
         ig = ifm.scan_2d(reference_sampled, reference_sampled, (-1e-13, 5e-14, 5), (-1e-13, 5e-14, 5))
+        ts, tl = (ax.values for ax in ig.axes)
         for i in [0, 2, 4]:
             for j in [1, 3]:
-                g = reference.gamma(reference_sampled, reference_sampled, ig.coords(0)[i], ig.coords(1)[j])
+                g = reference.gamma(reference_sampled, reference_sampled, ts[i], tl[j])
                 assert 1.0 - ig.values[i, j] == pytest.approx(g.real, abs=1e-12)
 
     def test_scans_match_complex_lattice(self, reference_sampled, monkeypatch):
@@ -388,33 +389,6 @@ class TestInterferogram:
             "1.5\n"
             "2.0\n")
 
-    def test_csv_format_1_still_reads(self, tmp_path):
-        # the bytes the format-1 writer produced for the two pinned cases above
-        path = tmp_path / "1d.csv"
-        path.write_text("# axis1 delta_tau_L,-1e-13,1e-13,3\n"
-                        "# accidental_counts=21.6125\n"
-                        "# seed=7\n"
-                        "-1e-13,1.0,4465.0\n"
-                        "0.0,0.1,523.0\n"
-                        "1e-13,1.0,4470.0\n")
-        back = ifm.read_interferogram_csv(path)
-        assert back.axes == (ifm.Axis("delta_tau_L", -1e-13, 1e-13, 3),)
-        assert back.values.tolist() == [1.0, 0.1, 1.0]
-        assert back.counts.tolist() == [4465, 523, 4470]
-        assert back.metadata == {"accidental_counts": "21.6125", "seed": "7"}
-        path = tmp_path / "2d.csv"
-        path.write_text("# axis1 delta_tau_S,0.0,0.5,2\n"
-                        "# axis2 delta_tau_L,1.0,0.25,2\n"
-                        "0.0,1.0,0.0\n"
-                        "0.0,1.25,0.5\n"
-                        "0.5,1.0,1.5\n"
-                        "0.5,1.25,2.0\n")
-        back = ifm.read_interferogram_csv(path)
-        assert back.axes == (ifm.Axis("delta_tau_S", 0.0, 0.5, 2),
-                             ifm.Axis("delta_tau_L", 1.0, 0.25, 2))
-        assert back.values.tolist() == [[0.0, 0.5], [1.5, 2.0]]
-        assert back.counts is None and back.metadata == {}
-
     @pytest.mark.parametrize("bad", [523.5, np.nan, np.inf])
     def test_csv_non_integral_counts_rejected(self, tmp_path, bad):
         ax = ifm.Axis("t", 0.0, 1.0, 3)
@@ -429,12 +403,12 @@ class TestInterferogram:
             ifm.read_interferogram_csv(path)
 
     @pytest.mark.parametrize("rows,message", [
-        ("0.0,1.0\n1.0,1.0\n", "do not match axes"),
-        ("0.0,1.0\n1.0,1.0\n2.0,1.0,5.0,5.0\n", "columns"),
-        ("0.0\n1.0\n2.0\n", "do not match axes"),
+        ("1.0\n1.0\n", "do not match axes"),
+        ("1.0\n1.0\n1.0,5,5\n", "columns"),
+        ("1.0,5,5\n1.0,5,5\n1.0,5,5\n", "do not match axes"),
     ])
     def test_csv_rows_must_fill_the_lattice(self, tmp_path, rows, message):
         path = tmp_path / "bad.csv"
-        path.write_text("# axis1 t,0.0,1.0,3\n# seed=1\n" + rows)
+        path.write_text("# format=2\n# axis1 t,0.0,1.0,3\n# seed=1\n" + rows)
         with pytest.raises(ValueError, match=message):
             ifm.read_interferogram_csv(path)
