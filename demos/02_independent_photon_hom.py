@@ -4,9 +4,10 @@ Two separately heralded photons meet on a beamsplitter.  Because the pairs
 are uncorrelated, multi-pair emission caps the visibility at 1/3 even with
 perfect spectral overlap, and relative timing jitter (group-velocity
 dispersion in each heralding fiber) blurs the dip further.  The jitter,
-one FWHM summed in quadrature over its sources by build_jitter, enters as a
-Gaussian convolution of the zero-jitter visibility profile, so the
-observed dip is both shallower and wider.
+one FWHM summed in quadrature over its sources by build_jitter, is a
+Gaussian; so is the zero-jitter visibility profile, so the blurred dip is
+the Gaussian whose width adds both in quadrature and whose area is kept:
+the observed dip is both shallower and wider.
 """
 
 import numpy as np
@@ -18,16 +19,16 @@ from biphoton.config import build_jitter, load_config
 def main():
     cfg = load_config()
 
-    # Zero-jitter profile: Gaussian dip whose area matches the squared
-    # spectral overlap of two identical rectangular-filtered photons.
+    # Width s of the zero-jitter profile exp(-dt^2/2s^2): a Gaussian dip whose
+    # area matches the squared spectral overlap of two identical
+    # rectangular-filtered photons.
     bw = core.bandwidth_omega_from_wavelength(1570.53e-9, 18e-9)
     sigma_t = 2.0 / bw
     s = sigma_t * np.sqrt(np.pi / 2.0)
     dt = np.linspace(-8e-12, 8e-12, 1601)
-    ideal = np.exp(-0.5 * (dt / s) ** 2)
 
     for label, jitter_fwhm in [("no jitter", 0.0), ("with jitter", build_jitter(cfg))]:
-        vis = detector.independent_hom_dip(dt, ideal, jitter_fwhm)
+        vis = detector.independent_hom_dip(dt, s, jitter_fwhm)
         rate = 1.0 - vis
         x_mm = core.C * dt * 1e3
         fit = fitting.fit_dip(x_mm, rate)

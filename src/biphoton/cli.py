@@ -38,15 +38,16 @@ def _prepare(cfg: RunConfig):
     return src, sampled
 
 
-def _noisy(cfg: RunConfig, ig: ifm.Interferogram, seed: int) -> ifm.Interferogram:
-    """`ig` with Poisson counts drawn for the configured budget and detector."""
-    return detector.rate_to_counts(ig, build_budget(cfg), build_detector(cfg),
-                                   cfg.getfloat("scan", "bin_duration_s"), seed)
-
-
-def _write_csv(out: Path, cfg: RunConfig, ig: ifm.Interferogram, name: str) -> None:
+def _write_scan(cfg: RunConfig, args: argparse.Namespace, ig: ifm.Interferogram,
+                name: str) -> ifm.Interferogram:
+    """`ig` with Poisson counts drawn for the configured budget and detector
+    (none with --noiseless), written to `name` in the output directory."""
+    if not args.noiseless:
+        ig = detector.rate_to_counts(ig, build_budget(cfg), build_detector(cfg),
+                                     cfg.getfloat("scan", "bin_duration_s"), args.seed)
     ig = dataclasses.replace(ig, metadata={**ig.metadata, "config_sha256": cfg.sha256()})
-    ifm.write_interferogram_csv(ig, out / name)
+    ifm.write_interferogram_csv(ig, args.out / name)
+    return ig
 
 
 def _num(value: float, spec: str) -> str:
@@ -83,9 +84,7 @@ def _fringe(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     ig = ifm.scan_1d(sampled, sampled, "L", 0.0, *_fringe_delays(cfg, sampled.grid))
     x = fitting.delay_to_position(ig.axes[0].values, "delta_tau_L")
     order = np.argsort(x)
-    if not args.noiseless:
-        ig = _noisy(cfg, ig, args.seed)
-    _write_csv(args.out, cfg, ig, "fringe.csv")
+    ig = _write_scan(cfg, args, ig, "fringe.csv")
     fit = fitting.fit_fringe(x[order], fitting.fit_data(ig)[order])
     lines = [
         f"visibility: {fit.visibility:.6f} +- {fit.stderr['visibility']:.6f}",
@@ -102,12 +101,12 @@ def _fringe(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
 
 
 def _ideal_dip_profile(cfg: RunConfig, src: core.SourceParams):
-    """Ideal independent-photon visibility profile.
+    """Delays dt (s) of the independent-photon dip scan and the width s (s)
+    of its zero-jitter visibility profile exp(-dt^2/2s^2).
 
-    Gaussian dip whose area matches the squared spectral overlap (sinc^2)
-    of two identical rectangular-filtered photons; the Gaussian shape
-    keeps the jitter convolution closed-form-checkable and the fit model
-    exact in the zero-jitter limit.
+    The Gaussian's area matches the squared spectral overlap (sinc^2) of two
+    identical rectangular-filtered photons; the Gaussian shape makes the
+    jitter-broadened dip closed-form and the fit model exact.
     """
     bw = core.bandwidth_omega_from_wavelength(
         src.idler_center_wavelength, cfg.getfloat("filters", "bandwidth_nm") * 1e-9)
@@ -115,19 +114,15 @@ def _ideal_dip_profile(cfg: RunConfig, src: core.SourceParams):
     s = sigma_t * np.sqrt(np.pi / 2.0)      # same area as sinc^2
     half = cfg.getfloat("scan", "dip_halfspan_mm") * 1e-3 / core.C
     step = cfg.getfloat("scan", "dip_step_um") * 1e-6 / core.C
-    dt = _symmetric_positions(half, step, "dip_halfspan_mm")
-    vis = np.exp(-0.5 * (dt / s) ** 2)
-    return dt, vis
+    return _symmetric_positions(half, step, "dip_halfspan_mm"), s
 
 
 def _hom_dip(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
-    dt, vis = _ideal_dip_profile(cfg, build_source_params(cfg))
+    dt, s = _ideal_dip_profile(cfg, build_source_params(cfg))
     jitter = build_jitter(cfg)  # FWHM, s
-    g = 1.0 - detector.independent_hom_dip(dt, vis, jitter, v_cap=cfg.getfloat("jitter", "v_cap"))
+    g = 1.0 - detector.independent_hom_dip(dt, s, jitter, v_cap=cfg.getfloat("jitter", "v_cap"))
     ig = ifm.Interferogram((ifm.Axis("delta_tau", dt[0], dt[1] - dt[0], len(dt)),), g)
-    if not args.noiseless:
-        ig = _noisy(cfg, ig, args.seed)
-    _write_csv(args.out, cfg, ig, "dip.csv")
+    ig = _write_scan(cfg, args, ig, "dip.csv")
     fit = fitting.fit_dip(core.C * dt, fitting.fit_data(ig))
     return [
         f"visibility_percent: {_num(fit.visibility * 100, '.4f')} +- {fit.stderr['visibility'] * 100:.4f}",
@@ -146,9 +141,7 @@ def _scan2d(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     # the fringe ridge tracks delta_x2 = -delta_x1; cover it for every slice
     ig = ifm.scan_2d(sampled, sampled, (tau_s[0], tau_s[1] - tau_s[0], len(tau_s)),
                      _fringe_delays(cfg, sampled.grid, widen=x1_half))
-    if not args.noiseless:
-        ig = _noisy(cfg, ig, args.seed)
-    _write_csv(args.out, cfg, ig, "scan2d.csv")
+    ig = _write_scan(cfg, args, ig, "scan2d.csv")
     env = fitting.visibility_envelope(ig, period_guess=src.idler_center_wavelength)
     slope = fitting.ridge_slope(env)
     return [

@@ -24,7 +24,7 @@ from . import core, detector
 DEFAULTS: dict[str, dict[str, tuple[str, str | tuple[str, ...]]]] = {
     "source": {
         "pump_center_nm": ("775", "in [100, 10000]"),
-        "pump_fwhm_ps": ("3.5", "positive"),
+        "pump_fwhm_ps": ("3.5", "in (0, 1000]"),
         "signal_center_nm": ("1530", "in [100, 10000]"),
         "idler_center_nm": ("auto", "auto|in [100, 10000]"),
         "sigma1_rad_per_ps": ("250", "positive"),
@@ -90,6 +90,7 @@ _RANGES = {
     "in [0, 1]": ("getfloat", lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
     "in (-1, 1)": ("getfloat", lambda v: -1 < v < 1, "must lie in (-1, 1)"),
     "in [0, 1000]": ("getfloat", lambda v: 0 <= v <= 1000, "must lie in [0, 1000]"),
+    "in (0, 1000]": ("getfloat", lambda v: 0 < v <= 1000, "must lie in (0, 1000]"),
     "in [100, 10000]": ("getfloat", lambda v: 100 <= v <= 10000, "must lie in [100, 10000]"),
     "integer >= 0": ("getint", lambda v: v >= 0, "must be nonnegative"),
     "integer in [1, 2048]": ("getint", lambda v: 1 <= v <= 2048, "must lie in [1, 2048]"),

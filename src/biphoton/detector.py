@@ -52,36 +52,20 @@ def subtract_accidentals(raw, accidental_counts: float) -> np.ndarray:
     return np.asarray(raw, dtype=float) - accidental_counts
 
 
-def independent_hom_dip(delta_t: np.ndarray, visibility: np.ndarray,
-                        jitter_fwhm: float, v_cap: float = 1.0 / 3.0) -> np.ndarray:
-    """Jitter-broadened visibility profile for HOM between independent photons.
-
-    Convolves the ideal visibility profile V(dt) with a zero-mean Gaussian
-    of FWHM `jitter_fwhm` (s), then scales the result by the
-    multi-pair cap v_cap.  delta_t must be uniformly spaced and the
-    profile should have decayed at the edges (zero padding is used).
-    """
-    dt = np.asarray(delta_t, float)
-    vis = np.asarray(visibility, float)
-    if vis.min() < 0 or vis.max() > 1.0 + 1e-12:
-        raise ValueError("ideal visibility profile must lie in [0, 1]")
+def independent_hom_dip(delta_t: np.ndarray, sigma: float, jitter_fwhm: float,
+                        v_cap: float = 1.0 / 3.0) -> np.ndarray:
+    """HOM visibility profile of independent photons: v_cap times the
+    zero-jitter profile exp(-dt^2/2 sigma^2) (sigma in s) blurred by a
+    zero-mean Gaussian jitter of FWHM `jitter_fwhm` (s), in closed form: the
+    Gaussian of width s' = hypot(sigma, jitter rms) and the same area."""
     if not 0.0 <= v_cap <= 1.0:
         raise ValueError(f"v_cap must lie in [0, 1], got {v_cap!r}")
-    if not jitter_fwhm >= 0.0:
-        raise ValueError(f"jitter_fwhm must be nonnegative, got {jitter_fwhm!r}")
-    step = np.diff(dt)
-    if not np.allclose(step, step[0], rtol=1e-9, atol=0.0):
-        raise ValueError("delta_t must be uniformly spaced")
-    h = float(step[0])
-    sig = jitter_fwhm * FWHM_TO_SIGMA
-    if sig < 0.1 * h:
-        return v_cap * vis
-    half = int(np.ceil(5.0 * sig / h))
-    t_k = h * np.arange(-half, half + 1)
-    kernel = np.exp(-0.5 * (t_k / sig) ** 2)
-    kernel /= kernel.sum()
-    padded = np.pad(vis, half)
-    return v_cap * np.convolve(padded, kernel, mode="valid")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    if not 0.0 <= jitter_fwhm < np.inf:
+        raise ValueError(f"jitter_fwhm must be nonnegative and finite, got {jitter_fwhm!r}")
+    sp = np.hypot(sigma, jitter_fwhm * FWHM_TO_SIGMA)
+    return v_cap * (sigma / sp) * np.exp(-0.5 * (np.asarray(delta_t, float) / sp) ** 2)
 
 
 def _poisson(mu: np.ndarray, seed: int) -> np.ndarray:

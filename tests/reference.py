@@ -5,8 +5,8 @@ faster way: Gamma as the plain double sum at one delay point, the
 closed-form fringe that the quadrature must reproduce, the full (omega1,
 omega2) mesh of a grid, a grid with more cells over the same rectangle
 for convergence checks, the fit covariance from an SVD of the Jacobian,
-and the inverse transform of a noiseless lattice scan as a long-double
-direct sum.
+the inverse transform of a noiseless lattice scan as a long-double
+direct sum, and the jittered HOM dip as a numerical convolution.
 """
 
 import numpy as np
@@ -95,3 +95,16 @@ def inverse_longdouble(m: np.ndarray, band: core.FrequencyGrid, axes, wa, wb) ->
     hw = h * wa[:, None] * wb[None, :]
     # Re(K1^T h K2) with K = w exp(i theta) = w (c + i s)
     return c1.T @ hw @ c2 - s1.T @ hw @ s2
+
+
+def jittered_dip(delta_t, visibility, jitter_fwhm: float, v_cap: float = 1.0 / 3.0) -> np.ndarray:
+    """v_cap times the visibility profile on the uniform axis `delta_t`
+    convolved with a zero-mean Gaussian of FWHM `jitter_fwhm` (s), sampled
+    to +-10 sigma and normalised to unit sum, over the zero-padded profile."""
+    dt = np.asarray(delta_t, float)
+    h = dt[1] - dt[0]
+    sig = jitter_fwhm * core.FWHM_TO_SIGMA
+    half = int(np.ceil(10.0 * sig / h))
+    kernel = np.exp(-0.5 * (h * np.arange(-half, half + 1) / sig) ** 2)
+    padded = np.pad(np.asarray(visibility, float), half)
+    return v_cap * np.convolve(padded, kernel / kernel.sum(), mode="valid")

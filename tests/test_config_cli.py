@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biphoton import cli, core
+from biphoton import cli, core, fitting
 from biphoton import interferometer as ifm
 from biphoton import reconstruction as rec
 from biphoton.config import (DEFAULTS, ConfigError, build_jitter, build_model, build_source_params,
@@ -23,6 +23,7 @@ OUTSIDE = {
     "in [0, 1]": ["-0.5", "1.5"],
     "in (-1, 1)": ["-1", "1.5"],
     "in [0, 1000]": ["-1", "1001", "1e300"],
+    "in (0, 1000]": ["0", "-1", "1001", "1e300"],
     "in [100, 10000]": ["0", "-1", "99", "10001", "1e-300", "1e300"],
     "integer >= 0": ["-1", "1.5"],
     "integer in [1, 2048]": ["0", "64.5", "2049", "1e300"],
@@ -177,7 +178,7 @@ class TestCliExitCodes:
         ("filters.idler_center_nm=nan", "fringe", "[filters] idler_center_nm: not a finite"),
         ("budget.pair_probability_per_pulse=abc", "budget",
          "[budget] pair_probability_per_pulse: not a number"),
-        ("source.pump_fwhm_ps=0", "fringe", "[source] pump_fwhm_ps: must be positive"),
+        ("source.pump_fwhm_ps=0", "fringe", "[source] pump_fwhm_ps: must lie in (0, 1000]"),
         ("source.coherence_fwhm_ps=-3.5", "fringe",
          "[source] coherence_fwhm_ps: must be positive"),
         ("jitter.v_cap=-0.5", "hom-dip", "v_cap: must lie in [0, 1]"),
@@ -235,6 +236,14 @@ class TestCliExitCodes:
         assert code == cli.EXIT_CONFIG
         section, key = override.split("=")[0].split(".")
         assert f"[{section}] {key}: must lie in [" in capsys.readouterr().err
+
+    def test_pump_too_wide_for_the_jitter_is_a_config_error(self, tmp_path, capsys):
+        # with the pump in the jitter, an unbounded pump_fwhm_ps flattens the dip
+        code = cli.main(["--out", str(tmp_path / "o"), "--noiseless",
+                         "--set", "source.pump_fwhm_ps=1e300",
+                         "--set", "jitter.include_pump=true", "hom-dip"])
+        assert code == cli.EXIT_CONFIG
+        assert "[source] pump_fwhm_ps: must lie in (0, 1000]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["budget"], ["hom-dip"], ["--noiseless", "hom-dip"],
                                          ["--noiseless", "reconstruct"]], ids=" ".join)
@@ -445,6 +454,25 @@ class TestHomDipCommand:
         ideal = float(reports["--noiseless"]["visibility_percent"].split("+-")[0])
         vis, err = map(float, reports["--seed"]["visibility_percent"].split("+-"))
         assert abs(vis - ideal) < 3 * err
+
+    @pytest.mark.parametrize("overrides", [{}, {("jitter", "include_pump"): "true"},
+                                           {("jitter", "gvd_terms"): "0"}],
+                             ids=["default", "include_pump", "no-jitter"])
+    def test_noiseless_fit_recovers_the_closed_form(self, tmp_path, monkeypatch, overrides):
+        # the jittered dip is v_cap (s/s') exp(-dt^2/2s'^2), s'^2 = s^2 + jitter rms^2
+        fits = []
+        fit_dip = fitting.fit_dip
+        monkeypatch.setattr(fitting, "fit_dip", lambda x, y: fits.append(fit_dip(x, y)) or fits[-1])
+        sets = [arg for (section, key), value in overrides.items()
+                for arg in ("--set", f"{section}.{key}={value}")]
+        code = cli.main(["--out", str(tmp_path / "o"), "--noiseless", *sets, "hom-dip"])
+        assert code == cli.EXIT_OK
+        cfg = load_config(overrides=overrides)
+        _, s = cli._ideal_dip_profile(cfg, build_source_params(cfg))
+        sp = np.hypot(s, build_jitter(cfg) * core.FWHM_TO_SIGMA)
+        (fit,) = fits
+        assert fit.visibility == pytest.approx(cfg.getfloat("jitter", "v_cap") * s / sp, rel=1e-9)
+        assert fit.fwhm == pytest.approx(2 * np.sqrt(2 * np.log(2)) * core.C * sp, rel=1e-9)
 
     def test_zero_jitter_cap(self, tmp_path):
         out = tmp_path / "o"

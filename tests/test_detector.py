@@ -6,6 +6,8 @@ from biphoton import core, detector
 from biphoton import interferometer as ifm
 from biphoton.config import build_jitter, load_config
 
+import reference
+
 FWHM = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
 
@@ -121,60 +123,76 @@ class TestBuildJitter:
 
 
 class TestIndependentHomDip:
-    def _gaussian_profile(self, fwhm=3.17e-12, step=3.3e-14, half=1e-11):
+    S = 3.17e-12 / FWHM  # zero-jitter width, s
+
+    def _axis(self, step=3.3e-14, half=1e-11):
         n = int(half / step)
-        dt = step * np.arange(-n, n + 1)
-        s = fwhm / FWHM
-        return dt, np.exp(-0.5 * (dt / s) ** 2)
+        return step * np.arange(-n, n + 1)
 
     def test_zero_jitter_caps_only(self):
-        dt, vis = self._gaussian_profile()
-        out = detector.independent_hom_dip(dt, vis, 0.0)
-        assert np.allclose(out, vis / 3.0, atol=1e-15)
+        dt = self._axis()
+        out = detector.independent_hom_dip(dt, self.S, 0.0)
+        np.testing.assert_array_equal(out, 1.0 / 3.0 * np.exp(-0.5 * (dt / self.S) ** 2))
         assert out.max() == pytest.approx(1.0 / 3.0)
 
     def test_never_exceeds_cap(self):
-        dt, vis = self._gaussian_profile()
+        dt = self._axis()
         for fwhm in (0.0, 1e-12, 3e-12, 1e-11):
-            assert detector.independent_hom_dip(dt, vis, fwhm).max() <= 1.0 / 3.0 + 1e-12
+            assert detector.independent_hom_dip(dt, self.S, fwhm).max() <= 1.0 / 3.0
 
     def test_never_narrows(self):
-        dt, vis = self._gaussian_profile()
-        base = detector.independent_hom_dip(dt, vis, 0.0)
+        dt = self._axis()
+        base = detector.independent_hom_dip(dt, self.S, 0.0)
 
         def fwhm_of(y):
             above = y >= 0.5 * y.max()
             return dt[above][-1] - dt[above][0]
 
         for fwhm in (1e-12, 3e-12, 6e-12):
-            out = detector.independent_hom_dip(dt, vis, fwhm)
+            out = detector.independent_hom_dip(dt, self.S, fwhm)
             assert fwhm_of(out) >= fwhm_of(base)
+
+    @pytest.mark.parametrize("jitter_fwhm", [1e-12, 3.31e-12, 1e-11])
+    def test_matches_numerical_convolution(self, jitter_fwhm):
+        s = self.S
+        sp = np.hypot(s, jitter_fwhm / FWHM)
+        step = s / 20
+        n = int(np.ceil(14 * sp / step))
+        dt = step * np.arange(-n, n + 1)
+        ideal = np.exp(-0.5 * (dt / s) ** 2)
+        out = detector.independent_hom_dip(dt, s, jitter_fwhm)
+        ref = reference.jittered_dip(dt, ideal, jitter_fwhm)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * out.max()
 
     def test_gaussian_convolution_width_oracle(self):
         in_fwhm = 3.17e-12
         jit_fwhm = 3.31e-12
-        dt, vis = self._gaussian_profile(fwhm=in_fwhm, half=3e-11)
-        out = detector.independent_hom_dip(dt, vis, jit_fwhm, v_cap=1.0)
+        dt = self._axis(half=3e-11)
+        out = detector.independent_hom_dip(dt, in_fwhm / FWHM, jit_fwhm, v_cap=1.0)
         from biphoton import fitting
         fit = fitting.fit_dip(dt, 1.0 - out)
         expect = np.sqrt(in_fwhm**2 + jit_fwhm**2)
-        assert fit.fwhm == pytest.approx(expect, rel=0.01)
+        assert fit.fwhm == pytest.approx(expect, rel=1e-9)
+        assert fit.visibility == pytest.approx(in_fwhm / expect, rel=1e-9)
 
-    def test_nonuniform_spacing_rejected(self):
-        dt = np.array([0.0, 1e-12, 3e-12])
-        with pytest.raises(ValueError, match="uniform"):
-            detector.independent_hom_dip(dt, np.zeros(3), 0.0)
+    @pytest.mark.parametrize("sigma", [0.0, -1e-13, np.nan, np.inf])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            detector.independent_hom_dip(self._axis(), sigma, 0.0)
 
     @pytest.mark.parametrize("fwhm", [-1e-12, np.nan])
     def test_negative_or_nan_jitter_rejected(self, fwhm):
-        dt = np.linspace(-1e-12, 1e-12, 9)
         with pytest.raises(ValueError, match="jitter_fwhm"):
-            detector.independent_hom_dip(dt, np.zeros(9), fwhm)
+            detector.independent_hom_dip(self._axis(), self.S, fwhm)
 
-    def test_out_of_range_profile_rejected(self):
-        dt = np.linspace(-1e-12, 1e-12, 9)
-        with pytest.raises(ValueError):
-            detector.independent_hom_dip(dt, np.full(9, 1.5), 0.0)
+    def test_infinite_jitter_rejected(self):
+        with pytest.raises(ValueError, match="jitter_fwhm"):
+            detector.independent_hom_dip(self._axis(), self.S, np.inf)
+
+    @pytest.mark.parametrize("v_cap", [-0.1, 1.5])
+    def test_v_cap_outside_unit_interval_rejected(self, v_cap):
+        with pytest.raises(ValueError, match="v_cap"):
+            detector.independent_hom_dip(self._axis(), self.S, 0.0, v_cap=v_cap)
 
 
 @pytest.fixture
