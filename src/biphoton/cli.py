@@ -192,7 +192,7 @@ def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
         f"lattice_axes: {[(ax.start, ax.step, ax.count) for ax in ig.axes]}",
         f"window: {window}",
         f"demodulated: {demod}",
-        f"negativity_fraction: {est.negativity_fraction:.3g}",
+        f"negativity_fraction: {_num(est.negativity_fraction, '.3g')}",
         f"correlation: {_num(corr, '.4f')}",
     ]
     if sampled is not None:

@@ -89,14 +89,13 @@ def _phasor_tables(omega: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     axis: exp(-i outer(t, omega[::b])) and exp(-i outer(t, k dw)), k < b =
     ceil(sqrt(n)), i.e. n/b + b exponentials per delay.  The large phases
     p = fl(t omega) of the coarse table carry their rounding error e
-    (Dekker's exact product) as exp(-i p) (1 - i e)."""
+    (`two_product`) as exp(-i p) (1 - i e)."""
     omega = np.asarray(omega, float)
     t = np.atleast_1d(np.asarray(t, float))[:, None]
     n = len(omega)
     b = int(np.ceil(np.sqrt(n)))
-    (th, tl), (wh, wl) = _split(t), _split(omega[::b])
-    p = t * omega[::b]
-    coarse = np.exp(-1j * p) * (1.0 - 1j * (((th * wh - p) + th * wl + tl * wh) + tl * wl))
+    p, e = two_product(t, omega[::b])
+    coarse = np.exp(-1j * p) * (1.0 - 1j * e)
     fine = np.exp(-1j * t * (np.arange(b) * ((omega[-1] - omega[0]) / max(n - 1, 1))))
     return coarse, fine
 
@@ -106,16 +105,6 @@ def phasors(omega: np.ndarray, t) -> np.ndarray:
     the broadcast product of the coarse and fine tables (`_phasor_tables`)."""
     coarse, fine = _phasor_tables(omega, t)
     return (coarse[:, :, None] * fine[:, None, :]).reshape(len(coarse), -1)[:, :np.size(omega)]
-
-
-def phasor_sum(omega: np.ndarray, t, w: np.ndarray) -> np.ndarray:
-    """phasors(omega, t) @ w without forming the table: w, zero-padded and
-    folded into rows of the fine table's width, meets the fine table in one
-    product, and the coarse table sums that per t."""
-    coarse, fine = _phasor_tables(omega, t)
-    folded = np.zeros(coarse.shape[1] * fine.shape[1], np.result_type(w, float))
-    folded[:len(w)] = w
-    return np.sum(coarse * (fine @ folded.reshape(-1, fine.shape[1]).T), axis=1)
 
 
 def phasor_blocks(omega: np.ndarray, t: np.ndarray):
@@ -130,6 +119,13 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a = hi + lo exactly, each with at most 26 significant bits."""
     hi = 134217729.0 * a - (134217729.0 * a - a)  # 2**27 + 1
     return hi, a - hi
+
+
+def two_product(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p = fl(a b) and a b = p + e exactly: Dekker's product."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 @dataclass(frozen=True)

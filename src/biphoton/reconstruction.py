@@ -24,11 +24,11 @@ noiseless `reconstruct`) needs no kernel table: with 1 - G = Re(E1 M E2^T)
 on its sampling grid, every sum over the lattice is a value of one axis's
 D(nu) = sum_t w(t) exp(i nu t) at the difference (Toeplitz) or the sum
 (Hankel) of two band frequencies, 2n - 1 values of each per axis, and
-est = Re(T1 M T2^T + H1 conj(M) H2^T) / 2 (`_invert_scan`).
-core.phasor_sum takes each D over a block of delays from sqrt-sized
-tables, so no (delays x band) array exists.  On the default 1432 x 2863
-half lattice the round trip does ~0.04 GFLOP (0.44 from per-delay phasor
-tables) and its traced peak is ~1.2 MB, ~1.3 MB at four times the span.
+est = Re(T1 M T2^T + H1 conj(M) H2^T) / 2 (`_invert_scan`).  The delays
+are uniform and the window is a constant plus one cosine, so each D is a
+sum of Dirichlet kernels, taken in closed form (`_lattice_sums`): the
+round trip's cost does not depend on the number of delays, and no
+(delays x band) array exists.
 
 `check_sampling` refuses a lattice step that aliases the band: pi / w_max
 per axis, or with `demodulate` pi over the band half-width per axis plus
@@ -44,10 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BiphotonAmplitude, FrequencyGrid, SampledAmplitude, jsi, phasor_blocks,
-                   phasor_sum, phasors, sample_on_grid)
+                   sample_on_grid, two_product)
 from .interferometer import Interferogram, LatticeScan
 
-_SUM_ROWS = 1024  # delays per block of _lattice_sums; larger blocks raise peak memory
+_PI = (np.pi, 1.2246467991473532e-16)  # pi as two doubles, to ~1e-32
 
 
 class AliasingError(ValueError):
@@ -145,12 +145,21 @@ def check_sampling(band: FrequencyGrid, axes, demodulate: bool) -> None:
             raise AliasingError(axes[i].name, axes[i].step, passing[i])
 
 
-def _window(n: int, kind: str) -> np.ndarray:
-    if kind == "none":
-        return np.ones(n)
-    if kind == "hann":
-        return np.hanning(n) if n > 1 else np.ones(1)
-    raise ValueError(f"unknown window {kind!r}")
+def _window(ax, kind: str, half: bool) -> tuple[float, float, int, int, float]:
+    """(a, b, j0, m, c) of an axis's per-delay weight
+    w_k = c (a + b cos(pi (j0 + 2 k) / (m - 1))), k < count, which is
+    halved at k = 0 on a half axis: the window times the step.  `none` is
+    a = 1, b = 0 and `hann` a = b = 1/2, numpy's hanning(m) from its sample
+    (j0 + m - 1) / 2 on.  A symmetric axis takes the window over itself
+    (m = count, j0 = 1 - count, c = step).  A half axis stands for its
+    mirrored axis, so it takes the right half of the window over that axis
+    (m = 2 count - 1, j0 = 0) and weight 2 off 0 (c = 2 step)."""
+    if kind not in ("none", "hann"):
+        raise ValueError(f"unknown window {kind!r}")
+    a, b = (1.0, 0.0) if kind == "none" else (0.5, 0.5)
+    if half:
+        return a, b, 0, 2 * ax.count - 1, 2.0 * ax.step
+    return a, b, 1 - ax.count, ax.count, ax.step
 
 
 def _kernels(omega: np.ndarray, t: np.ndarray, weight: np.ndarray):
@@ -181,49 +190,97 @@ def _half_axis(axes) -> int | None:
 
 
 def _weights(ax, window: str, half: bool) -> np.ndarray:
-    """Per-delay weight of an axis: window times step.  A half axis stands
-    for its mirrored axis, so it takes the right half of the window over
-    that axis and weight 2 off 0."""
-    n = ax.count
-    if not half:
-        return _window(n, window) * ax.step
-    w = _window(2 * n - 1, window)[n - 1:] * (2.0 * ax.step)
-    w[0] /= 2.0
+    """Per-delay weight of an axis (`_window`), evaluated as numpy's hanning
+    evaluates its window."""
+    a, b, j0, m, c = _window(ax, window, half)
+    w = (a + b * np.cos(np.pi * np.arange(j0, j0 + 2 * ax.count, 2.0) / (m - 1.0))) * c
+    if half:
+        w[0] /= 2.0
     return w
 
 
-def _lattice_sums(ax, weight: np.ndarray, lo: float, d: float, n: int):
+def _add(x, y):
+    """x + y of two-floats x = (hi, lo) and y, as a two-float: Knuth's
+    exact sum of the high parts, plus the low parts."""
+    s = x[0] + y[0]
+    v = s - x[0]
+    return s, ((x[0] - (s - v)) + (y[0] - v)) + (x[1] + y[1])
+
+
+def _phase(nu, t) -> np.ndarray:
+    """exp(i nu t) of two-float frequencies nu and a two-float delay t: the
+    rounding error of p = fl(nu_hi t_hi) (core.two_product) and the low
+    parts' terms make a phase c ~ 1e-12, taken as exp(i p) (1 + i c)."""
+    p, e = two_product(nu[0], t[0])
+    return np.exp(1j * p) * (1.0 + 1j * (e + nu[0] * t[1] + nu[1] * t[0]))
+
+
+def _dirichlet(y, n: int) -> np.ndarray:
+    """sin(n y) / sin(y) of a two-float y, the sum of
+    exp(2 i y (k - (n - 1) / 2)) over k < n.  y = k pi + delta with
+    |delta| <= pi / 2, from pi as two doubles, gives (-1)^(k (n - 1))
+    sin(n delta) / sin(delta), and n at delta = 0."""
+    k = np.rint(y[0] / _PI[0])
+    p, e = two_product(k, _PI[0])
+    delta = ((y[0] - p) - e) + (y[1] - k * _PI[1])
+    ratio = np.divide(np.sin(n * delta), np.sin(delta), out=np.full_like(delta, n),
+                      where=delta != 0.0)
+    return np.where(k * (n - 1) % 2.0, -ratio, ratio)
+
+
+def _lattice_sums(ax, window: str, half: bool, lo: float, d: float, n: int):
     """(T, H), T[p, k] = D(w_p - w_k) and H[p, k] = D(w_p + w_k), of
-    D(nu) = sum_t weight(t) exp(i nu t) over the delays t of axis `ax`, on a
-    band w_k = lo + (k + 1/2) d, k < n: a Toeplitz and a Hankel matrix, from
-    D at the 2n - 1 differences m d and the 2n - 1 sums 2 lo + m d.
+    D(nu) = sum_k u_k exp(i nu t_k) over the delays t_k = t0 + k s, k < N,
+    of axis `ax` with the weights u of `window` (`_window`; `half` for a
+    half axis), on a band w_k = lo + (k + 1/2) d, k < n: a Toeplitz and a
+    Hankel matrix, from D at the n differences m d, m < n
+    (D(-nu) = conj D(nu) gives the rest), and the 2n - 1 sums 2 lo + m d,
+    0 < m < 2n.
 
-    Each block of _SUM_ROWS delays adds core.phasor_sum over its uniform
-    delays; the sums carry exp(i 2 lo t) per delay (core.phasors, Dekker's
-    exact product), so no sum frequency is rounded to a double.
-    D(-nu) = conj D(nu) gives the negative differences."""
-    diff, total = np.zeros(n, complex), np.zeros(2 * n - 1, complex)
-    for r in range(0, ax.count, _SUM_ROWS):
-        t = ax.start + ax.step * np.arange(r, min(r + _SUM_ROWS, ax.count))
-        w = weight[r:r + _SUM_ROWS]
-        diff += phasor_sum(t, -d * np.arange(n), w)
-        total += phasor_sum(t, -d * np.arange(1, 2 * n), w * np.conj(phasors([2.0 * lo], t)[:, 0]))
-    diff = np.concatenate([np.conj(diff[:0:-1]), diff])
+    D is a geometric sum, taken in closed form in O(n), whatever N.  With
+    u_k = c (a + b cos(theta k + phi)), theta = 2 pi / (m_w - 1) and
+    phi = pi j0 / (m_w - 1) (`_window`), the centre t_c = t0 + h s,
+    h = (N - 1) / 2, and S = `_dirichlet` of the half phase y = nu s / 2,
+
+        D = c exp(i nu t_c) [a S(y) + (b/2) (r S(y + theta/2)
+                                             + conj(r) S(y - theta/2))]
+
+    with r = exp(i (phi + theta h)), the cosine's phase at the centre: 1 on
+    a symmetric axis, i on a half one.  A half axis's u_0 is half the
+    cosine's, so c (a + b) / 2 exp(i nu t0) comes off.  Neither nu, t_c
+    nor y is rounded to a double: each is a two-float, from exact products
+    and sums, so a phase nu t_c of ~1e4 rad is right to ~1e-16 rad."""
+    a, b, _, m_w, c = _window(ax, window, half)
+    m = np.concatenate([np.arange(n), np.arange(1, 2 * n)]).astype(float)
+    nu = _add((np.repeat([0.0, 2.0 * lo], [n, 2 * n - 1]), 0.0), two_product(m, d))
+    centre = _add((ax.start, 0.0), two_product((ax.count - 1) / 2.0, ax.step))
+    p, e = two_product(nu[0], ax.step)
+    y = (0.5 * p, 0.5 * (e + nu[1] * ax.step))
+    inner = a * _dirichlet(y, ax.count)
+    if b:
+        r, q = (1j if half else 1.0), np.pi / (m_w - 1.0)
+        inner = inner + 0.5 * b * (r * _dirichlet(_add(y, (q, 0.0)), ax.count)
+                                   + np.conj(r) * _dirichlet(_add(y, (-q, 0.0)), ax.count))
+    sums = c * _phase(nu, centre) * inner
+    if half:
+        sums -= 0.5 * c * (a + b) * _phase(nu, (ax.start, 0.0))
+    diff = np.concatenate([np.conj(sums[n - 1:0:-1]), sums[:n]])
     k = np.arange(n)
-    return diff[n - 1 + k[:, None] - k], total[k[:, None] + k]
+    return diff[n - 1 + k[:, None] - k], sums[n:][k[:, None] + k]
 
 
-def _invert_scan(scan: LatticeScan, band: FrequencyGrid, wa: np.ndarray,
-                 wb: np.ndarray) -> np.ndarray:
+def _invert_scan(scan: LatticeScan, band: FrequencyGrid, window: str,
+                 half: int | None) -> np.ndarray:
     """Re sum_ab wa(a) wb(b) (1 - G(a, b)) exp(i (w1 a + w2 b)) of a scan on
-    `band`, which must be its sampling grid (ValueError otherwise).  As
+    `band`, which must be its sampling grid (ValueError otherwise), with
+    the weights of `window` and axis `half` (`_half_axis`) a half axis.  As
     1 - G = Re(E1 M E2^T), it is Re(T1 M T2^T + H1 conj(M) H2^T) / 2 with
     each axis's Toeplitz and Hankel lattice sums (`_lattice_sums`)."""
     if band != scan.grid:
         raise ValueError("a LatticeScan is inverted on the grid it was sampled on")
     ax_a, ax_b = scan.axes
-    t1, h1 = _lattice_sums(ax_a, wa, band.omega1_min, band.d1, band.n1)
-    t2, h2 = _lattice_sums(ax_b, wb, band.omega2_min, band.d2, band.n2)
+    t1, h1 = _lattice_sums(ax_a, window, half == 0, band.omega1_min, band.d1, band.n1)
+    t2, h2 = _lattice_sums(ax_b, window, half == 1, band.omega2_min, band.d2, band.n2)
     return 0.5 * (t1 @ scan.m @ t2.T + h1 @ np.conj(scan.m) @ h2.T).real
 
 
@@ -241,11 +298,11 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
     """
     half = _half_axis(interferogram.axes)
     check_sampling(band, interferogram.axes, demodulate)
-    ax_a, ax_b = interferogram.axes
-    wa, wb = _weights(ax_a, window, half == 0), _weights(ax_b, window, half == 1)
     if isinstance(interferogram, LatticeScan):
-        est = _invert_scan(interferogram, band, wa, wb)
+        est = _invert_scan(interferogram, band, window, half)
     else:
+        ax_a, ax_b = interferogram.axes
+        wa, wb = _weights(ax_a, window, half == 0), _weights(ax_b, window, half == 1)
         # B as (re, im) column pairs, so each block's product with 1 - G is
         # real and gives (1 - G) B as pairs; a G read from a CSV is a strided
         # column, which one product over all rows would copy whole

@@ -5,8 +5,9 @@ faster way: Gamma as the plain double sum at one delay point, the
 closed-form fringe that the quadrature must reproduce, the full (omega1,
 omega2) mesh of a grid, a grid with more cells over the same rectangle
 for convergence checks, the fit covariance from an SVD of the Jacobian,
-the inverse transform of a noiseless lattice scan as a long-double
-direct sum, and the jittered HOM dip as a numerical convolution.
+one delay axis's lattice sum and the inverse transform of a noiseless
+lattice scan as long-double direct sums, and the jittered HOM dip as a
+numerical convolution.
 """
 
 import numpy as np
@@ -68,6 +69,20 @@ def covariance_diag(jac: np.ndarray) -> np.ndarray:
     dropped = np.any(np.abs(vt[~keep]) > np.sqrt(np.finfo(float).eps), axis=0)
     var[np.flatnonzero(free)[dropped]] = np.inf
     return var
+
+
+def lattice_sum_longdouble(axis, w, nu0: float, d: float, m) -> np.ndarray:
+    """D(nu) = sum_k w_k exp(i nu t_k) at nu = nu0 + m d for the integers
+    `m` (any shape), as a direct sum in long double on the ideal delays
+    t_k = start + k step of `axis`, a (start, step, count) tuple."""
+    ld = np.longdouble
+    start, step, count = axis
+    t = ld(start) + ld(step) * np.arange(count, dtype=ld)
+    m = np.asarray(m)
+    theta = np.outer(ld(nu0) + ld(d) * m.ravel().astype(ld), t)
+    w = np.asarray(w, ld)
+    return ((np.cos(theta) @ w).astype(float)
+            + 1j * (np.sin(theta) @ w).astype(float)).reshape(m.shape)
 
 
 def inverse_longdouble(m: np.ndarray, band: core.FrequencyGrid, axes, wa, wb) -> np.ndarray:

@@ -545,6 +545,16 @@ class TestReconstructCommand:
                      "roundtrip_l2_error: 1.95e-11"]:
             assert line in lines
 
+    @pytest.mark.parametrize("window", ["none", "hann"])
+    def test_no_negative_mass_prints_zero(self, tmp_path, window):
+        # a 2 x 3 lattice leaves no negative value to clip: the empty sum is
+        # -0.0, which the report prints as 0
+        out = tmp_path / "o"
+        assert cli.main(["--out", str(out), "--noiseless", "--set",
+                         "reconstruct.span_coherence_times=0.001", "--set",
+                         f"reconstruct.window={window}", "reconstruct"]) == cli.EXIT_OK
+        assert read_report(out / "recon_report.txt")["negativity_fraction"] == "0"
+
     @staticmethod
     def spy(monkeypatch, *targets):
         """Wrap each (module, name): count its calls, keep its last args and result."""

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -86,16 +88,15 @@ class TestPhasors:
         whole = np.concatenate([e for _, e in blocks])
         assert np.array_equal(whole, core.phasors(grid.axis1, t))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 96, 97, 1024])
-    def test_sum_matches_the_table_product(self, n):
-        # a uniform delay axis in the omega slot, as the inverse uses it; n
-        # not a multiple of the fine table's width pads the last coarse row
-        delays = -3e-12 + 2.2e-15 * np.arange(n)
-        nu = -7.3e11 * np.arange(191) - 2.4e15
-        rng = np.random.default_rng(n)
-        for w in (rng.uniform(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
-            err = np.abs(core.phasor_sum(delays, nu, w) - core.phasors(delays, nu) @ w)
-            assert np.max(err) <= 1e-15 * np.sum(np.abs(w))
+    def test_two_product_is_exact(self):
+        # p + e is the product of the doubles as a rational number
+        rng = np.random.default_rng(7)
+        a = rng.uniform(-1.0, 1.0, 200) * 10.0 ** rng.integers(-15, 16, 200)
+        b = np.concatenate([[3.0, 2863.0, 0.5], rng.uniform(1.1e15, 1.3e15, 197)])
+        p, e = core.two_product(a, b)
+        assert all(Fraction(x) * Fraction(y) == Fraction(q) + Fraction(r)
+                   for x, y, q, r in zip(a, b, p, e))
+        assert np.array_equal(p, a * b)
 
 
 class TestSpectralFilter:

@@ -335,21 +335,62 @@ def test_lattice_scan_out_of_range_is_refused(spoil):
         ifm.LatticeScan(sampled, sampled, *axes)
 
 
-def test_lattice_scan_block_sums_match_scan_2d(reference_sampled, monkeypatch):
-    # the blocked lattice sums against a long-double direct sum over the
-    # scan_2d lattice on its ideal axes; 8 delays per block: 3 blocks on
-    # axis S and 8 on axis L, each axis's last one partial
-    monkeypatch.setattr(rec, "_SUM_ROWS", 8)
+@pytest.mark.parametrize("window", ["none", "hann"])
+def test_lattice_scan_sums_match_scan_2d(reference_sampled, window):
+    # the closed-form lattice sums against a long-double direct sum over the
+    # scan_2d lattice on its ideal axes, with the weights of `window`
     ph, grid = reference_sampled, reference_sampled.grid
     axes = ((0.0, 1e-13, 21), (-3e-12, 1e-13, 61))
     scan = ifm.LatticeScan(ph, ph, *axes)
     assert scan.axes == ifm.scan_2d(ph, ph, *axes).axes
-    rng = np.random.default_rng(3)
-    wa, wb = rng.uniform(size=21), rng.uniform(size=61)
+    wa, wb = rec._weights(scan.axes[0], window, True), rec._weights(scan.axes[1], window, False)
     expected = reference.inverse_longdouble(scan.m, grid, axes, wa, wb).astype(float)
     # |1 - G| <= 1, so no entry exceeds the weights' sum product
     scale = wa.sum() * wb.sum()
-    assert np.max(np.abs(rec._invert_scan(scan, grid, wa, wb) - expected)) <= 5e-15 * scale
+    assert np.max(np.abs(rec._invert_scan(scan, grid, window, 0) - expected)) <= 5e-15 * scale
+
+
+@pytest.mark.parametrize("window", ["none", "hann"])
+def test_weights_are_numpys_window(window):
+    # the Interferogram branch's weights stay np.ones and np.hanning bit for bit
+    window_of = np.ones if window == "none" else np.hanning
+    for count in (2, 3, 4, 97, 1432, 2863):
+        ax = ifm.Axis("t", 0.0, 2.2e-15, count)
+        assert np.array_equal(rec._weights(ax, window, False), window_of(count) * ax.step)
+        half = window_of(2 * count - 1)[count - 1:] * (2.0 * ax.step)
+        half[0] /= 2.0
+        assert np.array_equal(rec._weights(ax, window, True), half)
+
+
+PHYSICAL_MODEL = core.BiphotonAmplitude.gaussian(1.23e15, 1.20e15, 7e12, 7e12, rho=-0.5)
+PHYSICAL_GRID = core.grid_for_gaussian(PHYSICAL_MODEL, n=32)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is plain double here")
+@pytest.mark.parametrize("half_count", [1, 2, 40])
+@pytest.mark.parametrize("half", [False, True], ids=["symmetric", "half"])
+@pytest.mark.parametrize("window", ["none", "hann"])
+@pytest.mark.parametrize("step", ["nyquist", "mirror-on-band", "on-pole"])
+def test_lattice_sums_match_long_double(step, window, half, half_count):
+    # every D(nu) of one axis against its direct sum: T's diagonal is the
+    # difference 0, where the Dirichlet kernel's sines vanish; the
+    # mirror-on-band step (pi / w_c1) puts the sum frequencies near
+    # nu s = 2 pi, and the on-pole step puts one of them there to a double.
+    # Half counts 1 and 2 make axes of 2, 3 (half) and 3, 5 (symmetric) delays
+    grid = PHYSICAL_GRID
+    lo, d, n = grid.omega1_min, grid.d1, grid.n1
+    s = {"nyquist": 0.9 * rec.nyquist_step(grid),
+         "mirror-on-band": grid.omega1_max / PHYSICAL_MODEL.omega_c1 * rec.nyquist_step(grid),
+         "on-pole": 2.0 * np.pi / (2.0 * lo + n * d)}[step]
+    axis = (0.0, s, half_count + 1) if half else (-s * half_count, s, 2 * half_count + 1)
+    ax = ifm.Axis("t", *axis)
+    w = rec._weights(ax, window, half)
+    t, h = rec._lattice_sums(ax, window, half, lo, d, n)
+    p, k = np.indices((n, n))
+    for got, expected in ((t, reference.lattice_sum_longdouble(axis, w, 0.0, d, p - k)),
+                          (h, reference.lattice_sum_longdouble(axis, w, 2.0 * lo, d, p + k + 1))):
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.sum(np.abs(w))
 
 
 def test_lattice_scan_inverts_only_on_its_own_grid():
@@ -405,7 +446,7 @@ def test_lattice_scan_inverse_matches_long_double_on_a_physical_band(mirrored, w
     scan = ifm.LatticeScan(sampled, sampled, *axes)
     wa, wb = (rec._weights(ax, window, half_axis == i) for i, ax in enumerate(scan.axes, 1))
     expected = reference.inverse_longdouble(scan.m, grid, axes, wa, wb).astype(float)
-    est = rec._invert_scan(scan, grid, wa, wb)
+    est = rec._invert_scan(scan, grid, window, rec._half_axis(scan.axes))
     assert np.max(np.abs(est - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
