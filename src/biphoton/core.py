@@ -84,12 +84,12 @@ class FrequencyGrid:
         return self.d1 * self.d2
 
 
-def _phasor_tables(omega: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-    """The coarse and fine tables of phasors(omega, t) for a uniform omega
-    axis: exp(-i outer(t, omega[::b])) and exp(-i outer(t, k dw)), k < b =
-    ceil(sqrt(n)), i.e. n/b + b exponentials per delay.  The large phases
-    p = fl(t omega) of the coarse table carry their rounding error e
-    (`two_product`) as exp(-i p) (1 - i e)."""
+def phasors(omega: np.ndarray, t) -> np.ndarray:
+    """exp(-i outer(t, omega)), shape (len(t), n), for a uniform omega axis:
+    the broadcast product of a coarse table exp(-i outer(t, omega[::b])) and
+    a fine one exp(-i outer(t, k dw)), k < b = ceil(sqrt(n)), i.e. n/b + b
+    exponentials per delay.  The large phases p = fl(t omega) of the coarse
+    table carry their rounding error e (`two_product`) as exp(-i p) (1 - i e)."""
     omega = np.asarray(omega, float)
     t = np.atleast_1d(np.asarray(t, float))[:, None]
     n = len(omega)
@@ -97,14 +97,7 @@ def _phasor_tables(omega: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     p, e = two_product(t, omega[::b])
     coarse = np.exp(-1j * p) * (1.0 - 1j * e)
     fine = np.exp(-1j * t * (np.arange(b) * ((omega[-1] - omega[0]) / max(n - 1, 1))))
-    return coarse, fine
-
-
-def phasors(omega: np.ndarray, t) -> np.ndarray:
-    """exp(-i outer(t, omega)), shape (len(t), n), for a uniform omega axis:
-    the broadcast product of the coarse and fine tables (`_phasor_tables`)."""
-    coarse, fine = _phasor_tables(omega, t)
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(coarse), -1)[:, :np.size(omega)]
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(t), -1)[:, :n]
 
 
 def phasor_blocks(omega: np.ndarray, t: np.ndarray):
@@ -233,7 +226,7 @@ class SampledAmplitude:
 
     def __post_init__(self):
         norm = np.sum(np.abs(self.values) ** 2) * self.grid.measure
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"sampled amplitude not normalized (norm={norm})")
 
 

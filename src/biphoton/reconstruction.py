@@ -6,9 +6,8 @@ nonnegative) JSI, so the JSI is recovered by the inverse cosine-kernel sum
     J(w1, w2) ~ sum_over_lattice h(a, b) * w(a) w(b) * cos(w1*a + w2*b) * da*db
 
 evaluated on a requested frequency band as Re(A^T h B), with the inverse
-kernels A = conj(E1) wa and B = conj(E2) wb.  One generator, `_kernels`,
-yields them for each block of delays (core.phasor_blocks), where w
-carries the window, half-axis weight and cell area.
+kernels A = conj(E1) wa and B = conj(E2) wb of the phasor tables E
+(core.phasors), where w carries the window, half-axis weight and cell area.
 
 cos is even and the window symmetric, so the terms at (a, b) and (-a, -b)
 share one kernel value.  One rule per axis then covers every lattice: an
@@ -18,17 +17,18 @@ point reflection of the measured one), so it takes the right half of the
 window over that axis and weight 2 off 0.
 
 An Interferogram keeps B whole, as (re, im) pairs, and adds
-Re(A_block^T (sum_b B - G_block B)) for each block of rows of G, so no
-lattice-sized temporary exists.  An interferometer.LatticeScan (the
-noiseless `reconstruct`) needs no kernel table: with 1 - G = Re(E1 M E2^T)
+Re(A_block^T (sum_b B - G_block B)) for each block of delays of
+core.phasor_blocks and its rows of G, so no lattice-sized temporary
+exists.  An interferometer.LatticeScan (the noiseless `reconstruct`)
+needs no kernel table: with 1 - G = Re(E1 M E2^T)
 on its sampling grid, every sum over the lattice is a value of one axis's
 D(nu) = sum_t w(t) exp(i nu t) at the difference (Toeplitz) or the sum
 (Hankel) of two band frequencies, 2n - 1 values of each per axis, and
 est = Re(T1 M T2^T + H1 conj(M) H2^T) / 2 (`_invert_scan`).  The delays
 are uniform and the window is a constant plus one cosine, so each D is a
-sum of Dirichlet kernels, taken in closed form (`_lattice_sums`): the
-round trip's cost does not depend on the number of delays, and no
-(delays x band) array exists.
+few geometric sums, taken in closed form from one reduction of the half
+phase by pi (`_lattice_sums`): the round trip's cost does not depend on
+the number of delays, and no (delays x band) array exists.
 
 `check_sampling` refuses a lattice step that aliases the band: pi / w_max
 per axis, or with `demodulate` pi over the band half-width per axis plus
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BiphotonAmplitude, FrequencyGrid, SampledAmplitude, jsi, phasor_blocks,
-                   sample_on_grid, two_product)
+                   phasors, sample_on_grid, two_product)
 from .interferometer import Interferogram, LatticeScan
 
 _PI = (np.pi, 1.2246467991473532e-16)  # pi as two doubles, to ~1e-32
@@ -162,14 +162,6 @@ def _window(ax, kind: str, half: bool) -> tuple[float, float, int, int, float]:
     return a, b, 1 - ax.count, ax.count, ax.step
 
 
-def _kernels(omega: np.ndarray, t: np.ndarray, weight: np.ndarray):
-    """(rows, conj(E) * weight[rows]) for each block of delays t of
-    core.phasor_blocks, E = exp(-i outer(t[rows], omega)): the inverse
-    kernel, weighted per delay (`_weights`)."""
-    for rows, e in phasor_blocks(omega, t):
-        yield rows, np.conj(e) * weight[rows, None]
-
-
 def _half_axis(axes) -> int | None:
     """Index of the axis that starts at 0, or None when both are symmetric
     about 0 with a point at 0; ValueError for any other lattice and for other
@@ -207,63 +199,57 @@ def _add(x, y):
     return s, ((x[0] - (s - v)) + (y[0] - v)) + (x[1] + y[1])
 
 
-def _phase(nu, t) -> np.ndarray:
-    """exp(i nu t) of two-float frequencies nu and a two-float delay t: the
-    rounding error of p = fl(nu_hi t_hi) (core.two_product) and the low
-    parts' terms make a phase c ~ 1e-12, taken as exp(i p) (1 + i c)."""
-    p, e = two_product(nu[0], t[0])
-    return np.exp(1j * p) * (1.0 + 1j * (e + nu[0] * t[1] + nu[1] * t[0]))
-
-
-def _dirichlet(y, n: int) -> np.ndarray:
-    """sin(n y) / sin(y) of a two-float y, the sum of
-    exp(2 i y (k - (n - 1) / 2)) over k < n.  y = k pi + delta with
-    |delta| <= pi / 2, from pi as two doubles, gives (-1)^(k (n - 1))
-    sin(n delta) / sin(delta), and n at delta = 0."""
+def _geometric(y, n: int, jc: int) -> np.ndarray:
+    """sum_j exp(2 i y (j - jc)), j < n, of a two-float y.  With
+    y = k pi + delta, |delta| <= pi / 2, from pi as two doubles, each term's
+    exp(2 i k pi (j - jc)) is 1, so the sum is
+    exp(i (n - 1 - 2 jc) delta) sin(n delta) / sin(delta), and n at delta = 0."""
     k = np.rint(y[0] / _PI[0])
     p, e = two_product(k, _PI[0])
     delta = ((y[0] - p) - e) + (y[1] - k * _PI[1])
     ratio = np.divide(np.sin(n * delta), np.sin(delta), out=np.full_like(delta, n),
                       where=delta != 0.0)
-    return np.where(k * (n - 1) % 2.0, -ratio, ratio)
+    return np.exp(1j * (n - 1 - 2 * jc) * delta) * ratio
 
 
 def _lattice_sums(ax, window: str, half: bool, lo: float, d: float, n: int):
     """(T, H), T[p, k] = D(w_p - w_k) and H[p, k] = D(w_p + w_k), of
-    D(nu) = sum_k u_k exp(i nu t_k) over the delays t_k = t0 + k s, k < N,
+    D(nu) = sum_j u_j exp(i nu t_j) over the delays t_j = t0 + j s, j < N,
     of axis `ax` with the weights u of `window` (`_window`; `half` for a
     half axis), on a band w_k = lo + (k + 1/2) d, k < n: a Toeplitz and a
     Hankel matrix, from D at the n differences m d, m < n
     (D(-nu) = conj D(nu) gives the rest), and the 2n - 1 sums 2 lo + m d,
     0 < m < 2n.
 
-    D is a geometric sum, taken in closed form in O(n), whatever N.  With
-    u_k = c (a + b cos(theta k + phi)), theta = 2 pi / (m_w - 1) and
-    phi = pi j0 / (m_w - 1) (`_window`), the centre t_c = t0 + h s,
-    h = (N - 1) / 2, and S = `_dirichlet` of the half phase y = nu s / 2,
+    D is a geometric sum, taken in closed form in O(n), whatever N.  Every
+    axis `_half_axis` accepts has one delay at ~0, number jc: the first of
+    a half axis, the middle of a symmetric one.  With its offset
+    r = t0 + jc s (|r| <= 1e-9 s, from core.two_product),
+    u_j = c (a + b cos(theta j + phi)), theta = 2 pi / (m_w - 1) and
+    phi = pi j0 / (m_w - 1) (`_window`), phi + theta jc = 0 on both kinds
+    of axis, so with G = `_geometric` of the half phase y = nu s / 2
 
-        D = c exp(i nu t_c) [a S(y) + (b/2) (r S(y + theta/2)
-                                             + conj(r) S(y - theta/2))]
+        D = c exp(i nu r) [a G(y) + (b/2) (G(y + theta/2) + G(y - theta/2))]
 
-    with r = exp(i (phi + theta h)), the cosine's phase at the centre: 1 on
-    a symmetric axis, i on a half one.  A half axis's u_0 is half the
-    cosine's, so c (a + b) / 2 exp(i nu t0) comes off.  Neither nu, t_c
-    nor y is rounded to a double: each is a two-float, from exact products
-    and sums, so a phase nu t_c of ~1e4 rad is right to ~1e-16 rad."""
+    less c (a + b) / 2 exp(i nu r) on a half axis, whose u_0 is half the
+    cosine's.  nu and y are two-floats, from exact products and sums, and
+    G reduces y by pi once, so no phase nu t_j of ~1e4 rad is rounded."""
     a, b, _, m_w, c = _window(ax, window, half)
     m = np.concatenate([np.arange(n), np.arange(1, 2 * n)]).astype(float)
     nu = _add((np.repeat([0.0, 2.0 * lo], [n, 2 * n - 1]), 0.0), two_product(m, d))
-    centre = _add((ax.start, 0.0), two_product((ax.count - 1) / 2.0, ax.step))
+    jc = 0 if half else (ax.count - 1) // 2
+    p, e = two_product(float(jc), ax.step)
+    r = (ax.start + p) + e
     p, e = two_product(nu[0], ax.step)
     y = (0.5 * p, 0.5 * (e + nu[1] * ax.step))
-    inner = a * _dirichlet(y, ax.count)
+    inner = a * _geometric(y, ax.count, jc)
     if b:
-        r, q = (1j if half else 1.0), np.pi / (m_w - 1.0)
-        inner = inner + 0.5 * b * (r * _dirichlet(_add(y, (q, 0.0)), ax.count)
-                                   + np.conj(r) * _dirichlet(_add(y, (-q, 0.0)), ax.count))
-    sums = c * _phase(nu, centre) * inner
+        q = np.pi / (m_w - 1.0)
+        inner = inner + 0.5 * b * (_geometric(_add(y, (q, 0.0)), ax.count, jc)
+                                   + _geometric(_add(y, (-q, 0.0)), ax.count, jc))
     if half:
-        sums -= 0.5 * c * (a + b) * _phase(nu, (ax.start, 0.0))
+        inner = inner - 0.5 * (a + b)
+    sums = c * np.exp(1j * nu[0] * r) * inner
     diff = np.concatenate([np.conj(sums[n - 1:0:-1]), sums[:n]])
     k = np.arange(n)
     return diff[n - 1 + k[:, None] - k], sums[n:][k[:, None] + k]
@@ -306,10 +292,11 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
         # B as (re, im) column pairs, so each block's product with 1 - G is
         # real and gives (1 - G) B as pairs; a G read from a CSV is a strided
         # column, which one product over all rows would copy whole
-        b = np.concatenate([k for _, k in _kernels(band.axis2, ax_b.values, wb)]).view(float)
+        b = (np.conj(phasors(band.axis2, ax_b.values)) * wb[:, None]).view(float)
         total = b.sum(axis=0)
         est = np.zeros((band.n1, band.n2))
-        for rows, a in _kernels(band.axis1, ax_a.values, wa):
+        for rows, e in phasor_blocks(band.axis1, ax_a.values):
+            a = np.conj(e) * wa[rows, None]
             est += (a.T @ (total - interferogram.values[rows] @ b).view(complex)).real
 
     total_abs = np.sum(np.abs(est))

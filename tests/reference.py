@@ -5,9 +5,9 @@ faster way: Gamma as the plain double sum at one delay point, the
 closed-form fringe that the quadrature must reproduce, the full (omega1,
 omega2) mesh of a grid, a grid with more cells over the same rectangle
 for convergence checks, the fit covariance from an SVD of the Jacobian,
-one delay axis's lattice sum and the inverse transform of a noiseless
-lattice scan as long-double direct sums, and the jittered HOM dip as a
-numerical convolution.
+the inverse transform of a noiseless lattice scan as a long-double sum
+over every delay, and the jittered HOM dip as a numerical convolution;
+and one delay axis's lattice sum in long double, over blocks of delays.
 """
 
 import numpy as np
@@ -73,16 +73,25 @@ def covariance_diag(jac: np.ndarray) -> np.ndarray:
 
 def lattice_sum_longdouble(axis, w, nu0: float, d: float, m) -> np.ndarray:
     """D(nu) = sum_k w_k exp(i nu t_k) at nu = nu0 + m d for the integers
-    `m` (any shape), as a direct sum in long double on the ideal delays
-    t_k = start + k step of `axis`, a (start, step, count) tuple."""
+    `m` (any shape), in long double on the ideal delays t_k = start + k step
+    of `axis`, a (start, step, count) tuple.  With k = b q + j, j < b =
+    ceil(sqrt(count)), exp(i nu t_k) = exp(i nu t_bq) exp(i nu j step), so
+    the sum over j, then over q, takes ~2 sqrt(count) exponentials per
+    frequency instead of count."""
     ld = np.longdouble
     start, step, count = axis
-    t = ld(start) + ld(step) * np.arange(count, dtype=ld)
+    b = int(np.ceil(np.sqrt(count)))
     m = np.asarray(m)
-    theta = np.outer(ld(nu0) + ld(d) * m.ravel().astype(ld), t)
-    w = np.asarray(w, ld)
-    return ((np.cos(theta) @ w).astype(float)
-            + 1j * (np.sin(theta) @ w).astype(float)).reshape(m.shape)
+    nu = ld(nu0) + ld(d) * m.ravel().astype(ld)
+    outer = np.outer(nu, ld(start) + ld(step) * (b * np.arange(-(-count // b), dtype=ld)))
+    inner = np.outer(nu, ld(step) * np.arange(b, dtype=ld))
+    wq = np.zeros(outer.shape[1] * b, ld)
+    wq[:count] = w
+    wq = wq.reshape(-1, b).T
+    re, im = np.cos(inner) @ wq, np.sin(inner) @ wq  # sum over j, per (nu, q)
+    c, s = np.cos(outer), np.sin(outer)
+    return (np.sum(c * re - s * im, axis=1).astype(float)
+            + 1j * np.sum(s * re + c * im, axis=1).astype(float)).reshape(m.shape)
 
 
 def inverse_longdouble(m: np.ndarray, band: core.FrequencyGrid, axes, wa, wb) -> np.ndarray:

@@ -494,6 +494,32 @@ class TestHomDipCommand:
         assert vis == pytest.approx(100.0, abs=0.01)
 
 
+@pytest.mark.parametrize("command,keys", [
+    ("fringe", ["visibility", "period_nm", "sigma_x_mm"]),
+    ("hom-dip", ["visibility_percent", "fwhm_mm"]),
+], ids=["fringe", "hom-dip"])
+def test_every_stderr_matches_the_seeded_scatter(tmp_path, command, keys):
+    # the printed +- of seeds 1-30 against the scatter of their values: it
+    # carries the reduced chi-square, so dropping that factor puts the ratio
+    # far outside [0.6, 1.6].  Each seeded mean is within 3 standard errors
+    # of the noiseless value: the count noise biases no fitted parameter
+    assert cli.main(["--out", str(tmp_path / "ideal"), "--noiseless", command]) == cli.EXIT_OK
+    ideal = read_report(tmp_path / "ideal" / "fit_report.txt")
+    fits = {key: [] for key in keys}
+    for seed in range(1, 31):
+        out = tmp_path / "seeded"
+        assert cli.main(["--out", str(out), "--seed", str(seed), command]) == cli.EXIT_OK
+        report = read_report(out / "fit_report.txt")
+        for key in keys:
+            fits[key].append([float(v) for v in report[key].split("+-")])
+    for key in keys:
+        value, err = np.array(fits[key]).T
+        scatter = np.std(value, ddof=1)
+        assert 0.6 <= scatter / np.median(err) <= 1.6, key
+        expected = float(ideal[key].split("+-")[0])
+        assert abs(np.mean(value) - expected) <= 3.0 * scatter / np.sqrt(len(value)), key
+
+
 class TestBudgetCommand:
     def test_reference_numbers(self, tmp_path, capsys):
         out = tmp_path / "o"

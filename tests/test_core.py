@@ -181,6 +181,14 @@ class TestSampling:
         with pytest.raises(ValueError, match="normalized"):
             core.SampledAmplitude(2.0 * np.ones((8, 8), dtype=complex), grid)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_construction_rejected(self, value):
+        # a NaN norm compares False with anything, so it must fail the check
+        # by not passing it, as an infinite norm does
+        grid = core.FrequencyGrid(4, 4, 0.0, 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="not normalized"):
+            core.SampledAmplitude(np.full((4, 4), value + 0j), grid)
+
 
 class TestJsiAndMarginals:
     def test_jsi_nonnegative_unit_integral(self, small_gaussian):

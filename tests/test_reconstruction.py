@@ -368,29 +368,38 @@ PHYSICAL_GRID = core.grid_for_gaussian(PHYSICAL_MODEL, n=32)
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="np.longdouble is plain double here")
-@pytest.mark.parametrize("half_count", [1, 2, 40])
+@pytest.mark.parametrize("half_count", [1, 2, 40, 1432, 5722])
 @pytest.mark.parametrize("half", [False, True], ids=["symmetric", "half"])
 @pytest.mark.parametrize("window", ["none", "hann"])
 @pytest.mark.parametrize("step", ["nyquist", "mirror-on-band", "on-pole"])
 def test_lattice_sums_match_long_double(step, window, half, half_count):
-    # every D(nu) of one axis against its direct sum: T's diagonal is the
-    # difference 0, where the Dirichlet kernel's sines vanish; the
+    # every D(nu) of one axis against its long-double sum: T's diagonal is the
+    # difference 0, where _geometric's sines vanish; the
     # mirror-on-band step (pi / w_c1) puts the sum frequencies near
     # nu s = 2 pi, and the on-pole step puts one of them there to a double.
-    # Half counts 1 and 2 make axes of 2, 3 (half) and 3, 5 (symmetric) delays
+    # Half counts 1 and 2 make axes of 2, 3 (half) and 3, 5 (symmetric)
+    # delays; 1432 and 5722 are those of the default and the span-20
+    # reconstruct.  Each axis also starts off its ideal start (0, or
+    # -half_count s) by +5e-10 and -9e-10 of a step, inside _half_axis's
+    # tolerance, where the phase of the delay at ~0 counts.  The reference
+    # is evaluated at the 3n - 1 distinct frequencies (D(-nu) = conj D(nu))
     grid = PHYSICAL_GRID
     lo, d, n = grid.omega1_min, grid.d1, grid.n1
     s = {"nyquist": 0.9 * rec.nyquist_step(grid),
          "mirror-on-band": grid.omega1_max / PHYSICAL_MODEL.omega_c1 * rec.nyquist_step(grid),
          "on-pole": 2.0 * np.pi / (2.0 * lo + n * d)}[step]
-    axis = (0.0, s, half_count + 1) if half else (-s * half_count, s, 2 * half_count + 1)
-    ax = ifm.Axis("t", *axis)
-    w = rec._weights(ax, window, half)
-    t, h = rec._lattice_sums(ax, window, half, lo, d, n)
+    start, count = (0.0, half_count + 1) if half else (-s * half_count, 2 * half_count + 1)
     p, k = np.indices((n, n))
-    for got, expected in ((t, reference.lattice_sum_longdouble(axis, w, 0.0, d, p - k)),
-                          (h, reference.lattice_sum_longdouble(axis, w, 2.0 * lo, d, p + k + 1))):
-        assert np.max(np.abs(got - expected)) <= 1e-15 * np.sum(np.abs(w))
+    for offset in (0.0, 5e-10, -9e-10):
+        axis = (start + offset * s, s, count)
+        ax = ifm.Axis("t", *axis)
+        w = rec._weights(ax, window, half)
+        t, h = rec._lattice_sums(ax, window, half, lo, d, n)
+        diff = reference.lattice_sum_longdouble(axis, w, 0.0, d, np.arange(n))
+        diff = np.concatenate([np.conj(diff[:0:-1]), diff])
+        sums = reference.lattice_sum_longdouble(axis, w, 2.0 * lo, d, np.arange(1, 2 * n))
+        for got, expected in ((t, diff[n - 1 + p - k]), (h, sums[p + k])):
+            assert np.max(np.abs(got - expected)) <= 1e-15 * np.sum(np.abs(w)), offset
 
 
 def test_lattice_scan_inverts_only_on_its_own_grid():
@@ -473,15 +482,15 @@ def test_fold_matches_brute_force_on_noisy_lattice(window, demodulate, half_axis
 
 @pytest.mark.parametrize("half_axis", [False, True], ids=["symmetric", "half"])
 def test_kernel_matches_complex_exponential(half_axis, monkeypatch):
-    # 8 delays per block, the last one partial: the blocks' kernels, joined,
-    # are the whole kernel
+    # 8 delays per block, the last one partial: the inverse kernels that
+    # reconstruct_jsi takes from the phasor blocks, joined, are the whole kernel
     monkeypatch.setattr(core, "_PHASOR_ROWS", 8)
     grid, _, full = small_band()
     t = ifm.Axis("t", *full.axes[0]).values
     t = t[(full.count1 - 1) // 2:] if half_axis else t
     weight = np.hanning(len(t) + 2)[1:-1] * full.step1
     direct = weight[:, None] * np.exp(1j * np.outer(t, grid.axis1))
-    blocks = [k for _, k in rec._kernels(grid.axis1, t, weight)]
+    blocks = [np.conj(e) * weight[rows, None] for rows, e in core.phasor_blocks(grid.axis1, t)]
     assert len(blocks) > 1
     assert np.max(np.abs(np.concatenate(blocks) - direct)) <= 1e-12
 
