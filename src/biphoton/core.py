@@ -84,18 +84,20 @@ class FrequencyGrid:
         return self.d1 * self.d2
 
 
-def phasors(omega: np.ndarray, t) -> np.ndarray:
-    """exp(-i outer(t, omega)), shape (len(t), n), for a uniform omega axis:
-    the broadcast product of a coarse table exp(-i outer(t, omega[::b])) and
+def phasors(omega: np.ndarray, t, t_lo=0.0) -> np.ndarray:
+    """exp(-i outer(t + t_lo, omega)), shape (len(t), n), for a uniform omega
+    axis and delays given as two-floats t + t_lo (t_lo ~1e-16 t, or 0): the
+    broadcast product of a coarse table exp(-i outer(t, omega[::b])) and
     a fine one exp(-i outer(t, k dw)), k < b = ceil(sqrt(n)), i.e. n/b + b
     exponentials per delay.  The large phases p = fl(t omega) of the coarse
-    table carry their rounding error e (`two_product`) as exp(-i p) (1 - i e)."""
+    table carry their rounding error e (`two_product`) and t_lo omega as
+    exp(-i p) (1 - i (e + t_lo omega))."""
     omega = np.asarray(omega, float)
     t = np.atleast_1d(np.asarray(t, float))[:, None]
     n = len(omega)
     b = int(np.ceil(np.sqrt(n)))
     p, e = two_product(t, omega[::b])
-    coarse = np.exp(-1j * p) * (1.0 - 1j * e)
+    coarse = np.exp(-1j * p) * (1.0 - 1j * (e + np.reshape(t_lo, (-1, 1)) * omega[::b]))
     fine = np.exp(-1j * t * (np.arange(b) * ((omega[-1] - omega[0]) / max(n - 1, 1))))
     return (coarse[:, :, None] * fine[:, None, :]).reshape(len(t), -1)[:, :n]
 
@@ -106,6 +108,14 @@ def phasor_blocks(omega: np.ndarray, t: np.ndarray):
     for r in range(0, len(t), _PHASOR_ROWS):
         rows = slice(r, r + _PHASOR_ROWS)
         yield rows, phasors(omega, t[rows])
+
+
+def add_two(x, y):
+    """x + y of two-floats x = (hi, lo) and y, as a two-float: Knuth's
+    exact sum of the high parts, plus the low parts."""
+    s = x[0] + y[0]
+    v = s - x[0]
+    return s, ((x[0] - (s - v)) + (y[0] - v)) + (x[1] + y[1])
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,8 +223,13 @@ class BiphotonAmplitude:
         """Evaluate Phi(omega1, omega2) (broadcasting)."""
         u1 = (np.asarray(omega1, float) - self.omega_c1) / self.sigma1
         u2 = (np.asarray(omega2, float) - self.omega_c2) / self.sigma2
-        q = (u1 * u1 - 2.0 * self.rho * u1 * u2 + u2 * u2) / (2.0 * (1.0 - self.rho**2))
-        return np.exp(-q)
+        # (u1^2 - 2 rho u1 u2 + u2^2) / (2 (1 - rho^2)), operation by operation
+        # as written but in one array; [()] makes a 0-d result a scalar
+        q = np.multiply(2.0 * self.rho * u1, u2, out=np.empty(np.broadcast(u1, u2).shape))
+        np.subtract(u1 * u1, q, out=q)
+        q += u2 * u2
+        q /= 2.0 * (1.0 - self.rho**2)
+        return np.exp(np.negative(q, out=q), out=q)[()]
 
 
 @dataclass(frozen=True)
@@ -234,15 +249,20 @@ def sample_on_grid(model: BiphotonAmplitude, grid: FrequencyGrid,
                    filter1: SpectralFilter | None = None,
                    filter2: SpectralFilter | None = None) -> SampledAmplitude:
     """Sample Phi*F1*F2 on the grid and renormalize the discrete JSI to 1."""
-    vals = model(grid.axis1[:, None], grid.axis2[None, :]).astype(complex)
+    vals = model(grid.axis1[:, None], grid.axis2[None, :])
     if filter1 is not None:
-        vals = vals * filter1.transmission(grid.axis1)[:, None]
+        vals *= filter1.transmission(grid.axis1)[:, None]
     if filter2 is not None:
-        vals = vals * filter2.transmission(grid.axis2)[None, :]
-    norm = np.sum(np.abs(vals) ** 2) * grid.measure
+        vals *= filter2.transmission(grid.axis2)[None, :]
+    intensity = np.abs(vals)
+    norm = np.sum(np.square(intensity, out=intensity)) * grid.measure
     if norm <= 0.0 or not np.isfinite(norm):
         raise EmptySupportError("filtered amplitude has no spectral support on the grid")
-    return SampledAmplitude(vals / np.sqrt(norm), grid)
+    # complex only from here: a product with the real transmissions and the
+    # modulus give the same bits on values with zero imaginary parts
+    vals = vals.astype(complex)
+    vals /= np.sqrt(norm)
+    return SampledAmplitude(vals, grid)
 
 
 def jsi(sampled: SampledAmplitude) -> np.ndarray:

@@ -7,13 +7,13 @@ The numerical kernel is the overlap integral
 
 evaluated as a midpoint-rule double sum, with the normalized coincidence
 rate G = 1 - Re(Gamma) in [0, 2].  Lattice scans reuse the factored form
-E1 @ M @ E2^T, the same double sum reassociated; core.phasors builds the
-exp(-i w t) tables E1, E2 from sqrt(n)-sized ones.  Every scan takes
-E1, E2 from core.phasor_blocks, one block of delays at a time, and builds
-each once: gamma_lattice holds P = conj(E1 @ M) for all S delays, which
-grows with S delays x band (no CLI scan has more than 23 S delays), and
-writes its product with each block of E2 into the output, so nothing
-grows with the L delays but the output.  A `LatticeScan` holds only M.
+E1 @ M @ E2^T, the same double sum reassociated, at the exact delays
+start + k step of each (start, step, count) axis; core.phasors builds the
+exp(-i w t) tables from sqrt(n)-sized ones.  gamma_lattice contracts the
+shorter axis first, P = E_short @ M (no CLI scan has more than 23 delays
+on it), and splits the longer one's index as k = b q + r, b ~ sqrt(count),
+so its tables have ~2 sqrt(count) rows: nothing but the output grows in
+proportion to the scan.  A `LatticeScan` holds only M.
 
 Interferograms are stored as CSV format 2: '#' headers that define the
 axes, then one 'G[,counts]' row per lattice point with integer counts.
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GridMismatchError, SampledAmplitude, phasor_blocks
+from .core import GridMismatchError, SampledAmplitude, add_two, phasors, two_product
 
 _RANGE_TOL = 1e-9
 _BLOCK_ROWS = 1 << 9       # rows per block of a CSV write; larger blocks raise peak RSS
@@ -94,24 +94,41 @@ def _checked_g(values: np.ndarray) -> np.ndarray:
 
 
 def gamma_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
-                  s_delays: np.ndarray, l_delays: np.ndarray) -> np.ndarray:
-    """Re(Gamma) on the product lattice s_delays x l_delays, as a real array.
+                  s_delays: tuple[float, float, int],
+                  l_delays: tuple[float, float, int]) -> np.ndarray:
+    """Re(Gamma) on the product lattice of the delay axes s_delays and
+    l_delays, each a (start, step, count) triple, as a real (S, L) array.
 
-    Factored evaluation of the same double sum: exp(-i w1 a) and
-    exp(-i w2 b) are separable phasor tables E1, E2, so the sum is two
-    matrix products.  The tables come from core.phasor_blocks, and each is
-    built once: P = conj(E1 @ M), joined over the blocks of S delays, times
-    each block of E2, both viewed as (re, im) pairs, is one real product
-    written into the output.  P grows with S delays x band (no CLI scan has
-    more than 23 S delays); nothing grows with the L delays but the output.
+    Factored evaluation of the same double sum at the exact delays
+    start + k step, each a two-float (core.two_product, core.add_two).  The
+    axis with fewer delays is contracted first, P = E_short @ M, from one
+    core.phasors table.  On the long axis k = b q + r, b = ceil(sqrt(count)),
+    so exp(-i w t_k) = A[q] F[r] with A the phasors at start + b q step and
+    F those at r step; each row of Re(Gamma) is Re((P_row * A) @ F^T), one
+    real product of their (re, im) views.  No table grows faster than
+    sqrt(count) delays of the long axis.
     """
     m = _joint_measure(phi_a, phi_b)
-    s, l = np.atleast_1d(s_delays), np.atleast_1d(l_delays)
-    p = np.concatenate([np.conj(e1 @ m) for _, e1 in phasor_blocks(phi_a.grid.axis1, s)])
-    out = np.empty((len(s), len(l)))
-    for j, e2 in phasor_blocks(phi_a.grid.axis2, l):
-        np.matmul(p.view(float), e2.view(float).T, out=out[:, j])
-    return out
+    axes = [(phi_a.grid.axis1, s_delays), (phi_a.grid.axis2, l_delays)]
+    swap = l_delays[2] < s_delays[2]
+    (omega_short, short), (omega, long) = axes[::-1] if swap else axes
+    p = phasors(omega_short, *_delays(short, np.arange(short[2]))) @ (m.T if swap else m)
+    _, step, count = long
+    b = int(np.ceil(np.sqrt(count)))
+    q = -(-count // b)
+    a = phasors(omega, *_delays(long, b * np.arange(q)))
+    # conj(F), the phasors at -r step: the (re, im) product is Re(x conj(y)^T)
+    f = phasors(omega, *_delays((0.0, -step), np.arange(b))).view(float).T
+    out = np.empty((len(p), q * b))
+    for row, o in zip(p, out):
+        np.matmul((row * a).view(float), f, out=o.reshape(q, b))
+    return out[:, :count].T if swap else out[:, :count]
+
+
+def _delays(axis, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """start + k step of `axis` (start, step[, count]) for integers k, as
+    two-floats (hi, lo)."""
+    return add_two(two_product(k.astype(float), axis[1]), (axis[0], 0.0))
 
 
 def _joint_measure(phi_a: SampledAmplitude, phi_b: SampledAmplitude) -> np.ndarray:
@@ -132,17 +149,15 @@ def scan_1d(phi_a: SampledAmplitude, phi_b: SampledAmplitude, axis: str,
     """1D coincidence scan along the S or L delay axis."""
     if axis not in ("S", "L"):
         raise ValueError("axis must be 'S' or 'L'")
-    delays = start + step * np.arange(count)
+    ax = Axis(f"delta_tau_{axis}", start, step, count)
+    fixed, scanned = (fixed_other_delay, 0.0, 1), (ax.start, ax.step, ax.count)
     if axis == "L":
-        gam = gamma_lattice(phi_a, phi_b, fixed_other_delay, delays)[0]
-        name = "delta_tau_L"
+        gam = gamma_lattice(phi_a, phi_b, fixed, scanned)[0]
     else:
-        gam = gamma_lattice(phi_a, phi_b, delays, fixed_other_delay)[:, 0]
-        name = "delta_tau_S"
-    g = 1.0 - gam
+        gam = gamma_lattice(phi_a, phi_b, scanned, fixed)[:, 0]
     meta = {"fixed_axis": "S" if axis == "L" else "L",
             "fixed_delay": fixed_other_delay}
-    return Interferogram((Axis(name, start, step, count),), g, metadata=meta)
+    return Interferogram((ax,), 1.0 - gam, metadata=meta)
 
 
 def scan_2d(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
@@ -150,7 +165,8 @@ def scan_2d(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
     """Full 2D coincidence lattice over (delta_tau_S, delta_tau_L)."""
     ax_s = Axis("delta_tau_S", *s_axis)
     ax_l = Axis("delta_tau_L", *l_axis)
-    gam = gamma_lattice(phi_a, phi_b, ax_s.values, ax_l.values)
+    gam = gamma_lattice(phi_a, phi_b, (ax_s.start, ax_s.step, ax_s.count),
+                        (ax_l.start, ax_l.step, ax_l.count))
     return Interferogram((ax_s, ax_l), np.subtract(1.0, gam, out=gam))
 
 

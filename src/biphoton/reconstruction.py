@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BiphotonAmplitude, FrequencyGrid, SampledAmplitude, jsi, phasor_blocks,
-                   phasors, sample_on_grid, two_product)
+from .core import (BiphotonAmplitude, FrequencyGrid, SampledAmplitude, add_two, jsi,
+                   phasor_blocks, phasors, sample_on_grid, two_product)
 from .interferometer import Interferogram, LatticeScan
 
 _PI = (np.pi, 1.2246467991473532e-16)  # pi as two doubles, to ~1e-32
@@ -191,14 +191,6 @@ def _weights(ax, window: str, half: bool) -> np.ndarray:
     return w
 
 
-def _add(x, y):
-    """x + y of two-floats x = (hi, lo) and y, as a two-float: Knuth's
-    exact sum of the high parts, plus the low parts."""
-    s = x[0] + y[0]
-    v = s - x[0]
-    return s, ((x[0] - (s - v)) + (y[0] - v)) + (x[1] + y[1])
-
-
 def _geometric(y, n: int, jc: int) -> np.ndarray:
     """sum_j exp(2 i y (j - jc)), j < n, of a two-float y.  With
     y = k pi + delta, |delta| <= pi / 2, from pi as two doubles, each term's
@@ -236,7 +228,7 @@ def _lattice_sums(ax, window: str, half: bool, lo: float, d: float, n: int):
     G reduces y by pi once, so no phase nu t_j of ~1e4 rad is rounded."""
     a, b, _, m_w, c = _window(ax, window, half)
     m = np.concatenate([np.arange(n), np.arange(1, 2 * n)]).astype(float)
-    nu = _add((np.repeat([0.0, 2.0 * lo], [n, 2 * n - 1]), 0.0), two_product(m, d))
+    nu = add_two((np.repeat([0.0, 2.0 * lo], [n, 2 * n - 1]), 0.0), two_product(m, d))
     jc = 0 if half else (ax.count - 1) // 2
     p, e = two_product(float(jc), ax.step)
     r = (ax.start + p) + e
@@ -245,8 +237,8 @@ def _lattice_sums(ax, window: str, half: bool, lo: float, d: float, n: int):
     inner = a * _geometric(y, ax.count, jc)
     if b:
         q = np.pi / (m_w - 1.0)
-        inner = inner + 0.5 * b * (_geometric(_add(y, (q, 0.0)), ax.count, jc)
-                                   + _geometric(_add(y, (-q, 0.0)), ax.count, jc))
+        inner = inner + 0.5 * b * (_geometric(add_two(y, (q, 0.0)), ax.count, jc)
+                                   + _geometric(add_two(y, (-q, 0.0)), ax.count, jc))
     if half:
         inner = inner - 0.5 * (a + b)
     sums = c * np.exp(1j * nu[0] * r) * inner

@@ -1,13 +1,15 @@
 """Reference implementations the tests compare the program against.
 
 Each is the direct, unfactored form of something the package computes a
-faster way: Gamma as the plain double sum at one delay point, the
+faster way: the sampled amplitude with one array per operation, Gamma as
+the plain double sum at one delay point, the
 closed-form fringe that the quadrature must reproduce, the full (omega1,
 omega2) mesh of a grid, a grid with more cells over the same rectangle
 for convergence checks, the fit covariance from an SVD of the Jacobian,
 the inverse transform of a noiseless lattice scan as a long-double sum
-over every delay, and the jittered HOM dip as a numerical convolution;
-and one delay axis's lattice sum in long double, over blocks of delays.
+over every delay, Re(Gamma) on a delay lattice in long double, and the
+jittered HOM dip as a numerical convolution; and one delay axis's lattice
+sum in long double, over blocks of delays.
 """
 
 import numpy as np
@@ -37,6 +39,27 @@ def hom_fringe_analytic(V: float, sigma_x: float, lam: float, delta_x2) -> np.nd
         raise ValueError("sigma_x and lam must be positive")
     dx = np.asarray(delta_x2, float)
     return 0.5 * (1.0 - V * sinc(dx / sigma_x) * np.cos(2.0 * np.pi * dx / lam))
+
+
+def amplitude(model: core.BiphotonAmplitude, omega1, omega2) -> np.ndarray:
+    """The correlated Gaussian Phi(omega1, omega2) of `model`, one array per
+    operation; BiphotonAmplitude.__call__ does the same operations in place."""
+    u1 = (np.asarray(omega1, float) - model.omega_c1) / model.sigma1
+    u2 = (np.asarray(omega2, float) - model.omega_c2) / model.sigma2
+    q = (u1 * u1 - 2.0 * model.rho * u1 * u2 + u2 * u2) / (2.0 * (1.0 - model.rho**2))
+    return np.exp(-q)
+
+
+def sampled_values(model: core.BiphotonAmplitude, grid: core.FrequencyGrid,
+                   filter1=None, filter2=None) -> np.ndarray:
+    """Phi F1 F2 on the grid with unit discrete JSI, one array per
+    operation; core.sample_on_grid does the same operations in place."""
+    vals = amplitude(model, grid.axis1[:, None], grid.axis2[None, :]).astype(complex)
+    if filter1 is not None:
+        vals = vals * filter1.transmission(grid.axis1)[:, None]
+    if filter2 is not None:
+        vals = vals * filter2.transmission(grid.axis2)[None, :]
+    return vals / np.sqrt(np.sum(np.abs(vals) ** 2) * grid.measure)
 
 
 def mesh(grid: core.FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -94,12 +117,11 @@ def lattice_sum_longdouble(axis, w, nu0: float, d: float, m) -> np.ndarray:
             + 1j * np.sum(s * re + c * im, axis=1).astype(float)).reshape(m.shape)
 
 
-def inverse_longdouble(m: np.ndarray, band: core.FrequencyGrid, axes, wa, wb) -> np.ndarray:
-    """Re sum_ab wa(a) wb(b) (1 - G(a, b)) exp(i (w1 a + w2 b)), with
-    1 - G = Re sum_jk m_jk exp(-i (w1_j a + w2_k b)), as a direct sum in
-    long double on the ideal axes: delays start + k step and band
-    frequencies omega_min + (k + 1/2) d, exact in their double parameters.
-    `axes` are (start, step, count) tuples."""
+def _phases_longdouble(band: core.FrequencyGrid, axes):
+    """(cos, sin) of outer(t, omega) per axis, in long double on the ideal
+    axes: delays start + k step of each (start, step, count) tuple in
+    `axes` and band frequencies omega_min + (k + 1/2) d, exact in their
+    double parameters."""
     ld = np.longdouble
 
     def phase(ax, lo, d, n):
@@ -109,14 +131,35 @@ def inverse_longdouble(m: np.ndarray, band: core.FrequencyGrid, axes, wa, wb) ->
         theta = np.outer(t, omega)
         return np.cos(theta), np.sin(theta)  # exp(-i theta) = cos - i sin
 
-    (c1, s1), (c2, s2) = (phase(ax, lo, d, n) for ax, lo, d, n in
-                          zip(axes, (band.omega1_min, band.omega2_min),
-                              (band.d1, band.d2), (band.n1, band.n2)))
-    mr, mi = m.real.astype(ld), m.imag.astype(ld)
-    # h = Re(E1 M E2^T) with E = c - i s
-    h = c1 @ (mr @ c2.T + mi @ s2.T) - s1 @ (mr @ s2.T - mi @ c2.T)
-    wa, wb = np.asarray(wa, ld), np.asarray(wb, ld)
-    hw = h * wa[:, None] * wb[None, :]
+    return [phase(ax, lo, d, n) for ax, lo, d, n in
+            zip(axes, (band.omega1_min, band.omega2_min), (band.d1, band.d2),
+                (band.n1, band.n2))]
+
+
+def _re_gamma(m: np.ndarray, phases) -> np.ndarray:
+    (c1, s1), (c2, s2) = phases
+    mr, mi = m.real.astype(np.longdouble), m.imag.astype(np.longdouble)
+    # E1 M = x + i y with E = c - i s, and Re((x + i y) E2^T) = x c2^T + y s2^T
+    return (c1 @ mr + s1 @ mi) @ c2.T + (c1 @ mi - s1 @ mr) @ s2.T
+
+
+def re_gamma_longdouble(phi_a: core.SampledAmplitude, phi_b: core.SampledAmplitude,
+                        axes) -> np.ndarray:
+    """Re(Gamma) on the lattice of the (start, step, count) `axes` (S, L),
+    Re(E1 M E2^T) with M = phi_a conj(phi_b) measure, as a direct sum in
+    long double on the ideal delays and midpoint frequencies."""
+    m = phi_a.values * np.conj(phi_b.values) * phi_a.grid.measure
+    return _re_gamma(m, _phases_longdouble(phi_a.grid, axes)).astype(float)
+
+
+def inverse_longdouble(m: np.ndarray, band: core.FrequencyGrid, axes, wa, wb) -> np.ndarray:
+    """Re sum_ab wa(a) wb(b) (1 - G(a, b)) exp(i (w1 a + w2 b)), with
+    1 - G = Re sum_jk m_jk exp(-i (w1_j a + w2_k b)), as a direct sum in
+    long double on the ideal axes (`_phases_longdouble`)."""
+    ld = np.longdouble
+    phases = _phases_longdouble(band, axes)
+    hw = _re_gamma(m, phases) * np.asarray(wa, ld)[:, None] * np.asarray(wb, ld)[None, :]
+    (c1, s1), (c2, s2) = phases
     # Re(K1^T h K2) with K = w exp(i theta) = w (c + i s)
     return c1.T @ hw @ c2 - s1.T @ hw @ s2
 

@@ -88,6 +88,28 @@ class TestPhasors:
         whole = np.concatenate([e for _, e in blocks])
         assert np.array_equal(whole, core.phasors(grid.axis1, t))
 
+    def test_two_float_delays(self):
+        # delays t + t_lo of a lattice start + k step, as two-floats: the
+        # tables follow the low parts (~4e-13 rad of phase at ~4e3 rad)
+        omega = 2.0**30 * (1_100_000 + 64 * np.arange(96))
+        start, step = -3.1e-12, 2.3e-15
+        t, t_lo = core.add_two(core.two_product(np.arange(2700.0), step), (start, 0.0))
+        ld = np.longdouble
+        phase = np.outer(ld(start) + ld(step) * np.arange(2700, dtype=ld), omega.astype(ld))
+        exact = np.cos(phase) - 1j * np.sin(phase)
+        assert np.max(np.abs(core.phasors(omega, t, t_lo) - exact)) <= 1e-14
+        assert np.max(np.abs(core.phasors(omega, t) - exact)) > 1e-14
+
+    def test_add_two_is_exact(self):
+        # hi + lo is the sum of the doubles as a rational number
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-1.0, 1.0, 200) * 10.0 ** rng.integers(-15, -10, 200)
+        b = rng.uniform(-1.0, 1.0, 200) * 10.0 ** rng.integers(-15, -10, 200)
+        hi, lo = core.add_two((a, 0.0), (b, 0.0))
+        assert all(Fraction(x) + Fraction(y) == Fraction(h) + Fraction(r)
+                   for x, y, h, r in zip(a, b, hi, lo))
+        assert np.array_equal(hi, a + b)
+
     def test_two_product_is_exact(self):
         # p + e is the product of the doubles as a rational number
         rng = np.random.default_rng(7)
@@ -153,6 +175,27 @@ class TestGaussianAmplitude:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("shape", ["rectangular", "gaussian", None],
+                             ids=["rectangular", "gaussian", "unfiltered"])
+    def test_in_place_sampling_is_bit_identical(self, shape):
+        # the default fringe grid and amplitude, with either filter shape or
+        # none (as reconstruct samples its model)
+        cfg = config.load_config(overrides={("filters", "shape"): shape or "rectangular"})
+        src = config.build_source_params(cfg)
+        f1, f2 = config.build_filters(cfg, src)
+        model = config.build_model(cfg, src)
+        grid = core.grid_for_filters(f1, f2, n=cfg.getint("grid", "n"))
+        filters = (f1, f2) if shape else (None, None)
+        got = core.sample_on_grid(model, grid, *filters).values
+        assert np.array_equal(got, reference.sampled_values(model, grid, *filters))
+
+    def test_in_place_amplitude_is_bit_identical(self):
+        m = core.BiphotonAmplitude(10.0, 20.0, 2.0, 3.0, rho=-0.3)
+        x = np.linspace(0.0, 30.0, 7)
+        for args in ((12.0, 21.0), (x, 21.0), (12.0, x), (x, x), (x[:, None], x[None, :])):
+            got, expect = m(*args), reference.amplitude(m, *args)
+            assert type(got) is type(expect) and np.array_equal(got, expect)
+
     def test_unfiltered_norm(self, small_gaussian):
         _, grid, sampled = small_gaussian
         norm = np.sum(np.abs(sampled.values) ** 2) * grid.measure

@@ -42,20 +42,22 @@ class TestGamma:
             assert gab == pytest.approx(ga * gb, rel=1e-6)
 
     def test_lattice_matches_direct(self, reference_sampled):
-        s = np.array([-1e-13, 0.0, 7e-14])
-        l = np.array([-2e-13, 1e-13])
-        lat = ifm.gamma_lattice(reference_sampled, reference_sampled, s, l)
-        for i, a in enumerate(s):
-            for j, b in enumerate(l):
-                assert lat[i, j] == pytest.approx(
-                    reference.gamma(reference_sampled, reference_sampled, a, b).real, abs=1e-12)
+        # Gamma at the exact lattice start + k step, within a bound that the
+        # same tables on the rounded Axis.values (off by 2.8e-14) fail
+        ph = reference_sampled
+        axes = ((-1e-13, 7e-14, 4), (-2e-13, 1e-13, 4))
+        ref = reference.re_gamma_longdouble(ph, ph, axes)
+        lat = ifm.gamma_lattice(ph, ph, *axes)
+        assert np.max(np.abs(lat - ref)) <= 5e-15 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("case", ["reconstruct", "fringe"])
     def test_lattice_as_accurate_as_direct_phases(self, case, reference_sampled):
-        # Re(Gamma) from the phasor tables and from the former cos/sin of
-        # outer(omega, t), each against long-double phases on the ideal
-        # midpoint axes, on a subset of the default reconstruct half lattice
-        # (phases to ~4e3 rad) and of the default fringe scan
+        # Re(Gamma) from the phasor tables and from cos/sin of
+        # outer(omega, t) on the rounded delays, each against long-double
+        # phases on the ideal midpoint axes and the ideal lattice, on a
+        # subset of the default reconstruct half lattice (phases to ~4e3 rad)
+        # and of the default fringe scan.  The bound lies below the error
+        # of the same tables on the rounded delays (2.5e-13 and 5.9e-14)
         if case == "reconstruct":
             cfg = load_config()
             src = build_source_params(cfg)
@@ -69,33 +71,24 @@ class TestGamma:
             coh = np.sqrt(2.0) / (sigma * np.sqrt(1.0 - abs(rho)))
             step = cfg.getfloat("reconstruct", "step_fraction") * rec.nyquist_step(grid)
             half_count = np.ceil(cfg.getfloat("reconstruct", "span_coherence_times") * coh / step)
-            lattice = rec.DelayLattice.half(step, int(half_count))
-            s, l = (ifm.Axis("t", *ax).values for ax in lattice.axes)
-            s, l = s[::36], l[::7]
+            (s0, ds, ns), (l0, dl, nl) = rec.DelayLattice.half(step, int(half_count)).axes
+            axes, bound = ((s0, 36 * ds, -(-ns // 36)), (l0, 7 * dl, -(-nl // 7))), 6e-14
         else:
             ph, grid = reference_sampled, reference_sampled.grid
-            s, l = np.array([0.0]), 5e-16 * np.arange(-866, 867, 3)
-        ld = np.longdouble
-
-        def exact(lo, hi, n, t):
-            axis = ld(lo) + (np.arange(n).astype(ld) + ld(0.5)) * ((ld(hi) - ld(lo)) / n)
-            phase = np.outer(t.astype(ld), axis)
-            return np.cos(phase) - 1j * np.sin(phase)
-
-        m = ph.values * np.conj(ph.values) * grid.measure
-        e1 = exact(grid.omega1_min, grid.omega1_max, grid.n1, s)
-        e2 = exact(grid.omega2_min, grid.omega2_max, grid.n2, l)
-        ref = ((e1 @ m.astype(np.clongdouble)) @ e2.T).real
-        p = np.exp(-1j * np.outer(s, grid.axis1)) @ m
+            axes, bound = ((0.0, 0.0, 1), (-866 * 5e-16, 15e-16, 578)), 1e-14
+        ref = reference.re_gamma_longdouble(ph, ph, axes)
+        s, l = (start + step * np.arange(count) for start, step, count in axes)
+        p = np.exp(-1j * np.outer(s, grid.axis1)) @ ifm._joint_measure(ph, ph)
         phase = np.outer(grid.axis2, l)
         direct = np.hstack([p.real, p.imag]) @ np.vstack([np.cos(phase), np.sin(phase)])
-        got = ifm.gamma_lattice(ph, ph, s, l)
-        assert np.max(np.abs(got - ref)) <= np.max(np.abs(direct - ref))
+        err = np.max(np.abs(ifm.gamma_lattice(ph, ph, *axes) - ref))
+        assert err <= bound * np.max(np.abs(ref))
+        assert err <= np.max(np.abs(direct - ref))
 
     def test_lattice_peak_memory_does_not_grow_with_the_scan(self):
         # the default fringe scan and one 10x as long on the default grid:
-        # the phasor tables are built one block of delays at a time, so only
-        # the scan's delays, Re(Gamma) and G arrays grow with it
+        # the long axis's phasor tables have ~sqrt(count) rows, so beyond
+        # them only the scan's Re(Gamma) and G arrays grow with it
         cfg = load_config()
         _, ph = cli._prepare(cfg)
         step = cfg.getfloat("scan", "fringe_step_um") * 1e-6 / core.C
@@ -113,15 +106,20 @@ class TestGamma:
         for p, count in ((short, 1733), (long, 17333)):
             assert p < count * ph.grid.n2 * np.dtype(complex).itemsize
 
-    def test_lattice_builds_each_phasor_table_once(self, small_gaussian, monkeypatch):
-        # 300 delays a side in blocks of 128: three E1 blocks, three E2 blocks
-        _, _, sampled = small_gaussian
-        rows, phasors = [], core.phasors
-        monkeypatch.setattr(core, "phasors", lambda w, t: (rows.append(len(t)), phasors(w, t))[1])
-        monkeypatch.setattr(core, "_PHASOR_ROWS", 128)
-        t = 1e-14 * np.arange(300)
-        ifm.gamma_lattice(sampled, sampled, t, t)
-        assert rows == [128, 128, 44] * 2
+    @pytest.mark.parametrize("counts", [(5, 300), (300, 5), (300, 300)],
+                             ids=["short-S", "short-L", "tie"])
+    def test_lattice_builds_each_phasor_table_once(self, small_gaussian, monkeypatch, counts):
+        # one table for the shorter axis (S on a tie) and two of ~sqrt(300)
+        # rows for the other: A at start + 18 q step, q < 17, and F at
+        # r step, r < 18
+        _, grid, sampled = small_gaussian
+        calls, phasors = [], core.phasors
+        monkeypatch.setattr(ifm, "phasors", lambda w, t, lo=0.0: (
+            calls.append((w[0], len(t))), phasors(w, t, lo))[1])
+        ifm.gamma_lattice(sampled, sampled, (0.0, 1e-14, counts[0]), (0.0, 1e-14, counts[1]))
+        short, long = (grid.axis2[0], grid.axis1[0]) if counts[1] < counts[0] else (
+            grid.axis1[0], grid.axis2[0])
+        assert calls == [(short, min(counts)), (long, 17), (long, 18)]
 
     def test_grid_mismatch_rejected(self, small_gaussian):
         model, grid, sampled = small_gaussian
@@ -196,24 +194,21 @@ class TestScans:
                 g = reference.gamma(reference_sampled, reference_sampled, ts[i], tl[j])
                 assert 1.0 - ig.values[i, j] == pytest.approx(g.real, abs=1e-12)
 
-    def test_scans_match_complex_lattice(self, reference_sampled, monkeypatch):
-        # the real-arithmetic scans against 1 - Re of the complex reference,
-        # in one block per axis and in blocks of 8 delays: 6 on axis S and
-        # 8 on axis L, each axis's last one partial
+    def test_scans_match_complex_lattice(self, reference_sampled):
+        # the scans against 1 - Re(Gamma) in long double on the ideal lattice,
+        # within a bound that the same tables on the rounded delays (off by
+        # 3.0e-13) fail
         ph = reference_sampled
         axes = ((-2e-12, 1e-13, 41), (-3e-12, 1e-13, 61))
         s, l = (ifm.Axis("t", *ax).values for ax in axes)
-        e1, e2 = (core.phasors(omega, t) for omega, t in zip((ph.grid.axis1, ph.grid.axis2), (s, l)))
-        gam = (e1 @ ifm._joint_measure(ph, ph) @ e2.T).real
-        ref, tol = 1.0 - gam, 1e-14 * np.max(np.abs(gam))
-        for rows in (128, 8):
-            monkeypatch.setattr(core, "_PHASOR_ROWS", rows)
-            ig = ifm.scan_2d(ph, ph, *axes)
-            row = ifm.scan_1d(ph, ph, "L", s[7], *axes[1])
-            col = ifm.scan_1d(ph, ph, "S", l[9], *axes[0])
-            assert np.max(np.abs(ig.values - ref)) <= tol
-            assert np.max(np.abs(row.values - ref[7])) <= tol
-            assert np.max(np.abs(col.values - ref[:, 9])) <= tol
+        ig = ifm.scan_2d(ph, ph, *axes)
+        row = ifm.scan_1d(ph, ph, "L", s[7], *axes[1])
+        col = ifm.scan_1d(ph, ph, "S", l[9], *axes[0])
+        tol = 1.5e-13 * np.max(np.abs(reference.re_gamma_longdouble(ph, ph, axes)))
+        for got, lattice in ((ig.values, axes), (row.values, ((s[7], 0.0, 1), axes[1])),
+                             (col.values, (axes[0], (l[9], 0.0, 1)))):
+            gam = reference.re_gamma_longdouble(ph, ph, lattice).reshape(got.shape)
+            assert np.max(np.abs(got - (1.0 - gam))) <= tol
 
     def test_scan_axis_validation(self, small_gaussian):
         _, _, sampled = small_gaussian
