@@ -197,6 +197,8 @@ def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     ]
     if sampled is not None:
         lines.append(f"roundtrip_l2_error: {rec.l2_error(est, sampled):.3g}")
+    elif ig.counts is not None:
+        lines.append("warning: counts ignored; the G column was inverted")
     return lines
 
 

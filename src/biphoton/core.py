@@ -4,6 +4,8 @@ All spectral quantities are handled internally in angular frequency
 (rad/s); wavelengths appear only at construction helpers, converted with
 omega = 2*pi*c/lambda.  Sampled amplitudes are normalized so the discrete
 joint spectral intensity integrates to one under the grid measure.
+`phasors` builds the exp(-i w t) tables of the scans and of their
+inverse at the exact delays start + k step of a lattice axis.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 C = 299792458.0  # vacuum speed of light, m/s
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 _FILTER_PAD = 0.2  # grid_for_filters' padding of a rectangular passband, relative
-_PHASOR_ROWS = 128  # delays per phasor_blocks table; larger blocks raise peak memory
 
 
 class EmptySupportError(ValueError):
@@ -84,30 +85,25 @@ class FrequencyGrid:
         return self.d1 * self.d2
 
 
-def phasors(omega: np.ndarray, t, t_lo=0.0) -> np.ndarray:
-    """exp(-i outer(t + t_lo, omega)), shape (len(t), n), for a uniform omega
-    axis and delays given as two-floats t + t_lo (t_lo ~1e-16 t, or 0): the
-    broadcast product of a coarse table exp(-i outer(t, omega[::b])) and
-    a fine one exp(-i outer(t, k dw)), k < b = ceil(sqrt(n)), i.e. n/b + b
+def phasors(omega: np.ndarray, axis, k) -> np.ndarray:
+    """exp(-i outer(t, omega)), shape (len(k), n), for a uniform omega axis
+    and the delays t = start + k step of a delay axis (start, step[, count])
+    at the integers k.  Each delay is formed once, exactly, as a two-float
+    t + t_lo (`two_product`, `add_two`), and the table is the broadcast
+    product of a coarse table exp(-i outer(t, omega[::b])) and a fine one
+    exp(-i outer(t, j dw)), j < b = ceil(sqrt(n)), i.e. n/b + b
     exponentials per delay.  The large phases p = fl(t omega) of the coarse
-    table carry their rounding error e (`two_product`) and t_lo omega as
+    table carry their rounding error e and t_lo omega as
     exp(-i p) (1 - i (e + t_lo omega))."""
     omega = np.asarray(omega, float)
-    t = np.atleast_1d(np.asarray(t, float))[:, None]
+    t, t_lo = add_two(two_product(np.atleast_1d(k).astype(float), axis[1]), (axis[0], 0.0))
+    t, t_lo = t[:, None], t_lo[:, None]
     n = len(omega)
     b = int(np.ceil(np.sqrt(n)))
     p, e = two_product(t, omega[::b])
-    coarse = np.exp(-1j * p) * (1.0 - 1j * (e + np.reshape(t_lo, (-1, 1)) * omega[::b]))
+    coarse = np.exp(-1j * p) * (1.0 - 1j * (e + t_lo * omega[::b]))
     fine = np.exp(-1j * t * (np.arange(b) * ((omega[-1] - omega[0]) / max(n - 1, 1))))
     return (coarse[:, :, None] * fine[:, None, :]).reshape(len(t), -1)[:, :n]
-
-
-def phasor_blocks(omega: np.ndarray, t: np.ndarray):
-    """(rows, phasors(omega, t[rows])) for each slice `rows` of _PHASOR_ROWS
-    delays t, in order, so that no table longer than one block exists."""
-    for r in range(0, len(t), _PHASOR_ROWS):
-        rows = slice(r, r + _PHASOR_ROWS)
-        yield rows, phasors(omega, t[rows])
 
 
 def add_two(x, y):
@@ -240,7 +236,7 @@ class SampledAmplitude:
     grid: FrequencyGrid
 
     def __post_init__(self):
-        norm = np.sum(np.abs(self.values) ** 2) * self.grid.measure
+        norm = np.vdot(self.values, self.values).real * self.grid.measure
         if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"sampled amplitude not normalized (norm={norm})")
 

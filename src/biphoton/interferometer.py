@@ -8,12 +8,13 @@ The numerical kernel is the overlap integral
 evaluated as a midpoint-rule double sum, with the normalized coincidence
 rate G = 1 - Re(Gamma) in [0, 2].  Lattice scans reuse the factored form
 E1 @ M @ E2^T, the same double sum reassociated, at the exact delays
-start + k step of each (start, step, count) axis; core.phasors builds the
-exp(-i w t) tables from sqrt(n)-sized ones.  gamma_lattice contracts the
-shorter axis first, P = E_short @ M (no CLI scan has more than 23 delays
-on it), and splits the longer one's index as k = b q + r, b ~ sqrt(count),
-so its tables have ~2 sqrt(count) rows: nothing but the output grows in
-proportion to the scan.  A `LatticeScan` holds only M.
+start + k step of each (start, step, count) axis: core.phasors forms each
+delay from its axis and index k, as for the inverse (reconstruction), and
+builds the exp(-i w t) tables from sqrt(n)-sized ones.  gamma_lattice
+contracts the shorter axis first, P = E_short @ M (no CLI scan has more
+than 23 delays on it), and splits the longer one's index as k = b q + r,
+b ~ sqrt(count), so its tables have ~2 sqrt(count) rows: nothing but the
+output grows in proportion to the scan.  A `LatticeScan` holds only M.
 
 Interferograms are stored as CSV format 2: '#' headers that define the
 axes, then one 'G[,counts]' row per lattice point with integer counts.
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GridMismatchError, SampledAmplitude, add_two, phasors, two_product
+from .core import GridMismatchError, SampledAmplitude, phasors
 
 _RANGE_TOL = 1e-9
 _BLOCK_ROWS = 1 << 9       # rows per block of a CSV write; larger blocks raise peak RSS
@@ -100,7 +101,7 @@ def gamma_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
     l_delays, each a (start, step, count) triple, as a real (S, L) array.
 
     Factored evaluation of the same double sum at the exact delays
-    start + k step, each a two-float (core.two_product, core.add_two).  The
+    start + k step, which core.phasors forms from each axis.  The
     axis with fewer delays is contracted first, P = E_short @ M, from one
     core.phasors table.  On the long axis k = b q + r, b = ceil(sqrt(count)),
     so exp(-i w t_k) = A[q] F[r] with A the phasors at start + b q step and
@@ -112,23 +113,17 @@ def gamma_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
     axes = [(phi_a.grid.axis1, s_delays), (phi_a.grid.axis2, l_delays)]
     swap = l_delays[2] < s_delays[2]
     (omega_short, short), (omega, long) = axes[::-1] if swap else axes
-    p = phasors(omega_short, *_delays(short, np.arange(short[2]))) @ (m.T if swap else m)
+    p = phasors(omega_short, short, np.arange(short[2])) @ (m.T if swap else m)
     _, step, count = long
     b = int(np.ceil(np.sqrt(count)))
     q = -(-count // b)
-    a = phasors(omega, *_delays(long, b * np.arange(q)))
+    a = phasors(omega, long, b * np.arange(q))
     # conj(F), the phasors at -r step: the (re, im) product is Re(x conj(y)^T)
-    f = phasors(omega, *_delays((0.0, -step), np.arange(b))).view(float).T
+    f = phasors(omega, (0.0, -step), np.arange(b)).view(float).T
     out = np.empty((len(p), q * b))
     for row, o in zip(p, out):
         np.matmul((row * a).view(float), f, out=o.reshape(q, b))
     return out[:, :count].T if swap else out[:, :count]
-
-
-def _delays(axis, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """start + k step of `axis` (start, step[, count]) for integers k, as
-    two-floats (hi, lo)."""
-    return add_two(two_product(k.astype(float), axis[1]), (axis[0], 0.0))
 
 
 def _joint_measure(phi_a: SampledAmplitude, phi_b: SampledAmplitude) -> np.ndarray:

@@ -6,8 +6,9 @@ nonnegative) JSI, so the JSI is recovered by the inverse cosine-kernel sum
     J(w1, w2) ~ sum_over_lattice h(a, b) * w(a) w(b) * cos(w1*a + w2*b) * da*db
 
 evaluated on a requested frequency band as Re(A^T h B), with the inverse
-kernels A = conj(E1) wa and B = conj(E2) wb of the phasor tables E
-(core.phasors), where w carries the window, half-axis weight and cell area.
+kernels A = conj(E1) wa and B = conj(E2) wb of the phasor tables E, where
+w carries the window, half-axis weight and cell area.  core.phasors takes
+E at the exact delays start + k step, as for the forward scan.
 
 cos is even and the window symmetric, so the terms at (a, b) and (-a, -b)
 share one kernel value.  One rule per axis then covers every lattice: an
@@ -17,13 +18,13 @@ point reflection of the measured one), so it takes the right half of the
 window over that axis and weight 2 off 0.
 
 An Interferogram keeps B whole, as (re, im) pairs, and adds
-Re(A_block^T (sum_b B - G_block B)) for each block of delays of
-core.phasor_blocks and its rows of G, so no lattice-sized temporary
-exists.  An interferometer.LatticeScan (the noiseless `reconstruct`)
-needs no kernel table: with 1 - G = Re(E1 M E2^T)
-on its sampling grid, every sum over the lattice is a value of one axis's
-D(nu) = sum_t w(t) exp(i nu t) at the difference (Toeplitz) or the sum
-(Hankel) of two band frequencies, 2n - 1 values of each per axis, and
+Re(A_block^T (sum_b B - G_block B)) for each block of _BLOCK_ROWS (128)
+delays of axis 1 and its rows of G, so no lattice-sized temporary exists.
+An interferometer.LatticeScan (the noiseless `reconstruct`) needs no
+kernel table: with 1 - G = Re(E1 M E2^T) on its sampling grid, every sum
+over the lattice is a value of one axis's D(nu) = sum_t w(t) exp(i nu t)
+at the difference (Toeplitz) or the sum (Hankel) of two band
+frequencies, 2n - 1 values of each per axis, and
 est = Re(T1 M T2^T + H1 conj(M) H2^T) / 2 (`_invert_scan`).  The delays
 are uniform and the window is a constant plus one cosine, so each D is a
 few geometric sums, taken in closed form from one reduction of the half
@@ -44,10 +45,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BiphotonAmplitude, FrequencyGrid, SampledAmplitude, add_two, jsi,
-                   phasor_blocks, phasors, sample_on_grid, two_product)
+                   phasors, sample_on_grid, two_product)
 from .interferometer import Interferogram, LatticeScan
 
 _PI = (np.pi, 1.2246467991473532e-16)  # pi as two doubles, to ~1e-32
+_BLOCK_ROWS = 128  # delays of axis 1 per block of the inverse; larger blocks raise peak memory
 
 
 class AliasingError(ValueError):
@@ -284,11 +286,14 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
         # B as (re, im) column pairs, so each block's product with 1 - G is
         # real and gives (1 - G) B as pairs; a G read from a CSV is a strided
         # column, which one product over all rows would copy whole
-        b = (np.conj(phasors(band.axis2, ax_b.values)) * wb[:, None]).view(float)
+        b = (np.conj(phasors(band.axis2, (ax_b.start, ax_b.step), np.arange(ax_b.count)))
+             * wb[:, None]).view(float)
         total = b.sum(axis=0)
         est = np.zeros((band.n1, band.n2))
-        for rows, e in phasor_blocks(band.axis1, ax_a.values):
-            a = np.conj(e) * wa[rows, None]
+        k = np.arange(ax_a.count)
+        for r in range(0, ax_a.count, _BLOCK_ROWS):
+            rows = slice(r, r + _BLOCK_ROWS)
+            a = np.conj(phasors(band.axis1, (ax_a.start, ax_a.step), k[rows])) * wa[rows, None]
             est += (a.T @ (total - interferogram.values[rows] @ b).view(complex)).real
 
     total_abs = np.sum(np.abs(est))

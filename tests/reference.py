@@ -6,8 +6,8 @@ the plain double sum at one delay point, the
 closed-form fringe that the quadrature must reproduce, the full (omega1,
 omega2) mesh of a grid, a grid with more cells over the same rectangle
 for convergence checks, the fit covariance from an SVD of the Jacobian,
-the inverse transform of a noiseless lattice scan as a long-double sum
-over every delay, Re(Gamma) on a delay lattice in long double, and the
+the inverse transform of a noiseless lattice scan, or of a lattice of G
+values, as a long-double sum over every delay, Re(Gamma) on a delay lattice in long double, and the
 jittered HOM dip as a numerical convolution; and one delay axis's lattice
 sum in long double, over blocks of delays.
 """
@@ -156,12 +156,23 @@ def inverse_longdouble(m: np.ndarray, band: core.FrequencyGrid, axes, wa, wb) ->
     """Re sum_ab wa(a) wb(b) (1 - G(a, b)) exp(i (w1 a + w2 b)), with
     1 - G = Re sum_jk m_jk exp(-i (w1_j a + w2_k b)), as a direct sum in
     long double on the ideal axes (`_phases_longdouble`)."""
-    ld = np.longdouble
     phases = _phases_longdouble(band, axes)
-    hw = _re_gamma(m, phases) * np.asarray(wa, ld)[:, None] * np.asarray(wb, ld)[None, :]
+    return _inverse(_re_gamma(m, phases), phases, wa, wb)
+
+
+def inverse_g_longdouble(g: np.ndarray, band: core.FrequencyGrid, axes, wa, wb) -> np.ndarray:
+    """inverse_longdouble of a given lattice of G values (a scan's), on the
+    (start, step, count) `axes`."""
+    phases = _phases_longdouble(band, axes)
+    return _inverse(1.0 - np.asarray(g, np.longdouble), phases, wa, wb)
+
+
+def _inverse(h: np.ndarray, phases, wa, wb) -> np.ndarray:
+    ld = np.longdouble
+    hw = h * np.asarray(wa, ld)[:, None] * np.asarray(wb, ld)[None, :]
     (c1, s1), (c2, s2) = phases
     # Re(K1^T h K2) with K = w exp(i theta) = w (c + i s)
-    return c1.T @ hw @ c2 - s1.T @ hw @ s2
+    return c1.T @ (hw @ c2) - s1.T @ (hw @ s2)
 
 
 def jittered_dip(delta_t, visibility, jitter_fwhm: float, v_cap: float = 1.0 / 3.0) -> np.ndarray:

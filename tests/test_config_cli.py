@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -649,6 +650,26 @@ class TestReconstructCommand:
         assert code == cli.EXIT_OK
         report = read_report(out / "recon_report.txt")
         assert abs(float(report["correlation"])) < 0.05
+
+    def test_counts_in_input_are_flagged(self, tmp_path):
+        # the inverse reads the G column only: a file that also carries counts
+        # gives the same JSI, and a report with one warning line more
+        model = core.BiphotonAmplitude.gaussian(1.23e15, 1.20e15, 7e12, 7e12, rho=0.0)
+        grid = core.grid_for_gaussian(model, n=16)
+        sampled = core.sample_on_grid(model, grid)
+        step = 0.9 * rec.nyquist_step(grid)
+        ig = ifm.scan_2d(sampled, sampled, *rec.DelayLattice.half(step, 40).axes)
+        twins = {"g": ig, "counts": dataclasses.replace(ig, counts=np.rint(500.0 * ig.values))}
+        for name, scan in twins.items():
+            ifm.write_interferogram_csv(scan, tmp_path / f"{name}.csv")
+            assert cli.main(["--out", str(tmp_path / name), "--set", "reconstruct.band_n=16",
+                             "--set", "reconstruct.rho=0", "reconstruct",
+                             "--input", str(tmp_path / f"{name}.csv")]) == cli.EXIT_OK
+        g, counts = ((tmp_path / name / "recon_report.txt").read_text().splitlines()
+                     for name in twins)
+        assert counts == [*g, "warning: counts ignored; the G column was inverted"]
+        assert (tmp_path / "g" / "jsi.csv").read_bytes() == (
+            tmp_path / "counts" / "jsi.csv").read_bytes()
 
     def test_input_without_format_header_is_a_config_error(self, tmp_path, capsys):
         # the rows of a scan CSV from before the '# format=2' header: coordinates first

@@ -53,9 +53,10 @@ class TestPhasors:
         tmax = 4e3 / omega[-1]
         t = np.concatenate([[0.0, tmax, -tmax],
                             np.random.default_rng(n).uniform(-tmax, tmax, 200)])
+        # free delays as the indices k of the axis (0, 1), whose t = k exactly
         for delays in (0.7 * tmax, -tmax, t, -np.sort(t)):
             expect = np.exp(-1j * np.outer(delays, omega))
-            got = core.phasors(omega, delays)
+            got = core.phasors(omega, (0.0, 1.0), delays)
             assert got.shape == expect.shape
             assert np.max(np.abs(got - expect)) <= 1e-12
 
@@ -72,33 +73,36 @@ class TestPhasors:
         t = np.random.default_rng(n).uniform(-tmax, tmax, 200)
         phase = np.outer(t.astype(ld), ideal)
         exact = np.cos(phase) - 1j * np.sin(phase)
-        err = np.max(np.abs(core.phasors(grid.axis1, t) - exact))
+        err = np.max(np.abs(core.phasors(grid.axis1, (0.0, 1.0), t) - exact))
         direct = np.max(np.abs(np.exp(-1j * np.outer(t, grid.axis1)) - exact))
         assert err <= 1.5 * direct
 
     @pytest.mark.parametrize("rows", [128, 8])
-    def test_blocks_join_to_the_whole_table(self, rows, monkeypatch):
-        # each row of a table depends on its own delay only, so the blocks,
-        # in order and joined, are bit for bit the table of all 203 delays
-        monkeypatch.setattr(core, "_PHASOR_ROWS", rows)
+    def test_blocks_join_to_the_whole_table(self, rows):
+        # each row of a table depends on its own delay only, so the tables of
+        # blocks of indices, as the inverse transform takes them, are bit for
+        # bit those rows of the table of all 203 delays
         grid = core.FrequencyGrid(96, 96, 1.1e15, 1.3e15, 1.1e15, 1.3e15)
-        t = np.random.default_rng(5).uniform(-4e-12, 4e-12, 203)
-        blocks = list(core.phasor_blocks(grid.axis1, t))
-        assert [r.start for r, _ in blocks] == list(range(0, len(t), rows))
-        whole = np.concatenate([e for _, e in blocks])
-        assert np.array_equal(whole, core.phasors(grid.axis1, t))
+        axis, k = (-4e-12, 3.9e-14), np.arange(203)
+        whole = core.phasors(grid.axis1, axis, k)
+        assert whole.shape == (203, 96)
+        for r in range(0, len(k), rows):
+            assert np.array_equal(core.phasors(grid.axis1, axis, k[r:r + rows]),
+                                  whole[r:r + rows]), r
 
     def test_two_float_delays(self):
-        # delays t + t_lo of a lattice start + k step, as two-floats: the
-        # tables follow the low parts (~4e-13 rad of phase at ~4e3 rad)
+        # the delays start + k step of a lattice axis are formed as two-floats,
+        # and the tables follow their low parts (~4e-13 rad of phase at
+        # ~4e3 rad); the same delays rounded to doubles miss
         omega = 2.0**30 * (1_100_000 + 64 * np.arange(96))
         start, step = -3.1e-12, 2.3e-15
-        t, t_lo = core.add_two(core.two_product(np.arange(2700.0), step), (start, 0.0))
         ld = np.longdouble
         phase = np.outer(ld(start) + ld(step) * np.arange(2700, dtype=ld), omega.astype(ld))
         exact = np.cos(phase) - 1j * np.sin(phase)
-        assert np.max(np.abs(core.phasors(omega, t, t_lo) - exact)) <= 1e-14
-        assert np.max(np.abs(core.phasors(omega, t) - exact)) > 1e-14
+        k = np.arange(2700)
+        assert np.max(np.abs(core.phasors(omega, (start, step), k) - exact)) <= 1e-14
+        rounded = start + step * k
+        assert np.max(np.abs(core.phasors(omega, (0.0, 1.0), rounded) - exact)) > 1e-14
 
     def test_add_two_is_exact(self):
         # hi + lo is the sum of the doubles as a rational number

@@ -114,8 +114,8 @@ class TestGamma:
         # r step, r < 18
         _, grid, sampled = small_gaussian
         calls, phasors = [], core.phasors
-        monkeypatch.setattr(ifm, "phasors", lambda w, t, lo=0.0: (
-            calls.append((w[0], len(t))), phasors(w, t, lo))[1])
+        monkeypatch.setattr(ifm, "phasors", lambda w, axis, k: (
+            calls.append((w[0], len(k))), phasors(w, axis, k))[1])
         ifm.gamma_lattice(sampled, sampled, (0.0, 1e-14, counts[0]), (0.0, 1e-14, counts[1]))
         short, long = (grid.axis2[0], grid.axis1[0]) if counts[1] < counts[0] else (
             grid.axis1[0], grid.axis2[0])

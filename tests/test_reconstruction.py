@@ -5,6 +5,7 @@ import pytest
 
 from biphoton import core, reconstruction as rec
 from biphoton import interferometer as ifm
+from biphoton.config import build_source_params, load_config
 
 import reference
 
@@ -459,6 +460,39 @@ def test_lattice_scan_inverse_matches_long_double_on_a_physical_band(mirrored, w
     assert np.max(np.abs(est - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
+def physical_band(rho=-0.5, band_n=32):
+    """The noiseless `reconstruct`'s source on the 1530/1570 nm band at its
+    default width, span and step, with `rho` and `band_n`: the band grid,
+    the sampled amplitude and the symmetric lattice whose a >= 0 half the
+    run inverts."""
+    src = build_source_params(load_config())
+    model = core.BiphotonAmplitude.gaussian(
+        core.omega_from_wavelength(src.signal_center_wavelength),
+        core.omega_from_wavelength(src.idler_center_wavelength), 7e12, 7e12, rho=rho)
+    grid = core.grid_for_gaussian(model, n=band_n)
+    return grid, core.sample_on_grid(model, grid), make_lattice(grid, 7e12, rho)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is plain double here")
+@pytest.mark.parametrize("half_axis", [None, 1, 2], ids=["symmetric", "half-S", "half-L"])
+@pytest.mark.parametrize("window", ["none", "hann"])
+def test_interferogram_inverse_matches_long_double_on_a_physical_band(window, half_axis):
+    # a scan's G inverted through the Interferogram branch against a
+    # long-double sum over the same G on the ideal axes.  Half-S is the
+    # noiseless reconstruct's own 641 x 1281 half lattice; its phases reach
+    # ~3e3 rad, so kernels at delays rounded to doubles miss by ~1e-14
+    grid, sampled, full = physical_band()
+    axes = shaped_axes(full, half_axis)
+    ig = ifm.scan_2d(sampled, sampled, *axes)
+    wa, wb = (rec._weights(ax, window, half_axis == i) for i, ax in enumerate(ig.axes, 1))
+    expected = reference.inverse_g_longdouble(ig.values, grid, axes, wa, wb).astype(float)
+    expected = np.clip(expected, 0.0, None)
+    expected /= np.sum(expected) * grid.measure
+    est = rec.reconstruct_jsi(ig, grid, window=window)
+    assert np.max(np.abs(est.values - expected)) <= 2e-15 * np.max(expected)
+
+
 @pytest.mark.parametrize("half_axis", [None, 1, 2], ids=["symmetric", "half-S", "half-L"])
 @pytest.mark.parametrize("demodulate", [False, True])
 @pytest.mark.parametrize("window", ["none", "hann"])
@@ -475,7 +509,7 @@ def test_fold_matches_brute_force_on_noisy_lattice(window, demodulate, half_axis
         assert np.max(np.abs(noisy.values - noisy.values[::-1, ::-1])) > 0.1
     direct = brute_force_jsi(noisy, grid, window)
     for rows in (128, 8):
-        monkeypatch.setattr(core, "_PHASOR_ROWS", rows)
+        monkeypatch.setattr(rec, "_BLOCK_ROWS", rows)
         est = rec.reconstruct_jsi(noisy, grid, window=window, demodulate=demodulate)
         assert np.linalg.norm(est.values - direct) / np.linalg.norm(direct) <= 1e-9, rows
 
@@ -483,14 +517,17 @@ def test_fold_matches_brute_force_on_noisy_lattice(window, demodulate, half_axis
 @pytest.mark.parametrize("half_axis", [False, True], ids=["symmetric", "half"])
 def test_kernel_matches_complex_exponential(half_axis, monkeypatch):
     # 8 delays per block, the last one partial: the inverse kernels that
-    # reconstruct_jsi takes from the phasor blocks, joined, are the whole kernel
-    monkeypatch.setattr(core, "_PHASOR_ROWS", 8)
+    # reconstruct_jsi takes from the phasor tables of its blocks of delay
+    # indices, joined, are the whole kernel
+    monkeypatch.setattr(rec, "_BLOCK_ROWS", 8)
     grid, _, full = small_band()
-    t = ifm.Axis("t", *full.axes[0]).values
-    t = t[(full.count1 - 1) // 2:] if half_axis else t
+    axis = full.axes[0]
+    k = np.arange(full.count1)[(full.count1 - 1) // 2 if half_axis else 0:]
+    t = ifm.Axis("t", *axis).values[k]
     weight = np.hanning(len(t) + 2)[1:-1] * full.step1
     direct = weight[:, None] * np.exp(1j * np.outer(t, grid.axis1))
-    blocks = [np.conj(e) * weight[rows, None] for rows, e in core.phasor_blocks(grid.axis1, t)]
+    blocks = [np.conj(core.phasors(grid.axis1, axis, k[r:r + rec._BLOCK_ROWS]))
+              * weight[r:r + rec._BLOCK_ROWS, None] for r in range(0, len(k), rec._BLOCK_ROWS)]
     assert len(blocks) > 1
     assert np.max(np.abs(np.concatenate(blocks) - direct)) <= 1e-12
 
