@@ -13,16 +13,11 @@ import numpy as np
 
 from biphoton import core, fitting
 from biphoton import interferometer as ifm
-from biphoton.config import build_filters, build_model, build_source_params, load_config
+from biphoton.config import build_sampled, load_config
 
 
 def main():
-    cfg = load_config()
-    src = build_source_params(cfg)
-    model = build_model(cfg, src)
-    f1, f2 = build_filters(cfg, src)
-    grid = core.grid_for_filters(f1, f2, n=256)
-    sampled = core.sample_on_grid(model, grid, f1, f2)
+    src, sampled = build_sampled(load_config())
 
     # Scan delta_x2 over +-0.13 mm in 0.15 um steps (sub-wavelength sampling).
     step = 0.15e-6

@@ -5,7 +5,9 @@ joint spectral intensity through a cosine transform; sampling G on a
 uniform delay lattice and inverting it recovers the JSI without a
 spectrometer.  The demo runs the round trip for a separable source and for
 a strongly frequency-anticorrelated one and compares the recovered
-spectral correlation coefficients.
+spectral correlation coefficients.  Both are the config's [reconstruct]
+Gaussian at the [source] centres, with its band and half lattice from
+config.build_reconstruct, the builder `biphoton reconstruct` uses.
 
 For identical sources M = |Phi|^2 is real, so G is point-symmetric,
 G(-a, -b) = G(a, b): the lattice half with a >= 0 holds every value the
@@ -18,24 +20,19 @@ every sum over the lattice from 2n - 1 difference and 2n - 1 sum
 frequencies of each axis's sum over its delays.
 """
 
-import numpy as np
-
 from biphoton import core, reconstruction as rec
 from biphoton import interferometer as ifm
+from biphoton.config import build_reconstruct, load_config
 
 
 def main():
-    sigma = 7e12
     for rho in (0.0, -0.9):
-        model = core.BiphotonAmplitude.gaussian(1.23e15, 1.20e15,
-                                                sigma, sigma, rho=rho)
-        grid = core.grid_for_gaussian(model, n=64)
-        step = 0.9 * rec.nyquist_step(grid)
-        # Gamma decays slowest along the correlation ridge, so the lattice
-        # half-span must grow as the correlation strengthens.
-        slow = np.sqrt(2.0) / (sigma * np.sqrt(1.0 - abs(rho)))
-        half = int(np.ceil(5.0 * slow / step))
-        lattice = rec.DelayLattice.half(step, half)
+        # the [reconstruct] source at this rho on a 64-point band: its
+        # lattice half-span grows as the correlation strengthens, because
+        # Gamma decays slowest along the correlation ridge
+        cfg = load_config(overrides={("reconstruct", "rho"): str(rho),
+                                     ("reconstruct", "band_n"): "64"})
+        model, grid, lattice = build_reconstruct(cfg)
 
         sampled = core.sample_on_grid(model, grid)
         scan = ifm.LatticeScan(sampled, sampled, *lattice.axes)

@@ -19,23 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import core, detector, fitting, interferometer as ifm, reconstruction as rec
-from .config import (ConfigError, RunConfig, build_budget, build_detector,
-                     build_filters, build_jitter, build_model,
-                     build_source_params, load_config)
+from .config import (ConfigError, RunConfig, build_budget, build_detector, build_jitter,
+                     build_reconstruct, build_sampled, build_source_params, load_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FIT = 3
 EXIT_ALIASING = 4
-
-
-def _prepare(cfg: RunConfig):
-    src = build_source_params(cfg)
-    f1, f2 = build_filters(cfg, src)
-    model = build_model(cfg, src)
-    grid = core.grid_for_filters(f1, f2, n=cfg.getint("grid", "n"))
-    sampled = core.sample_on_grid(model, grid, f1, f2)
-    return src, sampled
 
 
 def _write_scan(cfg: RunConfig, args: argparse.Namespace, ig: ifm.Interferogram,
@@ -58,8 +48,9 @@ def _num(value: float, spec: str) -> str:
 
 
 def _symmetric_positions(half: float, step: float, key: str) -> np.ndarray:
-    """step * k for every integer |k| <= half / step; at least three points."""
-    n = int(np.floor(half / step))
+    """step * k for every integer |k| <= half / step to a relative 1e-9, so that
+    an exact multiple (1.2 / 0.1 mm) keeps its end points; at least three points."""
+    n = int(np.floor(half / step * (1.0 + 1e-9)))
     if n < 1:
         raise ConfigError(f"[scan] {key}: half-span is shorter than one scan step")
     return step * np.arange(-n, n + 1)
@@ -80,7 +71,7 @@ def _fringe_delays(cfg: RunConfig, grid: core.FrequencyGrid, widen: float = 0.0)
 
 
 def _fringe(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
-    _, sampled = _prepare(cfg)
+    _, sampled = build_sampled(cfg)
     ig = ifm.scan_1d(sampled, sampled, "L", 0.0, *_fringe_delays(cfg, sampled.grid))
     x = fitting.delay_to_position(ig.axes[0].values, "delta_tau_L")
     order = np.argsort(x)
@@ -134,7 +125,7 @@ def _hom_dip(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
 
 
 def _scan2d(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
-    src, sampled = _prepare(cfg)
+    src, sampled = build_sampled(cfg)
     x1_half = cfg.getfloat("scan", "x1_halfspan_mm") * 1e-3
     tau_s = _symmetric_positions(x1_half, cfg.getfloat("scan", "x1_step_mm") * 1e-3,
                                  "x1_halfspan_mm") / core.C
@@ -157,28 +148,14 @@ def _scan2d(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
 def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     window = cfg.get("reconstruct", "window")
     demod = cfg.getbool("reconstruct", "demodulate")
-    src = build_source_params(cfg)
-    wc1 = core.omega_from_wavelength(src.signal_center_wavelength)
-    wc2 = core.omega_from_wavelength(src.idler_center_wavelength)
-    sigma = cfg.getfloat("reconstruct", "sigma_rad_per_ps") * 1e12
-    rho = cfg.getfloat("reconstruct", "rho")
-    model = core.BiphotonAmplitude.gaussian(wc1, wc2, sigma, sigma, rho=rho)
-    grid = core.grid_for_gaussian(model, n=cfg.getint("reconstruct", "band_n"))
+    model, grid, lattice = build_reconstruct(cfg)
     if args.input is not None:
         try:
             ig, sampled = ifm.read_interferogram_csv(args.input), None
         except OSError as exc:
             raise ConfigError(f"--input: {exc}") from None
     else:
-        # Gamma decays slowest along the correlation ridge; span the
-        # lattice to cover that axis, not just the marginal width.
-        coh = np.sqrt(2.0) / (sigma * np.sqrt(1.0 - abs(rho)))
-        span = cfg.getfloat("reconstruct", "span_coherence_times")
-        step = cfg.getfloat("reconstruct", "step_fraction") * rec.nyquist_step(grid)
-        half_count = int(np.ceil(span * coh / step))
-        # M = |Phi|^2 is real, so G(-a, -b) = G(a, b): scan a >= 0 only,
-        # and never form it: reconstruct_jsi inverts the LatticeScan itself
-        lattice = rec.DelayLattice.half(step, half_count)
+        # never form the scan: reconstruct_jsi inverts the LatticeScan itself
         sampled = core.sample_on_grid(model, grid)
         ig = ifm.LatticeScan(sampled, sampled, *lattice.axes)
     est = rec.reconstruct_jsi(ig, grid, window=window, demodulate=demod)

@@ -10,6 +10,8 @@ combined jitter FWHM (s).  The idler wavelength defaults to 'auto' because the
 rounded nominal pair 1530/1570 nm violates energy conservation at the 1e-4
 level enforced by SourceParams.  Each key's kind in DEFAULTS names the values
 load_config allows; the grid sizes are bounded to keep their arrays in memory.
+build_sampled and build_reconstruct give the scanned [source] amplitude and the
+[reconstruct] model, band and half lattice, to the CLI and the demos alike.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import hashlib
 import io
 import math
 
-from . import core, detector
+from . import core, detector, reconstruction as rec
 
 DEFAULTS: dict[str, dict[str, tuple[str, str | tuple[str, ...]]]] = {
     "source": {
@@ -231,6 +233,34 @@ def build_model(cfg: RunConfig, src: core.SourceParams) -> core.BiphotonAmplitud
         coherence = cfg.getfloat("source", "coherence_fwhm_ps") * 1e-12
         return core.gaussian_from_setup(wc1, wc2, s1, s2, coherence)
     return core.BiphotonAmplitude.gaussian(wc1, wc2, s1, s2, rho=cfg.getfloat("source", "rho"))
+
+
+def build_sampled(cfg: RunConfig) -> tuple[core.SourceParams, core.SampledAmplitude]:
+    """The [source] model through both filters, sampled on the filters'
+    grid of [grid] n points per axis: the amplitude fringe and scan2d scan."""
+    src = build_source_params(cfg)
+    f1, f2 = build_filters(cfg, src)
+    model = build_model(cfg, src)
+    grid = core.grid_for_filters(f1, f2, n=cfg.getint("grid", "n"))
+    return src, core.sample_on_grid(model, grid, f1, f2)
+
+
+def build_reconstruct(cfg: RunConfig) -> tuple[core.BiphotonAmplitude, core.FrequencyGrid,
+                                               rec.DelayLattice]:
+    """The [reconstruct] Gaussian at the [source] centres, its band, and the a >= 0
+    half lattice reconstruct scans (M = |Phi|^2 is real, so G(-a, -b) = G(a, b))."""
+    src = build_source_params(cfg)
+    wc1 = core.omega_from_wavelength(src.signal_center_wavelength)
+    wc2 = core.omega_from_wavelength(src.idler_center_wavelength)
+    sigma = cfg.getfloat("reconstruct", "sigma_rad_per_ps") * 1e12
+    rho = cfg.getfloat("reconstruct", "rho")
+    model = core.BiphotonAmplitude.gaussian(wc1, wc2, sigma, sigma, rho=rho)
+    grid = core.grid_for_gaussian(model, n=cfg.getint("reconstruct", "band_n"))
+    # Gamma decays slowest along the correlation ridge: span the lattice over that axis
+    coh = math.sqrt(2.0) / (sigma * math.sqrt(1.0 - abs(rho)))
+    step = cfg.getfloat("reconstruct", "step_fraction") * rec.nyquist_step(grid)
+    half_count = math.ceil(cfg.getfloat("reconstruct", "span_coherence_times") * coh / step)
+    return model, grid, rec.DelayLattice.half(step, half_count)
 
 
 def build_detector(cfg: RunConfig) -> float:

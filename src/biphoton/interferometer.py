@@ -189,14 +189,13 @@ def write_csv(path, headers: list[str], columns: list[np.ndarray]) -> None:
     """Format-2 CSV: '# format=2', a '# <header>' line per header, then one
     row per index of the equal-length 1-D `columns`, each value its repr.
 
-    Rows go out in blocks of _BLOCK_ROWS; each column of a block is
-    formatted by one repr(list), which is split back into its items.
+    Rows go out in blocks of _BLOCK_ROWS, which bounds the text held at once.
     """
     with open(path, "w") as fh:
         fh.write("# format=2\n")
         fh.writelines(f"# {line}\n" for line in headers)
         for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-            cells = [repr(c[lo:lo + _BLOCK_ROWS].tolist())[1:-1].split(", ") for c in columns]
+            cells = [map(repr, c[lo:lo + _BLOCK_ROWS].tolist()) for c in columns]
             fh.write("\n".join(map(",".join, zip(*cells))))
             fh.write("\n")
 

@@ -14,8 +14,8 @@ import pytest
 from biphoton import cli, core, fitting
 from biphoton import interferometer as ifm
 from biphoton import reconstruction as rec
-from biphoton.config import (DEFAULTS, ConfigError, build_jitter, build_model, build_source_params,
-                             load_config)
+from biphoton.config import (DEFAULTS, ConfigError, build_jitter, build_model, build_reconstruct,
+                             build_sampled, build_source_params, load_config)
 
 # values outside each range kind of DEFAULTS; a kind missing here fails the contract test
 OUTSIDE = {
@@ -378,6 +378,17 @@ def test_num_drops_only_the_sign_of_a_printed_zero(value, spec, text):
     assert cli._num(value, spec) == text
 
 
+@pytest.mark.parametrize("half,step,count", [
+    (1.2 * 1e-3, 0.1 * 1e-3, 25), (0.6 * 1e-3, 0.2 * 1e-3, 7),
+    (0.13 * 1e-3, 0.15 * 1e-6, 1733), (3.0 * 1e-3 / core.C, 10 * 1e-6 / core.C, 601),
+], ids=["x1-default", "x1-reduced", "fringe", "dip"])
+def test_symmetric_positions_keep_an_exact_multiple(half, step, count):
+    # the [scan] half-spans and steps as the CLI scales them; 1.2e-3 / 1e-4 is
+    # 11.999999999999998 in doubles, yet the end points +-1.2 mm are scanned
+    x = cli._symmetric_positions(half, step, "key")
+    assert len(x) == count and x[-1] <= half * (1 + 1e-9) < x[-1] + step
+
+
 class TestFringeCommand:
     def test_noiseless_reference(self, tmp_path):
         out = tmp_path / "o"
@@ -392,6 +403,15 @@ class TestFringeCommand:
         head = (out / "fit_report.txt").read_text().splitlines()[0]
         assert cfg.sha256() in head
         assert cfg.sha256() in (out / "fringe.csv").read_text()
+
+    def test_scans_the_built_amplitude(self, tmp_path, monkeypatch):
+        scans, scan_1d = [], ifm.scan_1d
+        monkeypatch.setattr(ifm, "scan_1d", lambda phi_a, *args: (
+            scans.append(phi_a), scan_1d(phi_a, *args))[1])
+        assert cli.main(["--out", str(tmp_path), "--noiseless", "fringe"]) == cli.EXIT_OK
+        _, sampled = build_sampled(load_config())
+        assert sampled.grid == scans[0].grid
+        assert np.array_equal(sampled.values, scans[0].values)
 
     def test_noiseless_report_prints_no_negative_zero(self, tmp_path):
         # center and phase are zero up to rounding noise on the noiseless scan
@@ -571,6 +591,39 @@ class TestReconstructCommand:
                      "correlation: -0.9000",
                      "roundtrip_l2_error: 1.95e-11"]:
             assert line in lines
+
+    def test_built_lattice_is_the_default_report_lattice(self):
+        _, _, lattice = build_reconstruct(load_config())
+        assert lattice.axes == ((0.0, 2.2331042659658576e-15, 1432),
+                                (-3.1955722045971422e-12, 2.2331042659658576e-15, 2863))
+
+    @pytest.mark.parametrize("overrides", [{}, {"band_n": "32", "rho": "0"}],
+                             ids=["defaults", "band32-rho0"])
+    def test_inverts_the_built_problem(self, tmp_path, monkeypatch, overrides):
+        _, seen = self.spy(monkeypatch, (core, "sample_on_grid"), (ifm, "LatticeScan"),
+                           (rec, "reconstruct_jsi"))
+        args = [a for k, v in overrides.items() for a in ("--set", f"reconstruct.{k}={v}")]
+        assert cli.main(["--out", str(tmp_path), *args, "reconstruct"]) == cli.EXIT_OK
+        model, grid, lattice = build_reconstruct(
+            load_config(overrides={("reconstruct", k): v for k, v in overrides.items()}))
+        (scanned, band), _ = seen["sample_on_grid"]
+        assert vars(scanned) == vars(model) and band == grid
+        assert seen["LatticeScan"][0][2:] == lattice.axes
+        assert seen["reconstruct_jsi"][0][1] == grid
+
+    def test_inverts_an_input_on_the_built_band(self, tmp_path, monkeypatch):
+        cfg = load_config(overrides={("reconstruct", "band_n"): "16", ("reconstruct", "rho"): "0"})
+        model, grid, _ = build_reconstruct(cfg)
+        sampled = core.sample_on_grid(model, grid)
+        step = 0.9 * rec.nyquist_step(grid)
+        ifm.write_interferogram_csv(
+            ifm.scan_2d(sampled, sampled, *rec.DelayLattice.half(step, 40).axes),
+            tmp_path / "scan.csv")
+        _, seen = self.spy(monkeypatch, (rec, "reconstruct_jsi"))
+        assert cli.main(["--out", str(tmp_path / "o"), "--set", "reconstruct.band_n=16",
+                         "--set", "reconstruct.rho=0", "reconstruct",
+                         "--input", str(tmp_path / "scan.csv")]) == cli.EXIT_OK
+        assert seen["reconstruct_jsi"][0][1] == grid
 
     @pytest.mark.parametrize("window", ["none", "hann"])
     def test_no_negative_mass_prints_zero(self, tmp_path, window):

@@ -3,10 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from biphoton import cli, core, fitting
+from biphoton import core, fitting
 from biphoton import interferometer as ifm
-from biphoton import reconstruction as rec
-from biphoton.config import build_source_params, load_config
+from biphoton.config import build_reconstruct, build_sampled, load_config
 
 import reference
 
@@ -59,19 +58,9 @@ class TestGamma:
         # and of the default fringe scan.  The bound lies below the error
         # of the same tables on the rounded delays (2.5e-13 and 5.9e-14)
         if case == "reconstruct":
-            cfg = load_config()
-            src = build_source_params(cfg)
-            sigma = cfg.getfloat("reconstruct", "sigma_rad_per_ps") * 1e12
-            rho = cfg.getfloat("reconstruct", "rho")
-            model = core.BiphotonAmplitude.gaussian(
-                core.omega_from_wavelength(src.signal_center_wavelength),
-                core.omega_from_wavelength(src.idler_center_wavelength), sigma, sigma, rho=rho)
-            grid = core.grid_for_gaussian(model, n=cfg.getint("reconstruct", "band_n"))
+            model, grid, lattice = build_reconstruct(load_config())
             ph = core.sample_on_grid(model, grid)
-            coh = np.sqrt(2.0) / (sigma * np.sqrt(1.0 - abs(rho)))
-            step = cfg.getfloat("reconstruct", "step_fraction") * rec.nyquist_step(grid)
-            half_count = np.ceil(cfg.getfloat("reconstruct", "span_coherence_times") * coh / step)
-            (s0, ds, ns), (l0, dl, nl) = rec.DelayLattice.half(step, int(half_count)).axes
+            (s0, ds, ns), (l0, dl, nl) = lattice.axes
             axes, bound = ((s0, 36 * ds, -(-ns // 36)), (l0, 7 * dl, -(-nl // 7))), 6e-14
         else:
             ph, grid = reference_sampled, reference_sampled.grid
@@ -90,7 +79,7 @@ class TestGamma:
         # the long axis's phasor tables have ~sqrt(count) rows, so beyond
         # them only the scan's Re(Gamma) and G arrays grow with it
         cfg = load_config()
-        _, ph = cli._prepare(cfg)
+        _, ph = build_sampled(cfg)
         step = cfg.getfloat("scan", "fringe_step_um") * 1e-6 / core.C
 
         def peak(count):
@@ -383,6 +372,16 @@ class TestInterferogram:
             "0.5\n"
             "1.5\n"
             "2.0\n")
+
+    def test_write_csv_text_is_pinned(self, tmp_path, monkeypatch):
+        # each value is its own shortest repr (a signed zero, exponent forms,
+        # 0.1, a 12-digit integer), across blocks of 2 rows and a partial one
+        monkeypatch.setattr(ifm, "_BLOCK_ROWS", 2)
+        ifm.write_csv(tmp_path / "c.csv", ["h"],
+                      [np.array([-0.0, 1e-300, 0.1, 2.0, 1e-24]),
+                       np.array([0, -3, 7, 123456789012, 5], dtype=np.int64)])
+        assert (tmp_path / "c.csv").read_text() == (
+            "# format=2\n# h\n-0.0,0\n1e-300,-3\n0.1,7\n2.0,123456789012\n1e-24,5\n")
 
     @pytest.mark.parametrize("bad", [523.5, np.nan, np.inf])
     def test_csv_non_integral_counts_rejected(self, tmp_path, bad):
