@@ -30,8 +30,9 @@ EXIT_ALIASING = 4
 
 def _write_scan(cfg: RunConfig, args: argparse.Namespace, ig: ifm.Interferogram,
                 name: str) -> ifm.Interferogram:
-    """`ig` with Poisson counts drawn for the configured budget and detector
-    (none with --noiseless), written to `name` in the output directory."""
+    """The Poisson counts drawn from `ig` for the configured budget and
+    detector (`ig` itself with --noiseless), written to `name` in the output
+    directory: a seeded file holds the counts and not G."""
     if not args.noiseless:
         ig = detector.rate_to_counts(ig, build_budget(cfg), build_detector(cfg),
                                      cfg.getfloat("scan", "bin_duration_s"), args.seed)
@@ -174,8 +175,6 @@ def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     ]
     if sampled is not None:
         lines.append(f"roundtrip_l2_error: {rec.l2_error(est, sampled):.3g}")
-    elif ig.counts is not None:
-        lines.append("warning: counts ignored; the G column was inverted")
     return lines
 
 

@@ -17,8 +17,8 @@ build_sampled and build_reconstruct give the scanned [source] amplitude and the
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
-import io
 import math
 
 from . import core, detector, reconstruction as rec
@@ -102,6 +102,10 @@ _RANGES = {
 }
 
 
+# steps per half axis of the reconstruct lattice, whose axes' values are formed
+_MAX_HALF_COUNT = 1 << 20
+
+
 class ConfigError(Exception):
     """Invalid or unknown configuration input."""
 
@@ -139,17 +143,19 @@ class RunConfig:
             return False
         raise ConfigError(f"[{section}] {key}: not a boolean: {raw!r}")
 
+    @functools.cached_property
+    def _resolved(self) -> tuple[str, str]:
+        """(resolved_text, sha256), formed once: `sections` is not changed
+        after load_config."""
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in sorted(keys.items()))
+                       + "\n" for name, keys in sorted(self.sections.items()))
+        return text, hashlib.sha256(text.encode()).hexdigest()
+
     def resolved_text(self) -> str:
-        buf = io.StringIO()
-        for section in sorted(self.sections):
-            buf.write(f"[{section}]\n")
-            for key in sorted(self.sections[section]):
-                buf.write(f"{key} = {self.sections[section][key]}\n")
-            buf.write("\n")
-        return buf.getvalue()
+        return self._resolved[0]
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.resolved_text().encode()).hexdigest()
+        return self._resolved[1]
 
 
 def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) -> RunConfig:
@@ -259,8 +265,11 @@ def build_reconstruct(cfg: RunConfig) -> tuple[core.BiphotonAmplitude, core.Freq
     # Gamma decays slowest along the correlation ridge: span the lattice over that axis
     coh = math.sqrt(2.0) / (sigma * math.sqrt(1.0 - abs(rho)))
     step = cfg.getfloat("reconstruct", "step_fraction") * rec.nyquist_step(grid)
-    half_count = math.ceil(cfg.getfloat("reconstruct", "span_coherence_times") * coh / step)
-    return model, grid, rec.DelayLattice.half(step, half_count)
+    half_count = cfg.getfloat("reconstruct", "span_coherence_times") * coh / step
+    if not half_count <= _MAX_HALF_COUNT:
+        raise ConfigError(f"[reconstruct] span_coherence_times / step_fraction: a half lattice "
+                          f"of {half_count:.3g} steps per half axis exceeds {_MAX_HALF_COUNT}")
+    return model, grid, rec.DelayLattice.half(step, math.ceil(half_count))
 
 
 def build_detector(cfg: RunConfig) -> float:

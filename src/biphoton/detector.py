@@ -52,6 +52,20 @@ def subtract_accidentals(raw, accidental_counts: float) -> np.ndarray:
     return np.asarray(raw, dtype=float) - accidental_counts
 
 
+def estimated_g(ig: Interferogram) -> np.ndarray:
+    """What an inversion of `ig` sees: G, or its estimate from counts
+    G^ = (counts - accidental_counts) / baseline_counts when `ig` carries
+    counts (metadata read from CSV are strings).  G^ is not clipped to
+    [0, 2]: its noise is zero-mean."""
+    if ig.counts is None:
+        return ig.values
+    baseline = float(ig.metadata["baseline_counts"])
+    if not baseline > 0:
+        raise ValueError(f"baseline_counts must be positive to estimate G, got {baseline!r}")
+    net = subtract_accidentals(ig.counts, float(ig.metadata.get("accidental_counts", 0.0)))
+    return net / baseline
+
+
 def independent_hom_dip(delta_t: np.ndarray, sigma: float, jitter_fwhm: float,
                         v_cap: float = 1.0 / 3.0) -> np.ndarray:
     """HOM visibility profile of independent photons: v_cap times the
@@ -80,7 +94,8 @@ def rate_to_counts(normalized: Interferogram, budget: SourceBudget,
     Expected counts per lattice point are baseline*G + accidentals, with
     baseline = singles_rate_1 * coincidence_to_singles * bin_duration and
     accidentals at the gated trigger rate (Hz), drawn for the whole lattice
-    from one generator seeded with `seed`.
+    from one generator seeded with `seed`.  Like a measurement, the result
+    holds counts and not G.
     """
     if not trigger_rate > 0:
         raise ValueError(f"trigger_rate must be positive, got {trigger_rate!r}")
@@ -89,5 +104,4 @@ def rate_to_counts(normalized: Interferogram, budget: SourceBudget,
     mu = baseline * normalized.values + acc
     meta = dict(normalized.metadata, seed=seed, baseline_counts=baseline,
                 accidental_counts=acc, bin_duration_s=bin_duration)
-    return Interferogram(normalized.axes, normalized.values, counts=_poisson(mu, seed),
-                         metadata=meta)
+    return Interferogram(normalized.axes, None, counts=_poisson(mu, seed), metadata=meta)

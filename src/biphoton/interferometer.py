@@ -17,9 +17,10 @@ b ~ sqrt(count), so its tables have ~2 sqrt(count) rows: nothing but the
 output grows in proportion to the scan.  A `LatticeScan` holds only M.
 
 Interferograms are stored as CSV format 2: '#' headers that define the
-axes, then one 'G[,counts]' row per lattice point with integer counts.
-The coordinates of a point are its axes' `values`; a file without the
-'# format=2' header is refused.
+axes, then one value per lattice point: G, or the integer counts of a
+seeded scan, whose header holds the `baseline_counts` that mark them (a
+measured scan holds no G).  The coordinates of a point are its axes'
+`values`; a file without the '# format=2' header is refused.
 """
 
 from __future__ import annotations
@@ -59,24 +60,28 @@ class Axis:
 
 @dataclass(frozen=True)
 class Interferogram:
-    """Lattice of G values over one or two delay axes.
+    """Lattice of G values, or of detector counts, over one or two delay axes.
 
-    `counts` optionally carries synthetic detector counts on the same
-    lattice (see detector.rate_to_counts); G values are validated against
-    the physical range [0, 2].
+    `counts` carries detector counts on the same lattice (see
+    detector.rate_to_counts); `values` (G) may then be None, as in a scan
+    read from a seeded CSV, and is validated against the physical range
+    [0, 2] otherwise.
     """
 
     axes: tuple[Axis, ...]
-    values: np.ndarray
+    values: np.ndarray | None
     counts: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         shape = tuple(ax.count for ax in self.axes)
+        if self.values is None and self.counts is None:
+            raise ValueError("an interferogram needs G values or counts")
         for name, array in (("values", self.values), ("counts", self.counts)):
             if array is not None and array.shape != shape:
                 raise ValueError(f"{name} shape {array.shape} does not match axes {shape}")
-        object.__setattr__(self, "values", _checked_g(self.values))
+        if self.values is not None:
+            object.__setattr__(self, "values", _checked_g(self.values))
 
 
 def _checked_g(values: np.ndarray) -> np.ndarray:
@@ -202,28 +207,34 @@ def write_csv(path, headers: list[str], columns: list[np.ndarray]) -> None:
 
 def write_interferogram_csv(ig: Interferogram, path) -> None:
     """CSV schema (format 2): '# format=2', '# axis<i> name,start,step,count'
-    headers, sorted '# key=value' metadata lines, then one 'G[,counts]' row
-    per lattice point in row-major order; the coordinates of a row are
-    start + k * step of its axes, and counts are written as integers."""
+    headers, sorted '# key=value' metadata lines, then one value per lattice
+    point in row-major order; the coordinates of a row are start + k * step
+    of its axes.  The value is the integer count when `ig` carries counts,
+    which needs `baseline_counts` in its metadata, and G otherwise."""
     head = [f"axis{i} {ax.name},{ax.start!r},{ax.step!r},{ax.count}"
             for i, ax in enumerate(ig.axes, start=1)]
     head += [f"{key}={ig.metadata[key]}" for key in sorted(ig.metadata)]
-    columns = [ig.values.reshape(-1)]
-    if ig.counts is not None:
+    if ig.counts is None:
+        column = ig.values.reshape(-1)
+    else:
+        if "baseline_counts" not in ig.metadata:
+            raise ValueError("counts need baseline_counts in the metadata")
         counts = ig.counts.reshape(-1)
         with np.errstate(invalid="ignore"):
-            ints = counts.astype(np.int64)
-        if not np.array_equal(ints, counts):
+            column = counts.astype(np.int64)
+        if not np.array_equal(column, counts):
             raise ValueError("counts must be integers")
-        columns.append(ints)
-    write_csv(path, head, columns)
+    write_csv(path, head, [column])
 
 
 def read_interferogram_csv(path) -> Interferogram:
     """Inverse of write_interferogram_csv: '#' headers first, then the rows.
 
-    The headers must include '# format=2'.  G must lie in [0, 2] and counts
-    must be finite and nonnegative (ValueError otherwise).
+    The headers must include '# format=2'.  A file whose headers hold
+    `baseline_counts` is a seeded scan: its last column is counts, which
+    must be finite and nonnegative, and a G column before it (the
+    'G,counts' rows of earlier files) is ignored.  Otherwise the one
+    column is G, which must lie in [0, 2].  ValueError otherwise.
     """
     axes: list[Axis] = []
     metadata: dict = {}
@@ -248,11 +259,13 @@ def read_interferogram_csv(path) -> Interferogram:
         raise ValueError(f"{path}: unknown format {fmt!r}; expected a '# format=2' header")
     data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     shape = tuple(ax.count for ax in axes)
-    if data.shape[0] != np.prod(shape) or data.shape[1] not in (1, 2):
+    seeded = "baseline_counts" in metadata
+    if data.shape[0] != np.prod(shape) or data.shape[1] not in ((1, 2) if seeded else (1,)):
         raise ValueError(f"{path}: {data.shape[0]} rows of {data.shape[1]} columns"
-                         f" do not match axes {shape} and G[,counts]")
-    values = data[:, 0].reshape(shape)
-    counts = data[:, 1].reshape(shape) if data.shape[1] > 1 else None
-    if counts is not None and not (counts.min() >= 0.0 and counts.max() < np.inf):
+                         f" do not match axes {shape} and {'counts' if seeded else 'G'}")
+    if not seeded:
+        return Interferogram(tuple(axes), data[:, 0].reshape(shape), metadata=metadata)
+    counts = data[:, -1].reshape(shape)
+    if not (counts.min() >= 0.0 and counts.max() < np.inf):
         raise ValueError(f"{path}: counts must be finite and nonnegative")
-    return Interferogram(tuple(axes), values, counts=counts, metadata=metadata)
+    return Interferogram(tuple(axes), None, counts=counts, metadata=metadata)

@@ -19,7 +19,8 @@ window over that axis and weight 2 off 0.
 
 An Interferogram keeps B whole, as (re, im) pairs, and adds
 Re(A_block^T (sum_b B - G_block B)) for each block of _BLOCK_ROWS (128)
-delays of axis 1 and its rows of G, so no lattice-sized temporary exists.
+delays of axis 1 and its rows of G, so no lattice-sized temporary exists;
+for a scan with counts, G is their estimate (detector.estimated_g).
 An interferometer.LatticeScan (the noiseless `reconstruct`) needs no
 kernel table: with 1 - G = Re(E1 M E2^T) on its sampling grid, every sum
 over the lattice is a value of one axis's D(nu) = sum_t w(t) exp(i nu t)
@@ -46,6 +47,7 @@ import numpy as np
 
 from .core import (BiphotonAmplitude, FrequencyGrid, SampledAmplitude, add_two, jsi,
                    phasors, sample_on_grid, two_product)
+from .detector import estimated_g
 from .interferometer import Interferogram, LatticeScan
 
 _PI = (np.pi, 1.2246467991473532e-16)  # pi as two doubles, to ~1e-32
@@ -266,7 +268,8 @@ def _invert_scan(scan: LatticeScan, band: FrequencyGrid, window: str,
 
 def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyGrid,
                     window: str = "none", demodulate: bool = False) -> JsiEstimate:
-    """Inverse cosine-kernel transform of 1 - G onto the band grid.
+    """Inverse cosine-kernel transform of 1 - G onto the band grid; G of an
+    Interferogram with counts is their estimate (detector.estimated_g).
 
     The lattice is symmetric about 0 on both axes or a half lattice, one
     axis starting at 0 (`_half_axis`; ValueError otherwise).  A LatticeScan
@@ -284,17 +287,17 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
         ax_a, ax_b = interferogram.axes
         wa, wb = _weights(ax_a, window, half == 0), _weights(ax_b, window, half == 1)
         # B as (re, im) column pairs, so each block's product with 1 - G is
-        # real and gives (1 - G) B as pairs; a G read from a CSV is a strided
-        # column, which one product over all rows would copy whole
+        # real and gives (1 - G) B as pairs
         b = (np.conj(phasors(band.axis2, (ax_b.start, ax_b.step), np.arange(ax_b.count)))
              * wb[:, None]).view(float)
         total = b.sum(axis=0)
+        g = estimated_g(interferogram)
         est = np.zeros((band.n1, band.n2))
         k = np.arange(ax_a.count)
         for r in range(0, ax_a.count, _BLOCK_ROWS):
             rows = slice(r, r + _BLOCK_ROWS)
             a = np.conj(phasors(band.axis1, (ax_a.start, ax_a.step), k[rows])) * wa[rows, None]
-            est += (a.T @ (total - interferogram.values[rows] @ b).view(complex)).real
+            est += (a.T @ (total - g[rows] @ b).view(complex)).real
 
     total_abs = np.sum(np.abs(est))
     degenerate = False

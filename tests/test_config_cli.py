@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import hashlib
 import os
 import subprocess
@@ -11,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biphoton import cli, core, fitting
+import reference
+from biphoton import cli, config, core, fitting
 from biphoton import interferometer as ifm
 from biphoton import reconstruction as rec
 from biphoton.config import (DEFAULTS, ConfigError, build_jitter, build_model, build_reconstruct,
@@ -95,6 +95,18 @@ class TestLoadConfig:
         b = load_config(overrides={("run", "seed"): "7"})
         assert a.sha256() != b.sha256()
         assert a.sha256() == load_config().sha256()
+        assert a.sha256() == hashlib.sha256(a.resolved_text().encode()).hexdigest()
+
+    @pytest.mark.parametrize("argv", [["fringe"], ["--set", "reconstruct.band_n=32",
+                                                   "--set", "reconstruct.rho=0", "reconstruct"]],
+                             ids=["fringe", "reconstruct"])
+    def test_a_run_hashes_its_config_once(self, tmp_path, monkeypatch, argv):
+        # the CSV, the report and resolved_config.cfg share one hash and text
+        texts = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda data: texts.append(data) or sha256(data))
+        assert cli.main(["--out", str(tmp_path), *argv]) == cli.EXIT_OK
+        assert texts == [(tmp_path / "resolved_config.cfg").read_bytes()]
 
     def test_jitter_defaults_exclude_common_mode_pump(self):
         gvd = build_jitter(load_config())
@@ -238,6 +250,37 @@ class TestCliExitCodes:
         section, key = override.split("=")[0].split(".")
         assert f"[{section}] {key}: must lie in [" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("with_input", [False, True], ids=["lattice", "input"])
+    @pytest.mark.parametrize("override", ["reconstruct.span_coherence_times=1e308",
+                                          "reconstruct.span_coherence_times=1e12",
+                                          "reconstruct.step_fraction=1e-300"])
+    def test_half_lattice_too_large_to_build_is_a_config_error(self, tmp_path, capsys,
+                                                               override, with_input):
+        # unbounded, these overflow math.ceil or ask numpy for 2 PiB of delays
+        args = ["reconstruct"]
+        if with_input:
+            ax = ifm.Axis("delta_tau", -1e-14, 1e-15, 21)
+            ifm.write_interferogram_csv(ifm.Interferogram((ax, ax), np.ones((21, 21))),
+                                        tmp_path / "scan.csv")
+            args += ["--input", str(tmp_path / "scan.csv")]
+        code = cli.main(["--out", str(tmp_path / "o"), "--set", override, *args])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "config error: [reconstruct] span_coherence_times / step_fraction")
+        assert not (tmp_path / "o" / "recon_report.txt").exists()
+
+    def test_largest_half_lattice_is_built(self, tmp_path, monkeypatch):
+        # the span-20 lattice (CI's 11,445 delays) takes 5,721.87 steps per
+        # half axis, rounded up to 5,722: it is built at a bound of 5,722
+        # and refused at 5,721
+        monkeypatch.setattr(config, "_MAX_HALF_COUNT", 5722)
+        args = ["--out", str(tmp_path / "o"), "--set", "reconstruct.span_coherence_times=20"]
+        assert cli.main([*args, "reconstruct"]) == cli.EXIT_OK
+        monkeypatch.setattr(config, "_MAX_HALF_COUNT", 5721)
+        assert cli.main([*args, "reconstruct"]) == cli.EXIT_CONFIG
+
     def test_pump_too_wide_for_the_jitter_is_a_config_error(self, tmp_path, capsys):
         # with the pump in the jitter, an unbounded pump_fwhm_ps flattens the dip
         code = cli.main(["--out", str(tmp_path / "o"), "--noiseless",
@@ -308,19 +351,20 @@ class TestCliExitCodes:
         assert len(err) == 1 and err[0].startswith("config error: --out:")
         assert blocker.read_text() == ""
 
-    @pytest.mark.parametrize("column,message", [(0, "[0, 2]"), (1, "counts")],
+    @pytest.mark.parametrize("counts,message", [(False, "[0, 2]"), (True, "counts")],
                              ids=["G", "counts"])
-    def test_nan_input_is_a_config_error(self, tmp_path, capsys, column, message):
+    def test_nan_input_is_a_config_error(self, tmp_path, capsys, counts, message):
         ax = ifm.Axis("delta_tau", -1e-14, 1e-15, 21)
-        ig = ifm.Interferogram((ax, ax), np.ones((21, 21)), counts=np.full((21, 21), 5.0))
+        ig = ifm.Interferogram((ax, ax), np.ones((21, 21)))
+        if counts:
+            ig = ifm.Interferogram(ig.axes, None, counts=np.full((21, 21), 5.0),
+                                   metadata={"baseline_counts": 5.0})
         path = tmp_path / "scan.csv"
         ifm.write_interferogram_csv(ig, path)
         lines = path.read_text().splitlines(keepends=True)
         first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
         for i in range(first, first + 21):  # one lattice row
-            cells = lines[i].rstrip("\n").split(",")
-            cells[column] = "nan"
-            lines[i] = ",".join(cells) + "\n"
+            lines[i] = "nan\n"
         path.write_text("".join(lines))
         out = tmp_path / "o"
         code = cli.main(["--out", str(out), "reconstruct", "--input", str(path)])
@@ -704,25 +748,57 @@ class TestReconstructCommand:
         report = read_report(out / "recon_report.txt")
         assert abs(float(report["correlation"])) < 0.05
 
-    def test_counts_in_input_are_flagged(self, tmp_path):
-        # the inverse reads the G column only: a file that also carries counts
-        # gives the same JSI, and a report with one warning line more
-        model = core.BiphotonAmplitude.gaussian(1.23e15, 1.20e15, 7e12, 7e12, rho=0.0)
-        grid = core.grid_for_gaussian(model, n=16)
+    @staticmethod
+    def counts_twins(tmp_path):
+        """A G-only scan CSV of reconstruct's rho = 0 source at band_n = 16 and its seeded
+        twin (Poisson counts of 500 G + 20 accidentals), each inverted by
+        `reconstruct --input`: {name: (scan, run directory)}."""
+        model, grid, lattice = build_reconstruct(
+            load_config(overrides={("reconstruct", "band_n"): "16", ("reconstruct", "rho"): "0"}))
         sampled = core.sample_on_grid(model, grid)
-        step = 0.9 * rec.nyquist_step(grid)
-        ig = ifm.scan_2d(sampled, sampled, *rec.DelayLattice.half(step, 40).axes)
-        twins = {"g": ig, "counts": dataclasses.replace(ig, counts=np.rint(500.0 * ig.values))}
+        ig = ifm.scan_2d(sampled, sampled, *rec.DelayLattice.half(lattice.step1, 40).axes)
+        counts = np.random.default_rng(5).poisson(500.0 * ig.values + 20.0).astype(float)
+        twins = {"g": ig, "counts": ifm.Interferogram(
+            ig.axes, None, counts=counts,
+            metadata={"baseline_counts": 500.0, "accidental_counts": 20.0})}
         for name, scan in twins.items():
             ifm.write_interferogram_csv(scan, tmp_path / f"{name}.csv")
             assert cli.main(["--out", str(tmp_path / name), "--set", "reconstruct.band_n=16",
                              "--set", "reconstruct.rho=0", "reconstruct",
                              "--input", str(tmp_path / f"{name}.csv")]) == cli.EXIT_OK
-        g, counts = ((tmp_path / name / "recon_report.txt").read_text().splitlines()
-                     for name in twins)
-        assert counts == [*g, "warning: counts ignored; the G column was inverted"]
-        assert (tmp_path / "g" / "jsi.csv").read_bytes() == (
-            tmp_path / "counts" / "jsi.csv").read_bytes()
+        return grid, {name: (scan, tmp_path / name) for name, scan in twins.items()}
+
+    def test_counts_input_is_inverted_from_its_counts(self, tmp_path):
+        # the counts file holds no G, so its estimate is not the G twin's,
+        # and its report has the same lines, without a warning
+        _, twins = self.counts_twins(tmp_path)
+        (g, g_out), (_, counts_out) = twins.values()
+        rows = [line for line in (tmp_path / "counts.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert len(rows) == g.values.size and not any("," in row for row in rows)
+        reports = [(out / "recon_report.txt").read_text().splitlines()
+                   for out in (g_out, counts_out)]
+        assert [line.split(":")[0] for line in reports[1]] == [
+            line.split(":")[0] for line in reports[0]]
+        assert not any(line.startswith("warning") for line in reports[1])
+        jsi = [np.loadtxt(out / "jsi.csv", comments="#") for out in (g_out, counts_out)]
+        assert not np.array_equal(*jsi)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is plain double here")
+    def test_counts_input_estimate_is_the_inverse_of_g_hat(self, tmp_path):
+        # G^ = (counts - accidental_counts) / baseline_counts, by hand, through
+        # a long-double inverse on the same lattice, clipped and normalised
+        grid, twins = self.counts_twins(tmp_path)
+        scan, out = twins["counts"]
+        g_hat = (scan.counts - 20.0) / 500.0
+        axes = [(ax.start, ax.step, ax.count) for ax in scan.axes]
+        wa, wb = (rec._weights(ax, "none", i == 0) for i, ax in enumerate(scan.axes))
+        expected = reference.inverse_g_longdouble(g_hat, grid, axes, wa, wb).astype(float)
+        expected = np.clip(expected, 0.0, None)
+        expected /= np.sum(expected) * grid.measure
+        jsi = np.loadtxt(out / "jsi.csv", comments="#").reshape(expected.shape)
+        assert np.max(np.abs(jsi - expected)) <= 1e-15 * np.max(expected)
 
     def test_input_without_format_header_is_a_config_error(self, tmp_path, capsys):
         # the rows of a scan CSV from before the '# format=2' header: coordinates first
@@ -843,7 +919,9 @@ class TestScan2dCommand:
     (TestScan2dCommand.REDUCED, "scan2d.csv"),
 ], ids=["fringe", "hom-dip", "scan2d"])
 def test_cli_csv_reads_back(tmp_path, monkeypatch, argv, name):
-    # the axis header must hold plain numbers that read_interferogram_csv parses
+    # the axis header must hold plain numbers that read_interferogram_csv
+    # parses, and a seeded file holds one column, the counts: what the run
+    # fitted is what a fit of the file sees, bit for bit
     written = []
     write = ifm.write_interferogram_csv
     monkeypatch.setattr(ifm, "write_interferogram_csv",
@@ -852,8 +930,13 @@ def test_cli_csv_reads_back(tmp_path, monkeypatch, argv, name):
     back = ifm.read_interferogram_csv(tmp_path / name)
     (ig,) = written
     assert back.axes == ig.axes
-    assert np.array_equal(back.values, ig.values)
+    assert back.values is None and ig.values is None
     assert np.array_equal(back.counts, ig.counts)
+    assert back.metadata == {key: str(value) for key, value in ig.metadata.items()}
+    assert np.array_equal(fitting.fit_data(back), fitting.fit_data(ig))
+    rows = [line for line in (tmp_path / name).read_text().splitlines()
+            if not line.startswith("#")]
+    assert len(rows) == ig.counts.size and not any("," in row for row in rows)
 
 
 def test_every_run_works_without_scipy(tmp_path):

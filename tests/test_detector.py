@@ -105,6 +105,27 @@ class TestSubtractAccidentals:
         assert detector.subtract_accidentals(0.0, 100.0) == -100.0
 
 
+class TestEstimatedG:
+    AX = ifm.Axis("t", 0.0, 1.0, 3)
+
+    def test_g_is_g(self):
+        ig = ifm.Interferogram((self.AX,), np.array([0.0, 1.0, 2.0]))
+        assert detector.estimated_g(ig) is ig.values
+
+    def test_counts_give_the_net_rate_over_the_baseline(self):
+        # metadata read from CSV are strings; G^ is not clipped to [0, 2]
+        ig = ifm.Interferogram((self.AX,), np.ones(3), counts=np.array([10.0, 30.0, 70.0]),
+                               metadata={"baseline_counts": "20.0", "accidental_counts": "20.0"})
+        assert detector.estimated_g(ig).tolist() == [-0.5, 0.5, 2.5]
+
+    @pytest.mark.parametrize("baseline", ["0.0", "-1.0", "nan"])
+    def test_baseline_must_be_positive(self, baseline):
+        ig = ifm.Interferogram((self.AX,), None, counts=np.ones(3),
+                               metadata={"baseline_counts": baseline})
+        with pytest.raises(ValueError, match="baseline_counts"):
+            detector.estimated_g(ig)
+
+
 class TestBuildJitter:
     @staticmethod
     def jitter(**overrides):
@@ -237,6 +258,7 @@ class TestRateToCounts:
         a = detector.rate_to_counts(ig, budget, det_config, 10.0, seed=11)
         b = detector.rate_to_counts(ig, budget, det_config, 10.0, seed=11)
         assert np.array_equal(a.counts, b.counts)
+        assert a.values is None  # a measurement holds counts, not G
         assert a.metadata["seed"] == 11
         c = detector.rate_to_counts(ig, budget, det_config, 10.0, seed=12)
         assert not np.array_equal(a.counts, c.counts)

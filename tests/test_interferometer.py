@@ -284,6 +284,14 @@ class TestInterferogram:
         with pytest.raises(ValueError, match=r"\[0, 2\]"):
             ifm.Interferogram((ax,), np.array([0.0, np.nan, 1.0]))
 
+    def test_g_may_be_absent_only_with_counts(self):
+        # counts are what a measurement holds; they are not range-checked as G
+        ax = ifm.Axis("t", 0.0, 1.0, 3)
+        counts = np.array([0.0, 5.0, 9000.0])
+        assert ifm.Interferogram((ax,), None, counts=counts).counts is counts
+        with pytest.raises(ValueError, match="G values or counts"):
+            ifm.Interferogram((ax,), None)
+
     def test_tolerance_band_is_clipped_and_in_range_values_kept(self):
         ax = ifm.Axis("t", 0.0, 1.0, 3)
         tol = ifm._RANGE_TOL
@@ -314,21 +322,49 @@ class TestInterferogram:
 
     @staticmethod
     def round_trip(ig, path):
+        """A file holds counts when `ig` carries them, and G otherwise."""
         ifm.write_interferogram_csv(ig, path)
         back = ifm.read_interferogram_csv(path)
         assert back.axes == ig.axes
-        assert np.array_equal(back.values, ig.values)
-        assert (back.counts is None) == (ig.counts is None)
-        if ig.counts is not None:
-            assert np.array_equal(back.counts, ig.counts)
+        if ig.counts is None:
+            assert np.array_equal(back.values, ig.values) and back.counts is None
+        else:
+            assert back.values is None and np.array_equal(back.counts, ig.counts)
         assert back.metadata == ig.metadata
 
     def test_csv_round_trip_1d(self, tmp_path):
         ax = ifm.Axis("delta_tau_L", -1.5e-13, 1e-14, 31)
-        values = 1.0 - 0.9 * np.cos(1e14 * ax.values)
-        counts = np.round(1000 * values)
-        ig = ifm.Interferogram((ax,), values, counts=counts, metadata={"seed": "7"})
+        counts = np.round(1000 * (1.0 - 0.9 * np.cos(1e14 * ax.values)))
+        ig = ifm.Interferogram((ax,), None, counts=counts,
+                               metadata={"seed": "7", "baseline_counts": "1000.0"})
         self.round_trip(ig, tmp_path / "ig.csv")
+        assert len((tmp_path / "ig.csv").read_text().splitlines()) == 4 + ax.count
+
+    def test_csv_counts_need_a_baseline(self, tmp_path):
+        # counts alone cannot be turned back into G: the writer refuses them
+        ax = ifm.Axis("t", 0.0, 1.0, 3)
+        ig = ifm.Interferogram((ax,), None, counts=np.array([4465.0, 523.0, 4470.0]),
+                               metadata={"accidental_counts": 21.6125})
+        with pytest.raises(ValueError, match="baseline_counts"):
+            ifm.write_interferogram_csv(ig, tmp_path / "c.csv")
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_csv_g_counts_rows_read_as_counts(self, tmp_path):
+        # the 'G,counts' rows of a seeded file of the earlier layout: the
+        # counts are read and G is not, not even checked against [0, 2]
+        path = tmp_path / "old.csv"
+        head = ("# format=2\n# axis1 delta_tau_L,-1e-13,1e-13,3\n"
+                "# accidental_counts=21.6125\n")
+        path.write_text(head + "# baseline_counts=4465.0\n# seed=7\n"
+                        "1.0,4465\n9.0,523\n1.0,4470\n")
+        back = ifm.read_interferogram_csv(path)
+        assert back.values is None and back.counts.tolist() == [4465.0, 523.0, 4470.0]
+        assert back.metadata == {"accidental_counts": "21.6125", "baseline_counts": "4465.0",
+                                 "seed": "7"}
+        # without a baseline the second column is not counts: the file is refused
+        path.write_text(head + "1.0,4465\n0.1,523\n1.0,4470\n")
+        with pytest.raises(ValueError, match="columns do not match axes"):
+            ifm.read_interferogram_csv(path)
 
     def test_csv_round_trip_2d(self, tmp_path, reference_sampled):
         ig = ifm.scan_2d(reference_sampled, reference_sampled, (-1e-13, 5e-14, 4), (-1e-13, 5e-14, 5))
@@ -344,23 +380,26 @@ class TestInterferogram:
         monkeypatch.setattr(ifm, "_BLOCK_ROWS", 4)
         axes = (ifm.Axis("delta_tau_S", 0.0, 1e-15, 3), ifm.Axis("delta_tau_L", -2e-15, 1e-15, 5))
         values = np.linspace(0.0, 2.0, 15).reshape(3, 5)
-        ig = ifm.Interferogram(axes, values, counts=np.arange(15.0).reshape(3, 5) * 97)
+        ig = ifm.Interferogram(axes, values, counts=np.arange(15.0).reshape(3, 5) * 97,
+                               metadata={"baseline_counts": "97.0"})
         self.round_trip(ig, tmp_path / "blocks.csv")
 
     def test_csv_format_is_pinned(self, tmp_path):
         ax = ifm.Axis("delta_tau_L", -1e-13, 1e-13, 3)
         ig = ifm.Interferogram((ax,), np.array([1.0, 0.1, 1.0]),
                                counts=np.array([4465, 523, 4470]),
-                               metadata={"seed": 7, "accidental_counts": 21.6125})
+                               metadata={"seed": 7, "accidental_counts": 21.6125,
+                                         "baseline_counts": 4465.0})
         ifm.write_interferogram_csv(ig, tmp_path / "1d.csv")
         assert (tmp_path / "1d.csv").read_text() == (
             "# format=2\n"
             "# axis1 delta_tau_L,-1e-13,1e-13,3\n"
             "# accidental_counts=21.6125\n"
+            "# baseline_counts=4465.0\n"
             "# seed=7\n"
-            "1.0,4465\n"
-            "0.1,523\n"
-            "1.0,4470\n")
+            "4465\n"
+            "523\n"
+            "4470\n")
         axes = (ifm.Axis("delta_tau_S", 0.0, 0.5, 2), ifm.Axis("delta_tau_L", 1.0, 0.25, 2))
         ig = ifm.Interferogram(axes, np.array([[0.0, 0.5], [1.5, 2.0]], dtype=np.float32))
         ifm.write_interferogram_csv(ig, tmp_path / "2d.csv")
@@ -386,7 +425,8 @@ class TestInterferogram:
     @pytest.mark.parametrize("bad", [523.5, np.nan, np.inf])
     def test_csv_non_integral_counts_rejected(self, tmp_path, bad):
         ax = ifm.Axis("t", 0.0, 1.0, 3)
-        ig = ifm.Interferogram((ax,), np.ones(3), counts=np.array([4465.0, bad, 4470.0]))
+        ig = ifm.Interferogram((ax,), None, counts=np.array([4465.0, bad, 4470.0]),
+                               metadata={"baseline_counts": 4465.0})
         with pytest.raises(ValueError, match="integers"):
             ifm.write_interferogram_csv(ig, tmp_path / "bad.csv")
 
