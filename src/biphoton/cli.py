@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import core, detector, fitting, interferometer as ifm, reconstruction as rec
-from .config import (ConfigError, RunConfig, build_budget, build_detector, build_jitter,
-                     build_reconstruct, build_sampled, build_source_params, load_config)
+from .config import (_MAX_HALF_COUNT, ConfigError, RunConfig, build_budget, build_detector,
+                     build_jitter, build_reconstruct, build_sampled, build_source_params,
+                     load_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,11 +51,13 @@ def _num(value: float, spec: str) -> str:
 
 def _symmetric_positions(half: float, step: float, key: str) -> np.ndarray:
     """step * k for every integer |k| <= half / step to a relative 1e-9, so that
-    an exact multiple (1.2 / 0.1 mm) keeps its end points; at least three points."""
-    n = int(np.floor(half / step * (1.0 + 1e-9)))
+    an exact multiple (1.2 / 0.1 mm) keeps its end points; 1 to _MAX_HALF_COUNT a side."""
+    n = half / step * (1.0 + 1e-9)
     if n < 1:
         raise ConfigError(f"[scan] {key}: half-span is shorter than one scan step")
-    return step * np.arange(-n, n + 1)
+    if not n < _MAX_HALF_COUNT + 1:
+        raise ConfigError(f"[scan] {key}: a half-span of {n:.3g} steps exceeds {_MAX_HALF_COUNT}")
+    return step * np.arange(-int(n), int(n) + 1)
 
 
 def _fringe_delays(cfg: RunConfig, grid: core.FrequencyGrid, widen: float = 0.0):

@@ -6,15 +6,16 @@ The numerical kernel is the overlap integral
     Gamma(dts, dtl) = sum Phi_A * conj(Phi_B) * exp(-i(w1*dts + w2*dtl)) dw1 dw2
 
 evaluated as a midpoint-rule double sum, with the normalized coincidence
-rate G = 1 - Re(Gamma) in [0, 2].  Lattice scans reuse the factored form
-E1 @ M @ E2^T, the same double sum reassociated, at the exact delays
-start + k step of each (start, step, count) axis: core.phasors forms each
-delay from its axis and index k, as for the inverse (reconstruction), and
-builds the exp(-i w t) tables from sqrt(n)-sized ones.  gamma_lattice
-contracts the shorter axis first, P = E_short @ M (no CLI scan has more
-than 23 delays on it), and splits the longer one's index as k = b q + r,
-b ~ sqrt(count), so its tables have ~2 sqrt(count) rows: nothing but the
-output grows in proportion to the scan.  A `LatticeScan` holds only M.
+rate G = 1 - Re(Gamma) in [0, 2].  On a lattice of the exact delays
+start + k step of each (start, step, count) axis, gamma_lattice evaluates
+M -> Re(E1 M E2^T), the same sum reassociated, and gamma_lattice_adjoint
+its adjoint h -> conj(E1)^T h conj(E2), which the JSI inverse
+(reconstruction) applies.  Both take their exp(-i w t) tables from
+`_lattice_tables`: one core.phasors table of the shorter axis, contracted
+first (no CLI scan has more than 25 delays on it), and on the longer one
+k = b q + r, b ~ sqrt(count), so its tables have ~2 sqrt(count) rows:
+no array but the lattice itself grows in proportion to the scan.  A
+`LatticeScan` holds only M.
 
 Interferograms are stored as CSV format 2: '#' headers that define the
 axes, then one value per lattice point: G, or the integer counts of a
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GridMismatchError, SampledAmplitude, phasors
+from .core import FrequencyGrid, GridMismatchError, SampledAmplitude, phasors
 
 _RANGE_TOL = 1e-9
 _BLOCK_ROWS = 1 << 9       # rows per block of a CSV write; larger blocks raise peak RSS
@@ -99,36 +100,56 @@ def _checked_g(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _lattice_tables(grid: FrequencyGrid, s_delays, l_delays):
+    """(swap, E, A, conj F, count): swap when l_delays has fewer delays than
+    s_delays, E the phasors of that shorter axis (S on a tie) and, on the
+    other, `count` long, exp(-i w t_k) = A[q] F[r] at k = b q + r,
+    b = ceil(sqrt(count)): A at start + b q step and conj F at -r step."""
+    axes = [(grid.axis1, s_delays), (grid.axis2, l_delays)]
+    swap = l_delays[2] < s_delays[2]
+    (omega_short, short), (omega, long) = axes[::-1] if swap else axes
+    e = phasors(omega_short, short, np.arange(short[2]))
+    _, step, count = long
+    b = int(np.ceil(np.sqrt(count)))
+    a = phasors(omega, long, b * np.arange(-(-count // b)))
+    return swap, e, a, phasors(omega, (0.0, -step), np.arange(b)), count
+
+
 def gamma_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
                   s_delays: tuple[float, float, int],
                   l_delays: tuple[float, float, int]) -> np.ndarray:
-    """Re(Gamma) on the product lattice of the delay axes s_delays and
-    l_delays, each a (start, step, count) triple, as a real (S, L) array.
-
-    Factored evaluation of the same double sum at the exact delays
-    start + k step, which core.phasors forms from each axis.  The
-    axis with fewer delays is contracted first, P = E_short @ M, from one
-    core.phasors table.  On the long axis k = b q + r, b = ceil(sqrt(count)),
-    so exp(-i w t_k) = A[q] F[r] with A the phasors at start + b q step and
-    F those at r step; each row of Re(Gamma) is Re((P_row * A) @ F^T), one
-    real product of their (re, im) views.  No table grows faster than
-    sqrt(count) delays of the long axis.
-    """
+    """Re(Gamma) = Re(E1 M E2^T) on the product lattice of the delay axes
+    s_delays and l_delays, each a (start, step, count) triple, as a real
+    (S, L) array: P = E @ M along the shorter axis (`_lattice_tables`), then
+    each row Re((P_row * A) @ F^T), one real product of (re, im) views."""
     m = _joint_measure(phi_a, phi_b)
-    axes = [(phi_a.grid.axis1, s_delays), (phi_a.grid.axis2, l_delays)]
-    swap = l_delays[2] < s_delays[2]
-    (omega_short, short), (omega, long) = axes[::-1] if swap else axes
-    p = phasors(omega_short, short, np.arange(short[2])) @ (m.T if swap else m)
-    _, step, count = long
-    b = int(np.ceil(np.sqrt(count)))
-    q = -(-count // b)
-    a = phasors(omega, long, b * np.arange(q))
-    # conj(F), the phasors at -r step: the (re, im) product is Re(x conj(y)^T)
-    f = phasors(omega, (0.0, -step), np.arange(b)).view(float).T
-    out = np.empty((len(p), q * b))
+    swap, e, a, f, count = _lattice_tables(phi_a.grid, s_delays, l_delays)
+    p = e @ (m.T if swap else m)
+    out = np.empty((len(p), len(a), len(f)))
+    f = f.view(float).T  # conj(F) as (re, im) rows: the product is Re(x conj(y)^T)
     for row, o in zip(p, out):
-        np.matmul((row * a).view(float), f, out=o.reshape(q, b))
-    return out[:, :count].T if swap else out[:, :count]
+        np.matmul((row * a).view(float), f, out=o)
+    out = out.reshape(len(p), -1)[:, :count]
+    return out.T if swap else out
+
+
+def gamma_lattice_adjoint(grid: FrequencyGrid, s_delays: tuple[float, float, int],
+                          l_delays: tuple[float, float, int], g: np.ndarray,
+                          w_s: np.ndarray, w_l: np.ndarray) -> np.ndarray:
+    """conj(E1)^T h conj(E2), h = w_s (1 - g) w_l, as a complex (n1, n2) array
+    on `grid`: the adjoint of gamma_lattice's M -> Re(E1 M E2^T).  First
+    T = conj(E w)^T (1 - g) = sum w conj(E) less a real product with g, then
+    sum_q (T_q @ conj F) conj A[q] over blocks of b delays of the longer axis."""
+    swap, e, a, f, _ = _lattice_tables(grid, s_delays, l_delays)
+    w_short, w_long = (w_l, w_s) if swap else (w_s, w_l)
+    np.multiply(np.conj(e, out=e), w_short[:, None], out=e)
+    t = ((g if swap else g.T) @ e.view(float)).view(complex)  # T^T
+    np.subtract(e.sum(axis=0), t, out=t)
+    t *= w_long[:, None]
+    est = np.zeros((t.shape[1], f.shape[1]), complex)
+    for lo, conj_a in zip(range(0, len(t), len(f)), np.conj(a)):
+        est += (t[lo:lo + len(f)].T @ f[:len(t) - lo]) * conj_a
+    return est.T if swap else est
 
 
 def _joint_measure(phi_a: SampledAmplitude, phi_b: SampledAmplitude) -> np.ndarray:
@@ -150,24 +171,18 @@ def scan_1d(phi_a: SampledAmplitude, phi_b: SampledAmplitude, axis: str,
     if axis not in ("S", "L"):
         raise ValueError("axis must be 'S' or 'L'")
     ax = Axis(f"delta_tau_{axis}", start, step, count)
-    fixed, scanned = (fixed_other_delay, 0.0, 1), (ax.start, ax.step, ax.count)
-    if axis == "L":
-        gam = gamma_lattice(phi_a, phi_b, fixed, scanned)[0]
-    else:
-        gam = gamma_lattice(phi_a, phi_b, scanned, fixed)[:, 0]
-    meta = {"fixed_axis": "S" if axis == "L" else "L",
-            "fixed_delay": fixed_other_delay}
+    axes = [(fixed_other_delay, 0.0, 1), (ax.start, ax.step, ax.count)]
+    gam = gamma_lattice(phi_a, phi_b, *(axes if axis == "L" else axes[::-1])).reshape(-1)
+    meta = {"fixed_axis": "S" if axis == "L" else "L", "fixed_delay": fixed_other_delay}
     return Interferogram((ax,), 1.0 - gam, metadata=meta)
 
 
 def scan_2d(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
             s_axis: tuple[float, float, int], l_axis: tuple[float, float, int]) -> Interferogram:
     """Full 2D coincidence lattice over (delta_tau_S, delta_tau_L)."""
-    ax_s = Axis("delta_tau_S", *s_axis)
-    ax_l = Axis("delta_tau_L", *l_axis)
-    gam = gamma_lattice(phi_a, phi_b, (ax_s.start, ax_s.step, ax_s.count),
-                        (ax_l.start, ax_l.step, ax_l.count))
-    return Interferogram((ax_s, ax_l), np.subtract(1.0, gam, out=gam))
+    axes = (Axis("delta_tau_S", *s_axis), Axis("delta_tau_L", *l_axis))
+    gam = gamma_lattice(phi_a, phi_b, *((ax.start, ax.step, ax.count) for ax in axes))
+    return Interferogram(axes, np.subtract(1.0, gam, out=gam))
 
 
 class LatticeScan:

@@ -5,10 +5,9 @@ nonnegative) JSI, so the JSI is recovered by the inverse cosine-kernel sum
 
     J(w1, w2) ~ sum_over_lattice h(a, b) * w(a) w(b) * cos(w1*a + w2*b) * da*db
 
-evaluated on a requested frequency band as Re(A^T h B), with the inverse
-kernels A = conj(E1) wa and B = conj(E2) wb of the phasor tables E, where
-w carries the window, half-axis weight and cell area.  core.phasors takes
-E at the exact delays start + k step, as for the forward scan.
+evaluated on a requested frequency band as Re(conj(E1)^T (wa h wb) conj(E2)),
+where w carries the window, half-axis weight and cell area: the adjoint of
+the forward scan M -> Re(E1 M E2^T) at the same exact delays start + k step.
 
 cos is even and the window symmetric, so the terms at (a, b) and (-a, -b)
 share one kernel value.  One rule per axis then covers every lattice: an
@@ -17,10 +16,9 @@ at 0 stands for its mirrored axis (the other half-plane is taken to be the
 point reflection of the measured one), so it takes the right half of the
 window over that axis and weight 2 off 0.
 
-An Interferogram keeps B whole, as (re, im) pairs, and adds
-Re(A_block^T (sum_b B - G_block B)) for each block of _BLOCK_ROWS (128)
-delays of axis 1 and its rows of G, so no lattice-sized temporary exists;
-for a scan with counts, G is their estimate (detector.estimated_g).
+An Interferogram goes through interferometer.gamma_lattice_adjoint, on the
+forward scan's tables and with no lattice-sized temporary; for a scan with
+counts, G is their estimate (detector.estimated_g).
 An interferometer.LatticeScan (the noiseless `reconstruct`) needs no
 kernel table: with 1 - G = Re(E1 M E2^T) on its sampling grid, every sum
 over the lattice is a value of one axis's D(nu) = sum_t w(t) exp(i nu t)
@@ -46,12 +44,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BiphotonAmplitude, FrequencyGrid, SampledAmplitude, add_two, jsi,
-                   phasors, sample_on_grid, two_product)
+                   sample_on_grid, two_product)
 from .detector import estimated_g
-from .interferometer import Interferogram, LatticeScan
+from .interferometer import Interferogram, LatticeScan, gamma_lattice_adjoint
 
 _PI = (np.pi, 1.2246467991473532e-16)  # pi as two doubles, to ~1e-32
-_BLOCK_ROWS = 128  # delays of axis 1 per block of the inverse; larger blocks raise peak memory
 
 
 class AliasingError(ValueError):
@@ -284,34 +281,19 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
     if isinstance(interferogram, LatticeScan):
         est = _invert_scan(interferogram, band, window, half)
     else:
-        ax_a, ax_b = interferogram.axes
-        wa, wb = _weights(ax_a, window, half == 0), _weights(ax_b, window, half == 1)
-        # B as (re, im) column pairs, so each block's product with 1 - G is
-        # real and gives (1 - G) B as pairs
-        b = (np.conj(phasors(band.axis2, (ax_b.start, ax_b.step), np.arange(ax_b.count)))
-             * wb[:, None]).view(float)
-        total = b.sum(axis=0)
-        g = estimated_g(interferogram)
-        est = np.zeros((band.n1, band.n2))
-        k = np.arange(ax_a.count)
-        for r in range(0, ax_a.count, _BLOCK_ROWS):
-            rows = slice(r, r + _BLOCK_ROWS)
-            a = np.conj(phasors(band.axis1, (ax_a.start, ax_a.step), k[rows])) * wa[rows, None]
-            est += (a.T @ (total - g[rows] @ b).view(complex)).real
+        axes = interferogram.axes
+        w = [_weights(ax, window, half == i) for i, ax in enumerate(axes)]
+        est = gamma_lattice_adjoint(band, *((ax.start, ax.step, ax.count) for ax in axes),
+                                    estimated_g(interferogram), *w).real
 
     total_abs = np.sum(np.abs(est))
-    degenerate = False
     if total_abs <= 0 or np.sum(est) <= 1e-12 * total_abs:
         warnings.warn("degenerate interferogram: no interference signal to invert")
-        degenerate = True
-        neg_frac = 0.0
-        est = np.zeros_like(est)
-    else:
-        neg_frac = float(-np.sum(est[est < 0]) / total_abs)
-        est = np.clip(est, 0.0, None)
-        est /= np.sum(est) * band.measure
-    return JsiEstimate(values=est, band=band, negativity_fraction=neg_frac,
-                       degenerate=degenerate)
+        return JsiEstimate(np.zeros_like(est), band, negativity_fraction=0.0, degenerate=True)
+    neg_frac = float(-np.sum(est[est < 0]) / total_abs)
+    est = np.clip(est, 0.0, None)
+    est /= np.sum(est) * band.measure
+    return JsiEstimate(values=est, band=band, negativity_fraction=neg_frac)
 
 
 def roundtrip_error(model: BiphotonAmplitude, grid: FrequencyGrid,

@@ -271,6 +271,22 @@ class TestCliExitCodes:
             "config error: [reconstruct] span_coherence_times / step_fraction")
         assert not (tmp_path / "o" / "recon_report.txt").exists()
 
+    @pytest.mark.parametrize("override,command", [
+        ("scan.fringe_halfspan_mm=1e6", "fringe"), ("scan.dip_halfspan_mm=1e9", "hom-dip"),
+        ("scan.x1_halfspan_mm=1e9", "scan2d"), ("scan.dip_halfspan_mm=1e308", "hom-dip")],
+        ids=["fringe", "hom-dip", "scan2d", "overflow"])
+    def test_scan_too_long_to_build_is_a_config_error(self, tmp_path, capsys, override,
+                                                      command):
+        # more than config._MAX_HALF_COUNT steps per half axis (the fringe
+        # one alone would take 99 GiB) is refused before any array is built
+        code = cli.main(["--out", str(tmp_path / "o"), "--noiseless", "--set", override,
+                         command])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        key = override.split("=")[0].split(".")[1]
+        assert len(err) == 1 and err[0].startswith(f"config error: [scan] {key}: a half-span of")
+        assert not (tmp_path / "o" / "fit_report.txt").exists()
+
     def test_largest_half_lattice_is_built(self, tmp_path, monkeypatch):
         # the span-20 lattice (CI's 11,445 delays) takes 5,721.87 steps per
         # half axis, rounded up to 5,722: it is built at a bound of 5,722

@@ -493,43 +493,76 @@ def test_interferogram_inverse_matches_long_double_on_a_physical_band(window, ha
     assert np.max(np.abs(est.values - expected)) <= 2e-15 * np.max(expected)
 
 
-@pytest.mark.parametrize("half_axis", [None, 1, 2], ids=["symmetric", "half-S", "half-L"])
+def lattice_axes(full, shape):
+    """(start, step, count) axes of a lattice `shape` on the step s of the
+    symmetric lattice `full`: its symmetric axes or one half of them
+    (`shaped_axes`), where the half axis is the shorter one, and lattices
+    whose half axis is the longer one, which gamma_lattice factors: half
+    (0, s, 301) x symmetric (-40 s, s, 81) either way round, and a tie,
+    whose S axis is contracted first and whose half L axis is factored."""
+    if shape in ("symmetric", "half-S", "half-L"):
+        return shaped_axes(full, {"symmetric": None, "half-S": 1, "half-L": 2}[shape])
+    s = full.step1
+    half, sym = (0.0, s, 81 if shape == "tie" else 301), (-40 * s, s, 81)
+    return [half, sym] if shape == "half-longer-S" else [sym, half]
+
+
+LATTICE_SHAPES = ["symmetric", "half-S", "half-L", "half-longer-S", "half-longer-L", "tie"]
+
+
+@pytest.mark.parametrize("shape", LATTICE_SHAPES)
 @pytest.mark.parametrize("demodulate", [False, True])
 @pytest.mark.parametrize("window", ["none", "hann"])
-def test_fold_matches_brute_force_on_noisy_lattice(window, demodulate, half_axis,
-                                                   monkeypatch):
+def test_fold_matches_brute_force_on_noisy_lattice(window, demodulate, shape):
     # seeded noise makes G far from point-symmetric: the inverse must still
-    # equal the term-by-term sum, whose half axis folds in its mirrored one,
-    # in one block of rows of G and in blocks of 8 (the last one partial)
+    # equal the term-by-term sum, whose half axis folds in its mirrored one
     grid, sampled, full = small_band()
-    ig = ifm.scan_2d(sampled, sampled, *shaped_axes(full, half_axis))
+    ig = ifm.scan_2d(sampled, sampled, *lattice_axes(full, shape))
     noise = np.random.default_rng(11).normal(0.0, 0.05, ig.values.shape)
     noisy = ifm.Interferogram(ig.axes, np.clip(ig.values + noise, 0.0, 2.0))
-    if half_axis is None:
+    if shape == "symmetric":
         assert np.max(np.abs(noisy.values - noisy.values[::-1, ::-1])) > 0.1
     direct = brute_force_jsi(noisy, grid, window)
-    for rows in (128, 8):
-        monkeypatch.setattr(rec, "_BLOCK_ROWS", rows)
-        est = rec.reconstruct_jsi(noisy, grid, window=window, demodulate=demodulate)
-        assert np.linalg.norm(est.values - direct) / np.linalg.norm(direct) <= 1e-9, rows
+    est = rec.reconstruct_jsi(noisy, grid, window=window, demodulate=demodulate)
+    assert np.linalg.norm(est.values - direct) / np.linalg.norm(direct) <= 1e-9
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["SL", "LS"])
+@pytest.mark.parametrize("shape", LATTICE_SHAPES)
+@pytest.mark.parametrize("window", ["none", "hann"])
+def test_adjoint_passes_the_dot_product_test(window, shape, transposed):
+    # <F(M), h> = <M, F*(h)> for the forward F(M) = Re(E1 M E2^T) of
+    # gamma_lattice and its adjoint, at a complex M and h = wa (1 - g) wb of
+    # a random real g with the inverse's weights, on either axis order
+    grid, _, full = small_band()
+    axes = lattice_axes(full, shape)[::-1 if transposed else 1]
+    rng = np.random.default_rng(5)
+    size = (2, grid.n1, grid.n2)
+    phi_a, phi_b = (core.SampledAmplitude(v / np.sqrt(np.vdot(v, v).real * grid.measure), grid)
+                    for v in rng.normal(size=size) + 1j * rng.normal(size=size))
+    g = rng.uniform(0.0, 2.0, tuple(ax[2] for ax in axes))
+    half = rec._half_axis([ifm.Axis("t", *ax) for ax in axes])
+    wa, wb = (rec._weights(ifm.Axis("t", *ax), window, half == i) for i, ax in enumerate(axes))
+    forward = ifm.gamma_lattice(phi_a, phi_b, *axes)
+    adjoint = ifm.gamma_lattice_adjoint(grid, *axes, g, wa, wb)
+    h = wa[:, None] * (1.0 - g) * wb
+    m = ifm._joint_measure(phi_a, phi_b)
+    gap = np.sum(forward * h) - np.sum(np.conj(m) * adjoint).real
+    assert abs(gap) <= 1e-15 * np.sum(np.abs(forward)) * np.max(np.abs(h))
 
 
 @pytest.mark.parametrize("half_axis", [False, True], ids=["symmetric", "half"])
-def test_kernel_matches_complex_exponential(half_axis, monkeypatch):
-    # 8 delays per block, the last one partial: the inverse kernels that
-    # reconstruct_jsi takes from the phasor tables of its blocks of delay
-    # indices, joined, are the whole kernel
-    monkeypatch.setattr(rec, "_BLOCK_ROWS", 8)
+def test_kernel_matches_complex_exponential(half_axis):
+    # a long axis of 161 delays (b = 13) or a half axis of 301 (b = 18), the
+    # last block partial: the products A[q] F[r] of the factor tables are
+    # the whole kernel exp(-i w t_k)
     grid, _, full = small_band()
-    axis = full.axes[0]
-    k = np.arange(full.count1)[(full.count1 - 1) // 2 if half_axis else 0:]
-    t = ifm.Axis("t", *axis).values[k]
-    weight = np.hanning(len(t) + 2)[1:-1] * full.step1
-    direct = weight[:, None] * np.exp(1j * np.outer(t, grid.axis1))
-    blocks = [np.conj(core.phasors(grid.axis1, axis, k[r:r + rec._BLOCK_ROWS]))
-              * weight[r:r + rec._BLOCK_ROWS, None] for r in range(0, len(k), rec._BLOCK_ROWS)]
-    assert len(blocks) > 1
-    assert np.max(np.abs(np.concatenate(blocks) - direct)) <= 1e-12
+    axis = lattice_axes(full, "half-longer-S")[0] if half_axis else full.axes[1]
+    swap, _, a, conj_f, count = ifm._lattice_tables(grid, (0.0, full.step1, 2), axis)
+    assert not swap and count % len(conj_f)
+    kernel = (a[:, None] * np.conj(conj_f)).reshape(-1, grid.n2)[:count]
+    direct = np.exp(-1j * np.outer(ifm.Axis("t", *axis).values, grid.axis2))
+    assert np.max(np.abs(kernel - direct)) <= 1e-12
 
 
 def test_inverse_allocates_a_fraction_of_the_lattice():
