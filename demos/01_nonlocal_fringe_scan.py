@@ -13,19 +13,15 @@ import numpy as np
 
 from biphoton import core, fitting
 from biphoton import interferometer as ifm
-from biphoton.config import build_sampled, load_config
+from biphoton.config import build_fringe_axis, build_sampled, load_config
 
 
 def main():
-    src, sampled = build_sampled(load_config())
+    cfg = load_config()
+    src, sampled = build_sampled(cfg)
 
     # Scan delta_x2 over +-0.13 mm in 0.15 um steps (sub-wavelength sampling).
-    step = 0.15e-6
-    n = int(0.13e-3 / step)
-    x2 = step * np.arange(-n, n + 1)
-    taus = np.sort(-x2 / core.C)
-    ig = ifm.scan_1d(sampled, sampled, "L", 0.0,
-                     taus[0], taus[1] - taus[0], len(taus))
+    ig = ifm.scan_1d(sampled, sampled, "L", 0.0, *build_fringe_axis(cfg, sampled.grid))
     x = -core.C * ig.axes[0].values
     order = np.argsort(x)
     fit = fitting.fit_fringe(x[order], ig.values[order])

@@ -10,22 +10,16 @@ the Gaussian whose width adds both in quadrature and whose area is kept:
 the observed dip is both shallower and wider.
 """
 
-import numpy as np
-
 from biphoton import core, detector, fitting
-from biphoton.config import build_jitter, load_config
+from biphoton.config import build_dip_profile, build_jitter, load_config
 
 
 def main():
     cfg = load_config()
 
-    # Width s of the zero-jitter profile exp(-dt^2/2s^2): a Gaussian dip whose
-    # area matches the squared spectral overlap of two identical
-    # rectangular-filtered photons.
-    bw = core.bandwidth_omega_from_wavelength(1570.53e-9, 18e-9)
-    sigma_t = 2.0 / bw
-    s = sigma_t * np.sqrt(np.pi / 2.0)
-    dt = np.linspace(-8e-12, 8e-12, 1601)
+    # Delays over +-3 mm in 10 um steps, and the width s of the zero-jitter
+    # profile exp(-dt^2/2s^2), whose area is the photons' spectral overlap.
+    dt, s = build_dip_profile(cfg)
 
     for label, jitter_fwhm in [("no jitter", 0.0), ("with jitter", build_jitter(cfg))]:
         vis = detector.independent_hom_dip(dt, s, jitter_fwhm)

@@ -10,27 +10,18 @@ delta_x2 = -delta_x1 (slope -1); a separable source would show no such
 dependence.
 """
 
-import numpy as np
-
-from biphoton import core, fitting
+from biphoton import fitting
 from biphoton import interferometer as ifm
-from biphoton.config import build_sampled, load_config
+from biphoton.config import build_sampled, build_scan2d_axes, load_config
 
 
 def main():
-    src, sampled = build_sampled(load_config())
+    cfg = load_config()
+    src, sampled = build_sampled(cfg)
 
-    x1 = 0.1e-3 * np.arange(-12, 13)              # coarse arm-1 positions
-    step = 0.15e-6                                # fringe-resolving arm-2 step
-    half2 = 1.2e-3 + 0.13e-3                      # cover ridge + envelope
-    n2 = int(half2 / step)
-    x2 = step * np.arange(-n2, n2 + 1)
-    tau_s = x1 / core.C
-    tau_l = np.sort(-x2 / core.C)
-
-    ig = ifm.scan_2d(sampled, sampled,
-                     (tau_s[0], tau_s[1] - tau_s[0], len(tau_s)),
-                     (tau_l[0], tau_l[1] - tau_l[0], len(tau_l)))
+    # Coarse arm-1 steps over +-1.2 mm, fringe-resolving arm-2 steps over
+    # +-(0.13 + 1.2) mm: the fringe half-span widened to cover the ridge.
+    ig = ifm.scan_2d(sampled, sampled, *build_scan2d_axes(cfg, sampled.grid))
     env = fitting.visibility_envelope(ig, period_guess=src.idler_center_wavelength)
     slope = fitting.ridge_slope(env)
 

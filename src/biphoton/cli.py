@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import core, detector, fitting, interferometer as ifm, reconstruction as rec
-from .config import (_MAX_HALF_COUNT, ConfigError, RunConfig, build_budget, build_detector,
-                     build_jitter, build_reconstruct, build_sampled, build_source_params,
-                     load_config)
+from .config import (ConfigError, RunConfig, build_budget, build_detector, build_dip_profile,
+                     build_fringe_axis, build_jitter, build_reconstruct, build_sampled,
+                     build_scan2d_axes, load_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,34 +49,9 @@ def _num(value: float, spec: str) -> str:
     return text.lstrip("-") if set(text) <= set("-0.") else text
 
 
-def _symmetric_positions(half: float, step: float, key: str) -> np.ndarray:
-    """step * k for every integer |k| <= half / step to a relative 1e-9, so that
-    an exact multiple (1.2 / 0.1 mm) keeps its end points; 1 to _MAX_HALF_COUNT a side."""
-    n = half / step * (1.0 + 1e-9)
-    if n < 1:
-        raise ConfigError(f"[scan] {key}: half-span is shorter than one scan step")
-    if not n < _MAX_HALF_COUNT + 1:
-        raise ConfigError(f"[scan] {key}: a half-span of {n:.3g} steps exceeds {_MAX_HALF_COUNT}")
-    return step * np.arange(-int(n), int(n) + 1)
-
-
-def _fringe_delays(cfg: RunConfig, grid: core.FrequencyGrid, widen: float = 0.0):
-    """The ascending delta_tau_L = -delta_x2/c axis (start, step, count) over [scan]
-    fringe_halfspan_mm widened by `widen` (m), at fringe_step_um; a step whose
-    delay step undersamples the grid's band raises AliasingError."""
-    step = cfg.getfloat("scan", "fringe_step_um") * 1e-6
-    x2 = _symmetric_positions(cfg.getfloat("scan", "fringe_halfspan_mm") * 1e-3 + widen,
-                              step, "fringe_halfspan_mm")
-    bound = rec.nyquist_step(grid)
-    if step / core.C > bound:
-        raise rec.AliasingError("delta_tau_L", step / core.C, bound)
-    taus = np.sort(-x2 / core.C)
-    return taus[0], taus[1] - taus[0], len(taus)
-
-
 def _fringe(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     _, sampled = build_sampled(cfg)
-    ig = ifm.scan_1d(sampled, sampled, "L", 0.0, *_fringe_delays(cfg, sampled.grid))
+    ig = ifm.scan_1d(sampled, sampled, "L", 0.0, *build_fringe_axis(cfg, sampled.grid))
     x = fitting.delay_to_position(ig.axes[0].values, "delta_tau_L")
     order = np.argsort(x)
     ig = _write_scan(cfg, args, ig, "fringe.csv")
@@ -95,25 +70,8 @@ def _fringe(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     return lines
 
 
-def _ideal_dip_profile(cfg: RunConfig, src: core.SourceParams):
-    """Delays dt (s) of the independent-photon dip scan and the width s (s)
-    of its zero-jitter visibility profile exp(-dt^2/2s^2).
-
-    The Gaussian's area matches the squared spectral overlap (sinc^2) of two
-    identical rectangular-filtered photons; the Gaussian shape makes the
-    jitter-broadened dip closed-form and the fit model exact.
-    """
-    bw = core.bandwidth_omega_from_wavelength(
-        src.idler_center_wavelength, cfg.getfloat("filters", "bandwidth_nm") * 1e-9)
-    sigma_t = 2.0 / bw                      # sinc envelope scale in delay
-    s = sigma_t * np.sqrt(np.pi / 2.0)      # same area as sinc^2
-    half = cfg.getfloat("scan", "dip_halfspan_mm") * 1e-3 / core.C
-    step = cfg.getfloat("scan", "dip_step_um") * 1e-6 / core.C
-    return _symmetric_positions(half, step, "dip_halfspan_mm"), s
-
-
 def _hom_dip(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
-    dt, s = _ideal_dip_profile(cfg, build_source_params(cfg))
+    dt, s = build_dip_profile(cfg)
     jitter = build_jitter(cfg)  # FWHM, s
     g = 1.0 - detector.independent_hom_dip(dt, s, jitter, v_cap=cfg.getfloat("jitter", "v_cap"))
     ig = ifm.Interferogram((ifm.Axis("delta_tau", dt[0], dt[1] - dt[0], len(dt)),), g)
@@ -130,12 +88,7 @@ def _hom_dip(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
 
 def _scan2d(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     src, sampled = build_sampled(cfg)
-    x1_half = cfg.getfloat("scan", "x1_halfspan_mm") * 1e-3
-    tau_s = _symmetric_positions(x1_half, cfg.getfloat("scan", "x1_step_mm") * 1e-3,
-                                 "x1_halfspan_mm") / core.C
-    # the fringe ridge tracks delta_x2 = -delta_x1; cover it for every slice
-    ig = ifm.scan_2d(sampled, sampled, (tau_s[0], tau_s[1] - tau_s[0], len(tau_s)),
-                     _fringe_delays(cfg, sampled.grid, widen=x1_half))
+    ig = ifm.scan_2d(sampled, sampled, *build_scan2d_axes(cfg, sampled.grid))
     ig = _write_scan(cfg, args, ig, "scan2d.csv")
     env = fitting.visibility_envelope(ig, period_guess=src.idler_center_wavelength)
     slope = fitting.ridge_slope(env)
@@ -167,7 +120,7 @@ def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
                   [f"omega1 axis,{grid.omega1_min!r},{grid.d1!r},{grid.n1}",
                    f"omega2 axis,{grid.omega2_min!r},{grid.d2!r},{grid.n2}",
                    f"config_sha256={cfg.sha256()}"],
-                  [est.values.reshape(-1)])
+                  est.values.reshape(-1))
     corr = core.jsi_correlation(est.values, grid) if not est.degenerate else float("nan")
     lines = [
         f"lattice_axes: {[(ax.start, ax.step, ax.count) for ax in ig.axes]}",

@@ -11,7 +11,8 @@ rounded nominal pair 1530/1570 nm violates energy conservation at the 1e-4
 level enforced by SourceParams.  Each key's kind in DEFAULTS names the values
 load_config allows; the grid sizes are bounded to keep their arrays in memory.
 build_sampled and build_reconstruct give the scanned [source] amplitude and the
-[reconstruct] model, band and half lattice, to the CLI and the demos alike.
+[reconstruct] model, band and half lattice, and build_fringe_axis, build_scan2d_axes
+and build_dip_profile the [scan] delay axes, to the CLI and the demos alike.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import configparser
 import functools
 import hashlib
 import math
+
+import numpy as np
 
 from . import core, detector, reconstruction as rec
 
@@ -102,7 +105,7 @@ _RANGES = {
 }
 
 
-# steps per half axis of the reconstruct lattice, whose axes' values are formed
+# steps per half axis of a scan or the reconstruct lattice, whose values are formed
 _MAX_HALF_COUNT = 1 << 20
 
 
@@ -249,6 +252,68 @@ def build_sampled(cfg: RunConfig) -> tuple[core.SourceParams, core.SampledAmplit
     model = build_model(cfg, src)
     grid = core.grid_for_filters(f1, f2, n=cfg.getint("grid", "n"))
     return src, core.sample_on_grid(model, grid, f1, f2)
+
+
+def _half_count(half: float, step: float, key: str) -> int:
+    """The largest k <= half / step to a relative 1e-9, so that an exact multiple
+    (1.2 / 0.1 mm) keeps its end points; 1 to _MAX_HALF_COUNT."""
+    n = half / step * (1.0 + 1e-9)
+    if n < 1:
+        raise ConfigError(f"[scan] {key}: half-span is shorter than one scan step")
+    if not n < _MAX_HALF_COUNT + 1:
+        raise ConfigError(f"[scan] {key}: a half-span of {n:.3g} steps exceeds {_MAX_HALF_COUNT}")
+    return int(n)
+
+
+def _scan_axis(half: float, step: float, key: str) -> tuple[float, float, int]:
+    """The ascending (start, step, count) axis of the delays +-step * k / C, |k| <=
+    _half_count, its first two delays formed as in the sorted array of them, bit for bit."""
+    n = _half_count(half, step, key)
+    start = step * -n / core.C
+    return start, step * (1 - n) / core.C - start, 2 * n + 1
+
+
+def _fringe_axis(cfg: RunConfig, grid: core.FrequencyGrid, widen: float, key: str):
+    """The delta_tau_L = -delta_x2/c axis over fringe_halfspan_mm + `widen` (m),
+    whose keys `key` names; a step that undersamples `grid` raises AliasingError."""
+    step = cfg.getfloat("scan", "fringe_step_um") * 1e-6
+    axis = _scan_axis(cfg.getfloat("scan", "fringe_halfspan_mm") * 1e-3 + widen, step, key)
+    bound = rec.nyquist_step(grid)
+    if step / core.C > bound:
+        raise rec.AliasingError("delta_tau_L", step / core.C, bound)
+    return axis
+
+
+def build_fringe_axis(cfg: RunConfig, grid: core.FrequencyGrid) -> tuple[float, float, int]:
+    """The (start, step, count) delay axis `fringe` scans on `grid`."""
+    return _fringe_axis(cfg, grid, 0.0, "fringe_halfspan_mm")
+
+
+def build_scan2d_axes(cfg: RunConfig, grid: core.FrequencyGrid):
+    """The delta_tau_S = delta_x1/c and delta_tau_L axes `scan2d` scans: the
+    fringe axis is widened by x1_halfspan_mm, as the fringe ridge tracks
+    delta_x2 = -delta_x1, and a lattice longer than the longest 1-D scan is refused."""
+    x1_half = cfg.getfloat("scan", "x1_halfspan_mm") * 1e-3
+    s_axis = _scan_axis(x1_half, cfg.getfloat("scan", "x1_step_mm") * 1e-3, "x1_halfspan_mm")
+    l_axis = _fringe_axis(cfg, grid, x1_half, "fringe_halfspan_mm + x1_halfspan_mm")
+    if s_axis[2] * l_axis[2] > 2 * _MAX_HALF_COUNT + 1:
+        raise ConfigError(f"[scan] x1_halfspan_mm: a lattice of {s_axis[2]} x {l_axis[2]} "
+                          f"points exceeds {2 * _MAX_HALF_COUNT + 1}")
+    return s_axis, l_axis
+
+
+def build_dip_profile(cfg: RunConfig) -> tuple[np.ndarray, float]:
+    """Delays dt (s) of the independent-photon dip scan and the width s (s) of
+    its zero-jitter visibility profile exp(-dt^2/2s^2), a Gaussian of the area of
+    the squared spectral overlap (sinc^2) of two identical rectangular-filtered
+    photons: the jitter-broadened dip is closed-form and the fit model exact."""
+    bw = core.bandwidth_omega_from_wavelength(build_source_params(cfg).idler_center_wavelength,
+                                              cfg.getfloat("filters", "bandwidth_nm") * 1e-9)
+    s = 2.0 / bw * np.sqrt(np.pi / 2.0)     # the sinc^2 area, 2/bw its delay scale
+    half = cfg.getfloat("scan", "dip_halfspan_mm") * 1e-3 / core.C
+    step = cfg.getfloat("scan", "dip_step_um") * 1e-6 / core.C
+    n = _half_count(half, step, "dip_halfspan_mm")
+    return step * np.arange(-n, n + 1), s
 
 
 def build_reconstruct(cfg: RunConfig) -> tuple[core.BiphotonAmplitude, core.FrequencyGrid,

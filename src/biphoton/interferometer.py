@@ -205,18 +205,17 @@ class LatticeScan:
             raise ValueError("G values outside [0, 2]")
 
 
-def write_csv(path, headers: list[str], columns: list[np.ndarray]) -> None:
+def write_csv(path, headers: list[str], column: np.ndarray) -> None:
     """Format-2 CSV: '# format=2', a '# <header>' line per header, then one
-    row per index of the equal-length 1-D `columns`, each value its repr.
+    row per value of the 1-D `column`, its repr.
 
     Rows go out in blocks of _BLOCK_ROWS, which bounds the text held at once.
     """
     with open(path, "w") as fh:
         fh.write("# format=2\n")
         fh.writelines(f"# {line}\n" for line in headers)
-        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-            cells = [map(repr, c[lo:lo + _BLOCK_ROWS].tolist()) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))))
+        for lo in range(0, len(column), _BLOCK_ROWS):
+            fh.write("\n".join(map(repr, column[lo:lo + _BLOCK_ROWS].tolist())))
             fh.write("\n")
 
 
@@ -239,7 +238,7 @@ def write_interferogram_csv(ig: Interferogram, path) -> None:
             column = counts.astype(np.int64)
         if not np.array_equal(column, counts):
             raise ValueError("counts must be integers")
-    write_csv(path, head, [column])
+    write_csv(path, head, column)
 
 
 def read_interferogram_csv(path) -> Interferogram:

@@ -14,8 +14,9 @@ import reference
 from biphoton import cli, config, core, fitting
 from biphoton import interferometer as ifm
 from biphoton import reconstruction as rec
-from biphoton.config import (DEFAULTS, ConfigError, build_jitter, build_model, build_reconstruct,
-                             build_sampled, build_source_params, load_config)
+from biphoton.config import (DEFAULTS, ConfigError, build_dip_profile, build_fringe_axis,
+                             build_jitter, build_model, build_reconstruct, build_sampled,
+                             build_scan2d_axes, build_source_params, load_config)
 
 # values outside each range kind of DEFAULTS; a kind missing here fails the contract test
 OUTSIDE = {
@@ -271,21 +272,39 @@ class TestCliExitCodes:
             "config error: [reconstruct] span_coherence_times / step_fraction")
         assert not (tmp_path / "o" / "recon_report.txt").exists()
 
-    @pytest.mark.parametrize("override,command", [
-        ("scan.fringe_halfspan_mm=1e6", "fringe"), ("scan.dip_halfspan_mm=1e9", "hom-dip"),
-        ("scan.x1_halfspan_mm=1e9", "scan2d"), ("scan.dip_halfspan_mm=1e308", "hom-dip")],
-        ids=["fringe", "hom-dip", "scan2d", "overflow"])
+    @pytest.mark.parametrize("override,command,message", [
+        ("scan.fringe_halfspan_mm=1e6", "fringe", "fringe_halfspan_mm: a half-span of"),
+        ("scan.dip_halfspan_mm=1e9", "hom-dip", "dip_halfspan_mm: a half-span of"),
+        ("scan.x1_halfspan_mm=1e9", "scan2d", "x1_halfspan_mm: a half-span of"),
+        ("scan.dip_halfspan_mm=1e308", "hom-dip", "dip_halfspan_mm: a half-span of"),
+        ("scan.x1_halfspan_mm=200", "scan2d",
+         "fringe_halfspan_mm + x1_halfspan_mm: a half-span of 1.33e+06 steps"),
+        ("scan.x1_halfspan_mm=100", "scan2d",
+         "x1_halfspan_mm: a lattice of 2001 x 1335067 points exceeds 2097153")],
+        ids=["fringe", "hom-dip", "scan2d", "overflow", "widened", "lattice"])
     def test_scan_too_long_to_build_is_a_config_error(self, tmp_path, capsys, override,
-                                                      command):
+                                                      command, message):
         # more than config._MAX_HALF_COUNT steps per half axis (the fringe
-        # one alone would take 99 GiB) is refused before any array is built
+        # one alone would take 99 GiB), or a scan2d lattice of more points
+        # than the longest 1-D scan (the 2001 x 1335067 one would take 21 GB),
+        # is refused before any array is built; the widened scan2d fringe
+        # axis names both keys that set its half-span
         code = cli.main(["--out", str(tmp_path / "o"), "--noiseless", "--set", override,
                          command])
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
-        key = override.split("=")[0].split(".")[1]
-        assert len(err) == 1 and err[0].startswith(f"config error: [scan] {key}: a half-span of")
-        assert not (tmp_path / "o" / "fit_report.txt").exists()
+        assert len(err) == 1 and err[0].startswith(f"config error: [scan] {message}")
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_largest_scan2d_lattice_is_built(self, reference_sampled, monkeypatch):
+        # the default 25 x 17,733 lattice is 2 * 221,662 + 1 points: it is
+        # built at a bound of 221,662 steps and refused at 221,661
+        cfg, grid = load_config(), reference_sampled.grid
+        monkeypatch.setattr(config, "_MAX_HALF_COUNT", 221_662)
+        assert [axis[2] for axis in build_scan2d_axes(cfg, grid)] == [25, 17_733]
+        monkeypatch.setattr(config, "_MAX_HALF_COUNT", 221_661)
+        with pytest.raises(ConfigError, match="a lattice of 25 x 17733 points exceeds 443323"):
+            build_scan2d_axes(cfg, grid)
 
     def test_largest_half_lattice_is_built(self, tmp_path, monkeypatch):
         # the span-20 lattice (CI's 11,445 delays) takes 5,721.87 steps per
@@ -438,15 +457,58 @@ def test_num_drops_only_the_sign_of_a_printed_zero(value, spec, text):
     assert cli._num(value, spec) == text
 
 
-@pytest.mark.parametrize("half,step,count", [
-    (1.2 * 1e-3, 0.1 * 1e-3, 25), (0.6 * 1e-3, 0.2 * 1e-3, 7),
-    (0.13 * 1e-3, 0.15 * 1e-6, 1733), (3.0 * 1e-3 / core.C, 10 * 1e-6 / core.C, 601),
+def _dip_axis(cfg, grid):
+    dt, _ = build_dip_profile(cfg)
+    return dt[0], dt[1] - dt[0], len(dt)
+
+
+@pytest.mark.parametrize("build,overrides,half,count", [
+    (lambda cfg, grid: build_scan2d_axes(cfg, grid)[0], {}, 1.2e-3, 25),
+    (lambda cfg, grid: build_scan2d_axes(cfg, grid)[0],
+     {("scan", "x1_halfspan_mm"): "0.6", ("scan", "x1_step_mm"): "0.2"}, 0.6e-3, 7),
+    (build_fringe_axis, {}, 866 * 0.15e-6, 1733),
+    (_dip_axis, {}, 3e-3, 601),
 ], ids=["x1-default", "x1-reduced", "fringe", "dip"])
-def test_symmetric_positions_keep_an_exact_multiple(half, step, count):
-    # the [scan] half-spans and steps as the CLI scales them; 1.2e-3 / 1e-4 is
-    # 11.999999999999998 in doubles, yet the end points +-1.2 mm are scanned
-    x = cli._symmetric_positions(half, step, "key")
-    assert len(x) == count and x[-1] <= half * (1 + 1e-9) < x[-1] + step
+def test_scan_axes_keep_an_exact_multiple(reference_sampled, build, overrides, half, count):
+    # 1.2e-3 / 1e-4 is 11.999999999999998 in doubles, yet the end points
+    # +-1.2 mm are scanned
+    start, step, n = build(load_config(overrides=overrides), reference_sampled.grid)
+    assert n == count and -start * core.C == pytest.approx(half, rel=1e-9)
+    assert start + (n - 1) * step == pytest.approx(-start, rel=1e-12)
+
+
+def _sorted_axis(half, step, negate):
+    # the array formula the scan builders replace: the positions step * k for
+    # every |k| <= half / step to a relative 1e-9, as delays x/c or sorted -x/c
+    n = int(half / step * (1.0 + 1e-9))
+    x = step * np.arange(-n, n + 1)
+    taus = np.sort(-x / core.C) if negate else x / core.C
+    return taus[0], taus[1] - taus[0], len(taus)
+
+
+def test_scan_axes_are_the_sorted_arrays_bit_for_bit(reference_sampled):
+    # the defaults, then seeded half-spans and steps; every axis matches the
+    # array in both orientations, as the set of delays is symmetric
+    rng = np.random.default_rng(32)
+    cases = [{}]
+    for _ in range(300):
+        x1_step, fringe_step = rng.uniform(0.01, 0.1), rng.uniform(0.1, 0.7)
+        cases.append({("scan", "x1_step_mm"): repr(x1_step),
+                      ("scan", "x1_halfspan_mm"): repr(x1_step * rng.uniform(1, 12)),
+                      ("scan", "fringe_step_um"): repr(fringe_step),
+                      ("scan", "fringe_halfspan_mm"): repr(rng.uniform(1e-3, 0.3))})
+    for overrides in cases:
+        cfg = load_config(overrides=overrides)
+        x1_half, x1_step, fringe_half = (cfg.getfloat("scan", key) * 1e-3 for key in (
+            "x1_halfspan_mm", "x1_step_mm", "fringe_halfspan_mm"))
+        fringe_step = cfg.getfloat("scan", "fringe_step_um") * 1e-6
+        built = [build_fringe_axis(cfg, reference_sampled.grid),
+                 *build_scan2d_axes(cfg, reference_sampled.grid)]
+        halves = [(fringe_half, fringe_step), (x1_half, x1_step),
+                  (fringe_half + x1_half, fringe_step)]
+        for axis, (half, step) in zip(built, halves):
+            for negate in (False, True):
+                assert axis == _sorted_axis(half, step, negate), (overrides, negate)
 
 
 class TestFringeCommand:
@@ -549,7 +611,7 @@ class TestHomDipCommand:
         code = cli.main(["--out", str(tmp_path / "o"), "--noiseless", *sets, "hom-dip"])
         assert code == cli.EXIT_OK
         cfg = load_config(overrides=overrides)
-        _, s = cli._ideal_dip_profile(cfg, build_source_params(cfg))
+        _, s = build_dip_profile(cfg)
         sp = np.hypot(s, build_jitter(cfg) * core.FWHM_TO_SIGMA)
         (fit,) = fits
         assert fit.visibility == pytest.approx(cfg.getfloat("jitter", "v_cap") * s / sp, rel=1e-9)

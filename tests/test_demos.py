@@ -14,6 +14,7 @@ SRC = str(Path(biphoton.__file__).resolve().parents[1])
 
 
 @pytest.mark.parametrize("script", ["01_nonlocal_fringe_scan.py", "02_independent_photon_hom.py",
+                                    "03_coherence_envelope_scan2d.py",
                                     "04_jsi_reconstruction.py"])
 def test_demo_runs(tmp_path, script):
     env = {**os.environ, "PYTHONPATH": SRC}

@@ -412,15 +412,16 @@ class TestInterferogram:
             "1.5\n"
             "2.0\n")
 
-    def test_write_csv_text_is_pinned(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("column,rows", [
+        (np.array([-0.0, 1e-300, 0.1, 2.0, 1e-24]), "-0.0\n1e-300\n0.1\n2.0\n1e-24\n"),
+        (np.array([0, -3, 7, 123456789012, 5], dtype=np.int64), "0\n-3\n7\n123456789012\n5\n"),
+    ], ids=["float", "int64"])
+    def test_write_csv_text_is_pinned(self, tmp_path, monkeypatch, column, rows):
         # each value is its own shortest repr (a signed zero, exponent forms,
         # 0.1, a 12-digit integer), across blocks of 2 rows and a partial one
         monkeypatch.setattr(ifm, "_BLOCK_ROWS", 2)
-        ifm.write_csv(tmp_path / "c.csv", ["h"],
-                      [np.array([-0.0, 1e-300, 0.1, 2.0, 1e-24]),
-                       np.array([0, -3, 7, 123456789012, 5], dtype=np.int64)])
-        assert (tmp_path / "c.csv").read_text() == (
-            "# format=2\n# h\n-0.0,0\n1e-300,-3\n0.1,7\n2.0,123456789012\n1e-24,5\n")
+        ifm.write_csv(tmp_path / "c.csv", ["h"], column)
+        assert (tmp_path / "c.csv").read_text() == "# format=2\n# h\n" + rows
 
     @pytest.mark.parametrize("bad", [523.5, np.nan, np.inf])
     def test_csv_non_integral_counts_rejected(self, tmp_path, bad):
