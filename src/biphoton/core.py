@@ -250,15 +250,13 @@ def sample_on_grid(model: BiphotonAmplitude, grid: FrequencyGrid,
         vals *= filter1.transmission(grid.axis1)[:, None]
     if filter2 is not None:
         vals *= filter2.transmission(grid.axis2)[None, :]
-    intensity = np.abs(vals)
-    norm = np.sum(np.square(intensity, out=intensity)) * grid.measure
+    norm = np.sum(np.square(vals)) * grid.measure
     if norm <= 0.0 or not np.isfinite(norm):
         raise EmptySupportError("filtered amplitude has no spectral support on the grid")
-    # complex only from here: a product with the real transmissions and the
-    # modulus give the same bits on values with zero imaginary parts
-    vals = vals.astype(complex)
-    vals /= np.sqrt(norm)
-    return SampledAmplitude(vals, grid)
+    # complex only from here: numpy divides by a complex with a zero imaginary
+    # part as a product with the real reciprocal, so these are the same bits
+    vals *= 1.0 / np.sqrt(norm)
+    return SampledAmplitude(vals.astype(complex), grid)
 
 
 def jsi(sampled: SampledAmplitude) -> np.ndarray:

@@ -7,14 +7,17 @@ Three fixed models:
 
 Every fit is a Levenberg-Marquardt solve (`_solve`, numpy only) with an
 analytic Jacobian and Marquardt's column-norm scaling, so its steps do
-not depend on the units of the parameters. The `stderr` of each fit is
-the 1-sigma uncertainty of each parameter: the square root of the
-diagonal of the covariance (J^T J)^-1 at the optimum, multiplied by the
-reduced chi-square (residual sum of squares over n_data - n_params). The
-covariance comes from the same eigendecomposition of the column-scaled
-Js^T Js that the solver steps with, so each Jacobian is factored once. A
-parameter that the data do not constrain (one that loads on a direction
-the step drops) gets an infinite stderr.
+not depend on the units of the parameters. Each model returns (f, J),
+its values and Jacobian from one set of shared terms, so a trial point
+costs one evaluation. The `stderr` of each fit is the 1-sigma
+uncertainty of each parameter: the square root of the diagonal of the
+covariance (J^T J)^-1 at the optimum, multiplied by the reduced
+chi-square (residual sum of squares over n_data - n_params). The
+covariance comes from the same eigendecomposition of the Gram matrix
+J^T J, scaled by sqrt(diag(J^T J)), that the solver steps with, so J^T J
+is formed and factored once per iterate. A parameter that the data do
+not constrain (one that loads on a direction the step drops) gets an
+infinite stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .core import C, FWHM_TO_SIGMA
 from .detector import subtract_accidentals
-from .interferometer import Interferogram, sinc
+from .interferometer import Interferogram
 
 _FWHM = 1.0 / FWHM_TO_SIGMA  # 2*sqrt(2 ln 2)
 
@@ -90,50 +93,55 @@ class EnvelopeResult:
     fit: EnvelopeFit
 
 
-def _solve(model, jac, p0, x, y):
-    """Levenberg-Marquardt fit of model(p, x) to y with the analytic jac(p, x).
+def _solve(model, p0, x, y):
+    """Levenberg-Marquardt fit of model(p, x) to y; model returns (f, J), the
+    values and their analytic Jacobian, from one evaluation.
 
     Returns (params, 1-sigma stderr, residual rms). Each step d solves
-    (J^T J + lam diag(J^T J)) d = -J^T r, with r = model(p, x) - y. With
-    Marquardt's diag(J^T J) the step does not depend on the parameter units
-    (counts ~1e4, lengths ~1e-6 m): in the scaled z = |J columns| d it is
-    (Js^T Js + lam I) z = -Js^T r, Js = J / |J columns|, solved through the
-    eigendecomposition of the small Js^T Js, so trying another lam costs no
-    new factorization. Directions with eigenvalues below eps max(m, n) of
-    the largest get no step.
+    (J^T J + lam diag(J^T J)) d = -J^T r, with r = f - y. With Marquardt's
+    diag(J^T J) the step does not depend on the parameter units (counts
+    ~1e4, lengths ~1e-6 m): in the scaled z = scale d, scale = sqrt(diag(G)),
+    it is (Gs + lam I) z = -J^T r / scale. G = J^T J is formed once per
+    iterate and Gs = G / outer(scale, scale); the step goes through the
+    eigendecomposition of the small Gs, so trying another lam costs no new
+    factorization. Directions with eigenvalues below eps max(m, n) of the
+    largest get no step.
 
-    The first step is Gauss-Newton (lam = 0). A step that lowers the cost
-    |r|^2 is taken, and lam is multiplied by max(1/3, 1 - (2 rho - 1)^3),
-    rho being the ratio of the actual to the predicted cost reduction; a
-    step that does not is retried with lam raised nu-fold, nu doubling on
-    each retry (Nielsen's rule; lam starts from 1e-3 of the largest
-    eigenvalue). The fit converges when the scaled step |z| is at most
-    _XTOL |p| in the same scale, when a step lowers the cost by a fraction
-    _FTOL or less, or when the scaled gradient max |Js^T r| / |r| is at most
-    _GTOL. It raises FitConvergenceError after 200 (len(p0) + 1) model
-    evaluations, or on a non-finite residual or Jacobian at the iterate.
+    The first step is Gauss-Newton (lam = 0). Each trial point is one model
+    evaluation, and the J of a trial that is taken is the next iterate's. A
+    step that lowers the cost |r|^2 is taken, and lam is multiplied by
+    max(1/3, 1 - (2 rho - 1)^3), rho being the ratio of the actual to the
+    predicted cost reduction; a step that does not is retried with lam
+    raised nu-fold, nu doubling on each retry (Nielsen's rule; lam starts
+    from 1e-3 of the largest eigenvalue). The fit converges when the scaled
+    step |z| is at most _XTOL |p| in the same scale, when a step lowers the
+    cost by a fraction _FTOL or less, or when the scaled gradient
+    max |J^T r / scale| / |r| is at most _GTOL. It raises FitConvergenceError
+    after 200 (len(p0) + 1) model evaluations, or on a non-finite residual
+    or Jacobian at the iterate.
 
-    The stderr comes from the eigendecomposition w, v of Js^T Js at the
-    returned point, the one a further step would use: the variance of
-    parameter k is sum v_k^2 / w / |J column k|^2 over the kept directions,
-    times the reduced chi-square, and it is infinite when parameter k loads
-    on a dropped direction (a zero column of J among them).
+    The stderr comes from the eigendecomposition w, v of Gs at the returned
+    point, the one a further step would use: the variance of parameter k is
+    sum v_k^2 / w / scale_k^2 over the kept directions, times the reduced
+    chi-square, and it is infinite when parameter k loads on a dropped
+    direction (a zero column of J among them).
     """
     p = np.asarray(p0, float)
     max_nfev = 200 * (len(p) + 1)
-    r, j = model(p, x) - y, jac(p, x)
+    values, j = model(p, x)
+    r = values - y
     nfev, lam, done = 1, 0.0, False
     while True:
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(j))):
             raise FitConvergenceError("fit did not converge: non-finite residual "
                                       "or Jacobian", last_params=p)
         cost = r @ r
-        norms = np.linalg.norm(j, axis=0)
+        gram = j.T @ j
+        norms = np.sqrt(np.diag(gram))
         scale = np.where(norms > 0, norms, 1.0)
-        js = j / scale
-        w, v = np.linalg.eigh(js.T @ js)
+        w, v = np.linalg.eigh(gram / np.outer(scale, scale))
         keep = w > np.finfo(float).eps * max(j.shape) * w[-1]
-        grad = js.T @ r
+        grad = (j.T @ r) / scale
         if done or np.max(np.abs(grad)) <= _GTOL * np.sqrt(cost):
             break
         gv = v.T @ grad
@@ -146,7 +154,8 @@ def _solve(model, jac, p0, x, y):
             f = np.divide(1.0, w + lam, out=np.zeros_like(w), where=keep)
             z = -v @ (f * gv)
             trial = p + z / scale
-            r_trial = model(trial, x) - y
+            values, j_trial = model(trial, x)
+            r_trial = values - y
             nfev += 1
             cost_trial = r_trial @ r_trial  # nan if not finite: never lower
             small = np.linalg.norm(z) <= xtol
@@ -158,8 +167,7 @@ def _solve(model, jac, p0, x, y):
         done = small or cost - cost_trial <= _FTOL * cost
         rho = (cost - cost_trial) / np.sum(gv * gv * f * (2.0 - w * f))
         lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-        p, r = trial, r_trial
-        j = jac(p, x)
+        p, r, j = trial, r_trial, j_trial
     dof = max(len(y) - len(p), 1)
     var = np.sum(v[:, keep] ** 2 / w[keep], axis=1) / scale ** 2
     dropped = np.any(np.abs(v[:, ~keep]) > np.sqrt(np.finfo(float).eps), axis=1)
@@ -167,61 +175,54 @@ def _solve(model, jac, p0, x, y):
     return p, stderr, np.sqrt(cost / len(y))
 
 
-def _dsinc(u, sinc_u):
-    """Derivative of the unnormalized sinc, (cos u - sinc u)/u, with 0 at u = 0,
-    given sinc_u = sinc(u).
-
-    A two-term series replaces the quotient for |u| < 1e-2, where it cancels.
-    """
-    small = np.abs(u) < 1e-2
-    safe = np.where(small, 1.0, u)
-    return np.where(small, -u / 3.0 * (1.0 - u * u / 10.0), (np.cos(safe) - sinc_u) / safe)
-
-
 def _fringe(p, x):
-    a, v, sx, lam, xc, phi = p
-    return a * (1.0 - v * sinc((x - xc) / sx) * np.cos(2.0 * np.pi * (x - xc) / lam + phi))
-
-
-def _fringe_jac(p, x):
+    """The fringe model and its Jacobian (f, J), from one sin and cos of u and
+    of the carrier. sinc u = sin u / u is exactly 1 at u = 0; its derivative
+    (cos u - sinc u) / u takes a two-term series for |u| < 1e-2, where the
+    quotient cancels."""
     a, v, sx, lam, xc, phi = p
     d = x - xc
     u = d / sx
-    s = sinc(u)
-    ds = _dsinc(u, s)
+    s = np.divide(np.sin(u), u, out=np.ones_like(u), where=u != 0)
+    ds = np.divide(np.cos(u) - s, u, out=-u / 3.0 * (1.0 - u * u / 10.0),
+                   where=np.abs(u) >= 1e-2)
     k = 2.0 * np.pi / lam
-    c, sn = np.cos(k * d + phi), np.sin(k * d + phi)
+    carrier = k * d + phi
+    c, sn = np.cos(carrier), np.sin(carrier)
     av = a * v
-    return np.column_stack([1.0 - v * s * c,
-                            -a * s * c,
-                            av * c * ds * u / sx,
-                            -av * s * sn * k * d / lam,
-                            av * (c * ds / sx - s * sn * k),
-                            av * s * sn])
+    jac = np.empty((6, len(x)))
+    jac[0] = 1.0 - v * s * c
+    jac[1] = -a * s * c
+    jac[2] = av * c * ds * u / sx
+    jac[3] = -av * s * sn * k * d / lam
+    jac[4] = av * (c * ds / sx - s * sn * k)
+    jac[5] = av * s * sn
+    return a * jac[0], jac.T
 
 
 def _dip(p, x):
-    a, v, xc, s = p
-    return a * (1.0 - v * np.exp(-0.5 * ((x - xc) / s) ** 2))
-
-
-def _dip_jac(p, x):
+    """The dip model and its Jacobian (f, J)."""
     a, v, xc, s = p
     w = (x - xc) / s
     e = np.exp(-0.5 * w ** 2)
-    return np.column_stack([1.0 - v * e, -a * e, -a * v * e * w / s, -a * v * e * w ** 2 / s])
+    jac = np.empty((4, len(x)))
+    jac[0] = 1.0 - v * e
+    jac[1] = -a * e
+    jac[2] = -a * v * e * w / s
+    jac[3] = jac[2] * w
+    return a * jac[0], jac.T
 
 
 def _peak(p, x):
-    vp, xc, s = p
-    return vp * np.exp(-0.5 * ((x - xc) / s) ** 2)
-
-
-def _peak_jac(p, x):
+    """The envelope peak model and its Jacobian (f, J)."""
     vp, xc, s = p
     w = (x - xc) / s
     e = np.exp(-0.5 * w ** 2)
-    return np.column_stack([e, vp * e * w / s, vp * e * w ** 2 / s])
+    jac = np.empty((3, len(x)))
+    jac[0] = e
+    jac[1] = vp * e * w / s
+    jac[2] = jac[1] * w
+    return vp * e, jac.T
 
 
 def fringe_period(x: np.ndarray, y: np.ndarray) -> float:
@@ -238,7 +239,9 @@ def fringe_period(x: np.ndarray, y: np.ndarray) -> float:
         raise NoPeriodError("too few points for a period estimate")
     k = int(np.argmax(mag[1:]) + 1)
     floor = np.median(mag[1:])
-    if floor <= 0 or mag[k] < 5.0 * floor:
+    # data flat to within their rounding leave a peak of rounding residue only
+    flat = np.ptp(y) <= 4.0 * np.finfo(float).eps * np.max(np.abs(y))
+    if flat or floor <= 0 or mag[k] < 5.0 * floor:
         raise NoPeriodError("no dominant spectral peak above the noise floor")
     if 1 <= k < len(mag) - 1:
         la, lb, lc = np.log(mag[k - 1] + 1e-300), np.log(mag[k]), np.log(mag[k + 1] + 1e-300)
@@ -304,7 +307,7 @@ def fit_fringe(x, y, period_guess: float | None = None) -> FringeFit:
     a0, v0, sx0, x0, phi0 = _fringe_init(x, y, lam0)
 
     p0 = np.array([a0, v0, sx0, lam0, x0, phi0])
-    popt, perr, rms = _solve(_fringe, _fringe_jac, p0, x, y)
+    popt, perr, rms = _solve(_fringe, p0, x, y)
     a, v, sx, lam, xc, phi = popt
     if a < 0:
         a, v = -a, -v
@@ -342,7 +345,7 @@ def fit_dip(x, y) -> DipFit:
         s0 = 0.25 * (x[-1] - x[0])
 
     p0 = np.array([a0, v0, x0, s0])
-    popt, perr, rms = _solve(_dip, _dip_jac, p0, x, y)
+    popt, perr, rms = _solve(_dip, p0, x, y)
     a, v, xc, s = popt
     names = ("amplitude", "visibility", "center", "fwhm")
     perr = perr.copy()
@@ -358,7 +361,7 @@ def _fit_gaussian_peak(xi, v):
     """Gaussian peak fit used for the visibility envelope."""
     i0 = int(np.argmax(v))
     p0 = np.array([float(v[i0]), float(xi[i0]), 0.25 * (xi[-1] - xi[0])])
-    popt, perr, _ = _solve(_peak, _peak_jac, p0, xi, v)
+    popt, perr, _ = _solve(_peak, p0, xi, v)
     vp, xc, s = popt
     names = ("peak_visibility", "center", "fwhm")
     perr = perr.copy()

@@ -160,11 +160,6 @@ def _joint_measure(phi_a: SampledAmplitude, phi_b: SampledAmplitude) -> np.ndarr
     return phi_a.values * np.conj(phi_b.values) * phi_a.grid.measure
 
 
-def sinc(u):
-    """Unnormalized sinc: sin(u)/u with sinc(0) = 1."""
-    return np.sinc(np.asarray(u, float) / np.pi)
-
-
 def scan_1d(phi_a: SampledAmplitude, phi_b: SampledAmplitude, axis: str,
             fixed_other_delay: float, start: float, step: float, count: int) -> Interferogram:
     """1D coincidence scan along the S or L delay axis."""

@@ -3,7 +3,8 @@
 Each is the direct, unfactored form of something the package computes a
 faster way: the sampled amplitude with one array per operation, Gamma as
 the plain double sum at one delay point, the
-closed-form fringe that the quadrature must reproduce, the full (omega1,
+closed-form fringe that the quadrature must reproduce (with numpy's
+unnormalized sinc), the full (omega1,
 omega2) mesh of a grid, a grid with more cells over the same rectangle
 for convergence checks, the fit covariance from an SVD of the Jacobian,
 the inverse transform of a noiseless lattice scan, or of a lattice of G
@@ -15,7 +16,11 @@ sum in long double, over blocks of delays.
 import numpy as np
 
 from biphoton import core
-from biphoton.interferometer import sinc
+
+
+def sinc(u):
+    """Unnormalized sinc: sin(u)/u with sinc(0) = 1."""
+    return np.sinc(np.asarray(u, float) / np.pi)
 
 
 def gamma(phi_a: core.SampledAmplitude, phi_b: core.SampledAmplitude,

@@ -16,7 +16,7 @@ FWHM = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
 
 def fringe_model(x, a, v, sx, lam, x0, phi):
-    return a * (1.0 - v * ifm.sinc((x - x0) / sx) * np.cos(2 * np.pi * (x - x0) / lam + phi))
+    return a * (1.0 - v * reference.sinc((x - x0) / sx) * np.cos(2 * np.pi * (x - x0) / lam + phi))
 
 
 def dip_model(x, a, v, x0, fwhm):
@@ -29,6 +29,14 @@ class TestFringePeriod:
         x = np.arange(-60e-6, 60e-6, 0.15e-6)
         y = 1.0 - np.cos(2 * np.pi * x / 1570e-9)
         assert fitting.fringe_period(x, y) == pytest.approx(1570e-9, rel=5e-3)
+
+    @pytest.mark.parametrize("level", [-2.1612e-5, 0.0, 3.0])
+    def test_flat_data_rejected(self, level):
+        # y - mean of a constant is rounding residue, whose hanning-windowed
+        # spectrum peaks at bin 1
+        x = 0.15e-6 * np.arange(1733)
+        with pytest.raises(fitting.NoPeriodError, match="noise floor"):
+            fitting.fringe_period(x, np.full(1733, level))
 
     def test_white_noise_rejected(self):
         rng = np.random.default_rng(5)
@@ -194,35 +202,36 @@ class TestFitEnvelope:
 
 
 class TestAnalyticJacobians:
-    # (model, jac, params, typical scale per parameter for the step, samples)
+    # (model, params, typical scale per parameter for the step, samples);
+    # each model returns (f, J)
     CASES = {
         # center = 0 with a sample at x = 0, i.e. at u = 0 of the sinc
-        "fringe_u0": (fitting._fringe, fitting._fringe_jac,
+        "fringe_u0": (fitting._fringe,
                       (2.0e4, 0.9, 44.9e-6, 1570e-9, 0.0, 0.0),
                       (2.0e4, 1.0, 44.9e-6, 1570e-9, 44.9e-6, 1.0),
                       0.15e-6 * np.arange(-400, 401)),
-        "fringe": (fitting._fringe, fitting._fringe_jac,
+        "fringe": (fitting._fringe,
                    (1.5, 0.6, 30e-6, 1550e-9, 3.3e-6, 0.3),
                    (1.5, 0.6, 30e-6, 1550e-9, 3.3e-6, 0.3),
                    np.linspace(-100e-6, 100e-6, 613)),
-        "dip": (fitting._dip, fitting._dip_jac,
+        "dip": (fitting._dip,
                 (2.5, 0.33, 0.0, 0.5e-3), (2.5, 0.33, 0.5e-3, 0.5e-3),
                 np.linspace(-3e-3, 3e-3, 301)),
-        "peak": (fitting._peak, fitting._peak_jac,
+        "peak": (fitting._peak,
                  (0.99, 0.1e-3, 0.45e-3), (0.99, 0.1e-3, 0.45e-3),
                  np.linspace(-1e-3, 1e-3, 11)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_central_difference(self, case):
-        model, jac, p, scale, x = self.CASES[case]
+        model, p, scale, x = self.CASES[case]
         p = np.asarray(p, float)
-        analytic = jac(p, x)
+        analytic = model(p, x)[1]
         assert analytic.shape == (len(x), len(p))
         for j in range(len(p)):
             h = np.zeros_like(p)
             h[j] = 1e-6 * scale[j]
-            numeric = (model(p + h, x) - model(p - h, x)) / (2.0 * h[j])
+            numeric = (model(p + h, x)[0] - model(p - h, x)[0]) / (2.0 * h[j])
             col_scale = np.max(np.abs(numeric))
             np.testing.assert_allclose(analytic[:, j], numeric, rtol=0.0,
                                        atol=1e-7 * col_scale, err_msg=f"column {j}")
@@ -237,7 +246,7 @@ class TestCovariance:
         """stderr^2 dof / cost of the fit of J p to random data: the diagonal
         of (J^T J)^-1 as the solver's own eigendecomposition gives it."""
         y = np.random.default_rng(2).normal(size=len(jac))
-        p, stderr, _ = fitting._solve(lambda p, x: jac @ p, lambda p, x: jac,
+        p, stderr, _ = fitting._solve(lambda p, x: (jac @ p, jac),
                                       np.zeros(jac.shape[1]), None, y)
         r = jac @ p - y
         return stderr ** 2 * (len(y) - len(p)) / (r @ r)
@@ -274,7 +283,7 @@ SMALL_SCAN2D = ["--set", "grid.n=64", "--set", "scan.x1_halfspan_mm=0.6",
 class TestSolver:
     @staticmethod
     def cli_problems(tmp_path, monkeypatch, argv, model):
-        """The (model, jac, p0, x, y) of every `model` fit in a CLI run."""
+        """The (model, p0, x, y) of every `model` fit in a CLI run."""
         calls = []
         solve = fitting._solve
         with monkeypatch.context() as patch:
@@ -297,9 +306,9 @@ class TestSolver:
         from scipy.optimize import least_squares
         problems = self.cli_problems(tmp_path, monkeypatch, argv, model)
         assert problems
-        for _, jac, p0, x, y in problems:
-            params, stderr, rms = fitting._solve(model, jac, p0, x, y)
-            ref = least_squares(lambda p: model(p, x) - y, p0, jac=lambda p: jac(p, x),
+        for _, p0, x, y in problems:
+            params, stderr, rms = fitting._solve(model, p0, x, y)
+            ref = least_squares(lambda p: model(p, x)[0] - y, p0, jac=lambda p: model(p, x)[1],
                                 method="lm", x_scale=1.0, xtol=1e-8, ftol=1e-14,
                                 gtol=1e-14, max_nfev=200 * (len(p0) + 1))
             assert ref.success
@@ -312,10 +321,23 @@ class TestSolver:
             np.testing.assert_allclose(stderr, ref_stderr, rtol=1e-6)
             assert rms == pytest.approx(np.sqrt(2.0 * ref.cost / len(y)), rel=1e-9)
 
+    @pytest.mark.parametrize("argv,model", [
+        (["fringe"], fitting._fringe), (["hom-dip"], fitting._dip),
+    ], ids=["fringe", "hom-dip"])
+    def test_model_is_evaluated_once_per_trial(self, tmp_path, monkeypatch, argv, model):
+        # each call returns f and J together: no point, the iterates among
+        # them, is evaluated a second time for its Jacobian
+        (_, p0, x, y), = self.cli_problems(tmp_path, monkeypatch, argv, model)
+        points = []
+        params = fitting._solve(lambda p, x: (points.append(p), model(p, x))[1], p0, x, y)[0]
+        assert np.array_equal(points[0], p0)
+        assert len(np.unique(points, axis=0)) == len(points) > 2
+        assert any(np.array_equal(params, p) for p in points)
+
     def test_non_finite_model_raises(self):
         x = np.linspace(-1e-3, 1e-3, 50)
         with pytest.raises(fitting.FitConvergenceError, match="non-finite") as err:
-            fitting._solve(lambda p, x: np.full_like(x, np.nan), fitting._peak_jac,
+            fitting._solve(lambda p, x: (np.full_like(x, np.nan), fitting._peak(p, x)[1]),
                            np.array([1.0, 0.0, 1e-3]), x, np.zeros_like(x))
         np.testing.assert_array_equal(err.value.last_params, [1.0, 0.0, 1e-3])
 
@@ -326,11 +348,10 @@ class TestSolver:
 
         def model(p, x):
             calls.append(p[0])
-            return np.array([0.97 ** len(calls)])
+            return np.array([0.97 ** len(calls)]), np.ones((1, 1))
 
         with pytest.raises(fitting.FitConvergenceError, match="400 evaluations") as err:
-            fitting._solve(model, lambda p, x: np.ones((1, 1)), np.array([0.0]),
-                           np.zeros(1), np.zeros(1))
+            fitting._solve(model, np.array([0.0]), np.zeros(1), np.zeros(1))
         assert len(calls) == 200 * (1 + 1)
         assert err.value.last_params[0] == calls[-1]
 
