@@ -11,7 +11,7 @@ format-2 CSV, the format `biphoton reconstruct --input` reads.
 
 import numpy as np
 
-from biphoton import core, fitting
+from biphoton import fitting
 from biphoton import interferometer as ifm
 from biphoton.config import build_fringe_axis, build_sampled, load_config
 
@@ -22,7 +22,7 @@ def main():
 
     # Scan delta_x2 over +-0.13 mm in 0.15 um steps (sub-wavelength sampling).
     ig = ifm.scan_1d(sampled, sampled, "L", 0.0, *build_fringe_axis(cfg, sampled.grid))
-    x = -core.C * ig.axes[0].values
+    x = fitting.delay_to_position(ig.axes[0].values, ig.axes[0].name)
     order = np.argsort(x)
     fit = fitting.fit_fringe(x[order], ig.values[order])
 

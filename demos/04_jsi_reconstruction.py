@@ -13,15 +13,15 @@ For identical sources M = |Phi|^2 is real, so G is point-symmetric,
 G(-a, -b) = G(a, b): the lattice half with a >= 0 holds every value the
 inverse needs.  The demo scans only that half, as `biphoton reconstruct`
 does, which halves the forward product and, in the laboratory, the
-acquisition time; the inverse reads it as a half lattice.  Like
-`biphoton reconstruct`, it never forms the lattice: a LatticeScan holds
+acquisition time; the inverse reads it as a half lattice.  Each round
+trip is reconstruction.roundtrip_error, the noiseless `biphoton
+reconstruct` itself, which never forms the lattice: a LatticeScan holds
 only the sampled amplitude's M = |Phi|^2 measure, and the inverse takes
 every sum over the lattice from 2n - 1 difference and 2n - 1 sum
 frequencies of each axis's sum over its delays.
 """
 
 from biphoton import core, reconstruction as rec
-from biphoton import interferometer as ifm
 from biphoton.config import build_reconstruct, load_config
 
 
@@ -33,12 +33,7 @@ def main():
         cfg = load_config(overrides={("reconstruct", "rho"): str(rho),
                                      ("reconstruct", "band_n"): "64"})
         model, grid, lattice = build_reconstruct(cfg)
-
-        sampled = core.sample_on_grid(model, grid)
-        scan = ifm.LatticeScan(sampled, sampled, *lattice.axes)
-        est = rec.reconstruct_jsi(scan, grid, demodulate=True)
-
-        err = rec.l2_error(est, sampled)
+        est, err = rec.roundtrip_error(model, grid, lattice, demodulate=True)
         # a correlation that prints as zero is rounding noise: drop its sign
         corr = format(core.jsi_correlation(est.values, grid), "+.3f").replace("-0.000", "+0.000")
         print(f"rho = {rho:+.1f}: lattice {lattice.count1}x{lattice.count2}, "

@@ -55,7 +55,7 @@ def _fringe(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     x = fitting.delay_to_position(ig.axes[0].values, "delta_tau_L")
     order = np.argsort(x)
     ig = _write_scan(cfg, args, ig, "fringe.csv")
-    fit = fitting.fit_fringe(x[order], fitting.fit_data(ig)[order])
+    fit = fitting.fit_fringe(x[order], detector.fit_data(ig)[order])
     lines = [
         f"visibility: {fit.visibility:.6f} +- {fit.stderr['visibility']:.6f}",
         f"period_nm: {fit.period * 1e9:.4f} +- {fit.stderr['period'] * 1e9:.4f}",
@@ -76,7 +76,7 @@ def _hom_dip(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     g = 1.0 - detector.independent_hom_dip(dt, s, jitter, v_cap=cfg.getfloat("jitter", "v_cap"))
     ig = ifm.Interferogram((ifm.Axis("delta_tau", dt[0], dt[1] - dt[0], len(dt)),), g)
     ig = _write_scan(cfg, args, ig, "dip.csv")
-    fit = fitting.fit_dip(core.C * dt, fitting.fit_data(ig))
+    fit = fitting.fit_dip(core.C * dt, detector.fit_data(ig))
     return [
         f"visibility_percent: {_num(fit.visibility * 100, '.4f')} +- {fit.stderr['visibility'] * 100:.4f}",
         f"fwhm_mm: {fit.fwhm * 1e3:.4f} +- {fit.stderr['fwhm'] * 1e3:.4f}",
@@ -106,16 +106,16 @@ def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     window = cfg.get("reconstruct", "window")
     demod = cfg.getbool("reconstruct", "demodulate")
     model, grid, lattice = build_reconstruct(cfg)
-    if args.input is not None:
+    if args.input is None:
+        est, err = rec.roundtrip_error(model, grid, lattice, demod, window)
+        axes = list(lattice.axes)
+    else:
         try:
-            ig, sampled = ifm.read_interferogram_csv(args.input), None
+            ig = ifm.read_interferogram_csv(args.input)
         except OSError as exc:
             raise ConfigError(f"--input: {exc}") from None
-    else:
-        # never form the scan: reconstruct_jsi inverts the LatticeScan itself
-        sampled = core.sample_on_grid(model, grid)
-        ig = ifm.LatticeScan(sampled, sampled, *lattice.axes)
-    est = rec.reconstruct_jsi(ig, grid, window=window, demodulate=demod)
+        est, err = rec.reconstruct_jsi(ig, grid, window=window, demodulate=demod), None
+        axes = [(ax.start, ax.step, ax.count) for ax in ig.axes]
     ifm.write_csv(args.out / "jsi.csv",
                   [f"omega1 axis,{grid.omega1_min!r},{grid.d1!r},{grid.n1}",
                    f"omega2 axis,{grid.omega2_min!r},{grid.d2!r},{grid.n2}",
@@ -123,14 +123,14 @@ def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
                   est.values.reshape(-1))
     corr = core.jsi_correlation(est.values, grid) if not est.degenerate else float("nan")
     lines = [
-        f"lattice_axes: {[(ax.start, ax.step, ax.count) for ax in ig.axes]}",
+        f"lattice_axes: {axes}",
         f"window: {window}",
         f"demodulated: {demod}",
         f"negativity_fraction: {_num(est.negativity_fraction, '.3g')}",
         f"correlation: {_num(corr, '.4f')}",
     ]
-    if sampled is not None:
-        lines.append(f"roundtrip_l2_error: {rec.l2_error(est, sampled):.3g}")
+    if err is not None:
+        lines.append(f"roundtrip_l2_error: {err:.3g}")
     return lines
 
 

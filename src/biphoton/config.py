@@ -12,7 +12,8 @@ level enforced by SourceParams.  Each key's kind in DEFAULTS names the values
 load_config allows; the grid sizes are bounded to keep their arrays in memory.
 build_sampled and build_reconstruct give the scanned [source] amplitude and the
 [reconstruct] model, band and half lattice, and build_fringe_axis, build_scan2d_axes
-and build_dip_profile the [scan] delay axes, to the CLI and the demos alike.
+and build_dip_profile the [scan] delay axes (and the dip's width, by the shape of
+build_filters' idler filter), to the CLI and the demos alike.
 """
 
 from __future__ import annotations
@@ -303,13 +304,13 @@ def build_scan2d_axes(cfg: RunConfig, grid: core.FrequencyGrid):
 
 
 def build_dip_profile(cfg: RunConfig) -> tuple[np.ndarray, float]:
-    """Delays dt (s) of the independent-photon dip scan and the width s (s) of
-    its zero-jitter visibility profile exp(-dt^2/2s^2), a Gaussian of the area of
-    the squared spectral overlap (sinc^2) of two identical rectangular-filtered
-    photons: the jitter-broadened dip is closed-form and the fit model exact."""
-    bw = core.bandwidth_omega_from_wavelength(build_source_params(cfg).idler_center_wavelength,
-                                              cfg.getfloat("filters", "bandwidth_nm") * 1e-9)
-    s = 2.0 / bw * np.sqrt(np.pi / 2.0)     # the sinc^2 area, 2/bw its delay scale
+    """Delays dt (s) of the independent-photon dip scan and the width s (s) of its
+    zero-jitter profile exp(-dt^2/2s^2): |FT(T^2)|^2 of the idler filter T of
+    build_filters, exact when gaussian, and when rectangular (sinc^2) the Gaussian
+    of its area, so the jitter-broadened dip is closed-form and the fit exact."""
+    idler = build_filters(cfg, build_source_params(cfg))[1]
+    s = (2.0 / idler.bandwidth * np.sqrt(np.pi / 2.0)  # the sinc^2 area, 2/bw its delay scale
+         if idler.shape == "rectangular" else 1.0 / (idler.bandwidth * core.FWHM_TO_SIGMA))
     half = cfg.getfloat("scan", "dip_halfspan_mm") * 1e-3 / core.C
     step = cfg.getfloat("scan", "dip_step_um") * 1e-6 / core.C
     n = _half_count(half, step, "dip_halfspan_mm")

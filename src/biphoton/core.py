@@ -32,11 +32,6 @@ def omega_from_wavelength(lam: float) -> float:
     return 2.0 * np.pi * C / lam
 
 
-def bandwidth_omega_from_wavelength(center_lam: float, bw_lam: float) -> float:
-    """Convert a wavelength bandwidth (m) around center_lam to rad/s."""
-    return 2.0 * np.pi * C * bw_lam / center_lam**2
-
-
 def energy_matched_idler(pump_lam: float, signal_lam: float) -> float:
     """Idler wavelength satisfying 1/ls + 1/li = 1/lp exactly."""
     return 1.0 / (1.0 / pump_lam - 1.0 / signal_lam)
@@ -147,8 +142,9 @@ class SpectralFilter:
 
     @classmethod
     def from_wavelength(cls, shape: str, center_lam: float, bw_lam: float) -> "SpectralFilter":
+        """The filter of the wavelength bandwidth bw_lam (m) around center_lam (m)."""
         return cls(shape, omega_from_wavelength(center_lam),
-                   bandwidth_omega_from_wavelength(center_lam, bw_lam))
+                   2.0 * np.pi * C * bw_lam / center_lam**2)
 
     def transmission(self, omega: np.ndarray) -> np.ndarray:
         omega = np.asarray(omega, dtype=float)

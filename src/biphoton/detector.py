@@ -52,18 +52,23 @@ def subtract_accidentals(raw, accidental_counts: float) -> np.ndarray:
     return np.asarray(raw, dtype=float) - accidental_counts
 
 
+def fit_data(ig: Interferogram) -> np.ndarray:
+    """What a fit of `ig` sees: G, or its counts net of accidentals when it
+    carries counts (metadata read from CSV are strings)."""
+    if ig.counts is None:
+        return ig.values
+    return subtract_accidentals(ig.counts, float(ig.metadata.get("accidental_counts", 0.0)))
+
+
 def estimated_g(ig: Interferogram) -> np.ndarray:
-    """What an inversion of `ig` sees: G, or its estimate from counts
-    G^ = (counts - accidental_counts) / baseline_counts when `ig` carries
-    counts (metadata read from CSV are strings).  G^ is not clipped to
-    [0, 2]: its noise is zero-mean."""
+    """What an inversion of `ig` sees: G, or when it carries counts their estimate
+    G^ = fit_data(ig) / baseline_counts, not clipped to [0, 2] (its noise is zero-mean)."""
     if ig.counts is None:
         return ig.values
     baseline = float(ig.metadata["baseline_counts"])
     if not baseline > 0:
         raise ValueError(f"baseline_counts must be positive to estimate G, got {baseline!r}")
-    net = subtract_accidentals(ig.counts, float(ig.metadata.get("accidental_counts", 0.0)))
-    return net / baseline
+    return fit_data(ig) / baseline
 
 
 def independent_hom_dip(delta_t: np.ndarray, sigma: float, jitter_fwhm: float,

@@ -16,8 +16,8 @@ chi-square (residual sum of squares over n_data - n_params). The
 covariance comes from the same eigendecomposition of the Gram matrix
 J^T J, scaled by sqrt(diag(J^T J)), that the solver steps with, so J^T J
 is formed and factored once per iterate. A parameter that the data do
-not constrain (one that loads on a direction the step drops) gets an
-infinite stderr.
+not constrain (one that loads on a direction the step drops), and every
+parameter of a fit with no more data than parameters, gets an infinite stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import C, FWHM_TO_SIGMA
-from .detector import subtract_accidentals
+from .detector import fit_data
 from .interferometer import Interferogram
 
 _FWHM = 1.0 / FWHM_TO_SIGMA  # 2*sqrt(2 ln 2)
@@ -97,7 +97,8 @@ def _solve(model, p0, x, y):
     """Levenberg-Marquardt fit of model(p, x) to y; model returns (f, J), the
     values and their analytic Jacobian, from one evaluation.
 
-    Returns (params, 1-sigma stderr, residual rms). Each step d solves
+    Returns (params, 1-sigma stderr, residual rms), the rms 0 when within the
+    data's rounding, 4 eps max |y|. Each step d solves
     (J^T J + lam diag(J^T J)) d = -J^T r, with r = f - y. With Marquardt's
     diag(J^T J) the step does not depend on the parameter units (counts
     ~1e4, lengths ~1e-6 m): in the scaled z = scale d, scale = sqrt(diag(G)),
@@ -123,8 +124,8 @@ def _solve(model, p0, x, y):
     The stderr comes from the eigendecomposition w, v of Gs at the returned
     point, the one a further step would use: the variance of parameter k is
     sum v_k^2 / w / scale_k^2 over the kept directions, times the reduced
-    chi-square, and it is infinite when parameter k loads on a dropped
-    direction (a zero column of J among them).
+    chi-square. It is infinite when parameter k loads on a dropped direction
+    (a zero column of J among them), and for every k when len(y) <= len(p).
     """
     p = np.asarray(p0, float)
     max_nfev = 200 * (len(p) + 1)
@@ -168,11 +169,12 @@ def _solve(model, p0, x, y):
         rho = (cost - cost_trial) / np.sum(gv * gv * f * (2.0 - w * f))
         lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
         p, r, j = trial, r_trial, j_trial
-    dof = max(len(y) - len(p), 1)
+    dof = len(y) - len(p)
     var = np.sum(v[:, keep] ** 2 / w[keep], axis=1) / scale ** 2
-    dropped = np.any(np.abs(v[:, ~keep]) > np.sqrt(np.finfo(float).eps), axis=1)
-    stderr = np.where(dropped, np.inf, np.sqrt(var * cost / dof))
-    return p, stderr, np.sqrt(cost / len(y))
+    dropped = (dof < 1) | np.any(np.abs(v[:, ~keep]) > np.sqrt(np.finfo(float).eps), axis=1)
+    stderr = np.where(dropped, np.inf, np.sqrt(var * cost / max(dof, 1)))
+    rms = np.sqrt(cost / len(y))
+    return p, stderr, 0.0 if rms <= 4.0 * np.finfo(float).eps * np.max(np.abs(y)) else rms
 
 
 def _fringe(p, x):
@@ -376,14 +378,6 @@ def delay_to_position(tau, axis_name: str) -> np.ndarray:
     delta_tau_L = -dx2/c."""
     tau = np.asarray(tau, float)
     return C * tau if axis_name.endswith("S") else -C * tau
-
-
-def fit_data(ig: Interferogram) -> np.ndarray:
-    """What a fit of `ig` sees: G, or its counts net of accidentals when it
-    carries counts (metadata read from CSV are strings)."""
-    if ig.counts is None:
-        return ig.values
-    return subtract_accidentals(ig.counts, float(ig.metadata.get("accidental_counts", 0.0)))
 
 
 def visibility_envelope(scan2d: Interferogram,

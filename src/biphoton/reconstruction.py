@@ -19,11 +19,11 @@ window over that axis and weight 2 off 0.
 An Interferogram goes through interferometer.gamma_lattice_adjoint, on the
 forward scan's tables and with no lattice-sized temporary; for a scan with
 counts, G is their estimate (detector.estimated_g).
-An interferometer.LatticeScan (the noiseless `reconstruct`) needs no
-kernel table: with 1 - G = Re(E1 M E2^T) on its sampling grid, every sum
-over the lattice is a value of one axis's D(nu) = sum_t w(t) exp(i nu t)
-at the difference (Toeplitz) or the sum (Hankel) of two band
-frequencies, 2n - 1 values of each per axis, and
+An interferometer.LatticeScan (`roundtrip_error`, the noiseless
+`reconstruct`) needs no kernel table: with 1 - G = Re(E1 M E2^T) on its
+sampling grid, every sum over the lattice is a value of one axis's
+D(nu) = sum_t w(t) exp(i nu t) at the difference (Toeplitz) or the sum
+(Hankel) of two band frequencies, 2n - 1 values of each per axis, and
 est = Re(T1 M T2^T + H1 conj(M) H2^T) / 2 (`_invert_scan`).  The delays
 are uniform and the window is a constant plus one cosine, so each D is a
 few geometric sums, taken in closed form from one reduction of the half
@@ -296,14 +296,15 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
     return JsiEstimate(values=est, band=band, negativity_fraction=neg_frac)
 
 
-def roundtrip_error(model: BiphotonAmplitude, grid: FrequencyGrid,
-                    lattice: DelayLattice, demodulate: bool = False) -> float:
-    """Invert the LatticeScan of the unfiltered `model` on `lattice` (the
-    noiseless `reconstruct`'s path) on the sampling grid, and return the
-    relative L2 error against the true JSI."""
+def roundtrip_error(model: BiphotonAmplitude, grid: FrequencyGrid, lattice: DelayLattice,
+                    demodulate: bool = False, window: str = "none") -> tuple[JsiEstimate, float]:
+    """The noiseless `reconstruct`: invert the LatticeScan of the unfiltered
+    `model` on `lattice` on the sampling grid, and return the estimate and
+    its relative L2 error against the true JSI."""
     sampled = sample_on_grid(model, grid)
-    scan = LatticeScan(sampled, sampled, *lattice.axes)
-    return l2_error(reconstruct_jsi(scan, grid, demodulate=demodulate), sampled)
+    est = reconstruct_jsi(LatticeScan(sampled, sampled, *lattice.axes), grid, window=window,
+                          demodulate=demodulate)
+    return est, l2_error(est, sampled)
 
 
 def l2_error(est: JsiEstimate, sampled: SampledAmplitude) -> float:

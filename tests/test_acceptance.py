@@ -72,7 +72,7 @@ def test_criterion_3_phase_sensitive_visibility(fringe_fit, report):
     for seed in range(10):
         noisy = detector.rate_to_counts(ig, budget, det, 10.0, seed)
         order = np.argsort(-core.C * ig.axes[0].values)
-        f = fitting.fit_fringe(x, fitting.fit_data(noisy)[order])
+        f = fitting.fit_fringe(x, detector.fit_data(noisy)[order])
         vs.append(f.visibility)
         errs.append(f.stderr["visibility"])
     v_bar = np.mean(vs)
@@ -168,7 +168,7 @@ def test_criterion_8_jsi_round_trip(report):
         slow = np.sqrt(2.0) / (sigma * np.sqrt(1.0 - abs(rho)))
         half = int(np.ceil(5.0 * slow / step))
         lattice = rec.DelayLattice.symmetric(step, half, step, half)
-        err = rec.roundtrip_error(model, grid, lattice, demodulate=True)
+        _, err = rec.roundtrip_error(model, grid, lattice, demodulate=True)
         sampled = core.sample_on_grid(model, grid)
         ig = ifm.scan_2d(sampled, sampled,
                          (lattice.start1, lattice.step1, lattice.count1),

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import reference
-from biphoton import cli, config, core, fitting
+from biphoton import cli, config, core, detector, fitting
 from biphoton import interferometer as ifm
 from biphoton import reconstruction as rec
-from biphoton.config import (DEFAULTS, ConfigError, build_dip_profile, build_fringe_axis,
-                             build_jitter, build_model, build_reconstruct, build_sampled,
+from biphoton.config import (DEFAULTS, ConfigError, build_dip_profile, build_filters,
+                             build_fringe_axis, build_jitter, build_model, build_reconstruct, build_sampled,
                              build_scan2d_axes, build_source_params, load_config)
 
 # values outside each range kind of DEFAULTS; a kind missing here fails the contract test
@@ -466,6 +466,26 @@ def test_num_drops_only_the_sign_of_a_printed_zero(value, spec, text):
     assert cli._num(value, spec) == text
 
 
+@pytest.mark.parametrize("shape", ["gaussian", "rectangular"])
+def test_dip_width_is_the_squared_overlap_of_the_idler_filter(shape):
+    # |FT(T^2)|^2 of the idler filter's transmission T, as numerical sums
+    # over 400k frequencies: exp(-dt^2/2s^2) itself for a gaussian passband,
+    # and for a rectangular one (sinc^2) of the same area, by Parseval
+    # 2 pi sum T^4 dw / (sum T^2 dw)^2
+    cfg = load_config(overrides={("filters", "shape"): shape})
+    idler = build_filters(cfg, build_source_params(cfg))[1]
+    _, s = build_dip_profile(cfg)
+    w = np.linspace(-3.0, 3.0, 400_001) * idler.bandwidth  # offsets from the centre
+    dw = w[1] - w[0]
+    t2 = idler.transmission(idler.center + w) ** 2
+    area = 2.0 * np.pi * np.sum(t2 ** 2) / (np.sum(t2) ** 2 * dw)
+    assert area == pytest.approx(np.sqrt(2.0 * np.pi) * s, rel=1e-4)
+    if shape == "gaussian":
+        dt = np.linspace(0.0, 5.0, 26) * s
+        profile = np.array([t2 @ np.cos(w * t) for t in dt]) / np.sum(t2)
+        assert np.max(np.abs(profile ** 2 - np.exp(-0.5 * (dt / s) ** 2))) <= 1e-12
+
+
 def _dip_axis(cfg, grid):
     dt, _ = build_dip_profile(cfg)
     return dt[0], dt[1] - dt[0], len(dt)
@@ -662,6 +682,31 @@ class TestHomDipCommand:
         (fit,) = fits
         assert fit.visibility == pytest.approx(cfg.getfloat("jitter", "v_cap") * s / sp, rel=1e-9)
         assert fit.fwhm == pytest.approx(2 * np.sqrt(2 * np.log(2)) * core.C * sp, rel=1e-9)
+        # the exact fit's residual is rounding residue, reported as 0
+        assert read_report(tmp_path / "o" / "fit_report.txt")["residual_rms"] == "0"
+
+    @pytest.mark.parametrize("overrides", [{("filters", "shape"): "gaussian"},
+                                           {("filters", "idler_center_nm"): "1575"}],
+                             ids=["gaussian", "idler-1575"])
+    def test_dip_width_follows_the_idler_filter(self, tmp_path, overrides):
+        # s from the idler filter: 1/sigma of a gaussian passband, and the
+        # sinc^2 area sqrt(2 pi)/bw of a rectangular one, here off the idler
+        cfg = load_config(overrides=overrides)
+        idler = build_filters(cfg, build_source_params(cfg))[1]
+        s = (1.0 / (idler.bandwidth * core.FWHM_TO_SIGMA) if idler.shape == "gaussian"
+             else np.sqrt(2.0 * np.pi) / idler.bandwidth)
+        sp = np.hypot(s, build_jitter(cfg) * core.FWHM_TO_SIGMA)
+        reports = []
+        for sets in ([], [a for (sec, key), v in overrides.items()
+                          for a in ("--set", f"{sec}.{key}={v}")]):
+            out = tmp_path / str(len(sets))
+            assert cli.main(["--out", str(out), "--noiseless", *sets, "hom-dip"]) == cli.EXIT_OK
+            reports.append(read_report(out / "fit_report.txt"))
+        default, report = reports
+        vis = 100 * cfg.getfloat("jitter", "v_cap") * s / sp
+        assert report["visibility_percent"] == f"{vis:.4f} +- 0.0000"
+        assert report["fwhm_mm"] == f"{2 * np.sqrt(2 * np.log(2)) * core.C * sp * 1e3:.4f} +- 0.0000"
+        assert all(report[key] != default[key] for key in ("visibility_percent", "fwhm_mm"))
 
     def test_zero_jitter_cap(self, tmp_path):
         out = tmp_path / "o"
@@ -768,15 +813,14 @@ class TestReconstructCommand:
     @pytest.mark.parametrize("overrides", [{}, {"band_n": "32", "rho": "0"}],
                              ids=["defaults", "band32-rho0"])
     def test_inverts_the_built_problem(self, tmp_path, monkeypatch, overrides):
-        _, seen = self.spy(monkeypatch, (core, "sample_on_grid"), (ifm, "LatticeScan"),
-                           (rec, "reconstruct_jsi"))
+        _, seen = self.spy(monkeypatch, (rec, "sample_on_grid"), (rec, "reconstruct_jsi"))
         args = [a for k, v in overrides.items() for a in ("--set", f"reconstruct.{k}={v}")]
         assert cli.main(["--out", str(tmp_path), *args, "reconstruct"]) == cli.EXIT_OK
         model, grid, lattice = build_reconstruct(
             load_config(overrides={("reconstruct", k): v for k, v in overrides.items()}))
         (scanned, band), _ = seen["sample_on_grid"]
         assert vars(scanned) == vars(model) and band == grid
-        assert seen["LatticeScan"][0][2:] == lattice.axes
+        assert self.scanned_axes(seen) == lattice.axes
         assert seen["reconstruct_jsi"][0][1] == grid
 
     def test_inverts_an_input_on_the_built_band(self, tmp_path, monkeypatch):
@@ -792,6 +836,20 @@ class TestReconstructCommand:
                          "--set", "reconstruct.rho=0", "reconstruct",
                          "--input", str(tmp_path / "scan.csv")]) == cli.EXIT_OK
         assert seen["reconstruct_jsi"][0][1] == grid
+
+    @pytest.mark.parametrize("window", ["none", "hann"])
+    def test_jsi_csv_is_the_round_trip_estimate(self, tmp_path, window):
+        # the noiseless run writes roundtrip_error's estimate of the built problem
+        sets = {("reconstruct", "band_n"): "32", ("reconstruct", "window"): window}
+        assert cli.main(["--out", str(tmp_path), *(a for (sec, key), v in sets.items()
+                                                   for a in ("--set", f"{sec}.{key}={v}")),
+                         "reconstruct"]) == cli.EXIT_OK
+        cfg = load_config(overrides=sets)
+        est, _ = rec.roundtrip_error(*build_reconstruct(cfg),
+                                     cfg.getbool("reconstruct", "demodulate"), window)
+        rows = [line for line in (tmp_path / "jsi.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert rows == [repr(v) for v in est.values.reshape(-1).tolist()]
 
     @pytest.mark.parametrize("window", ["none", "hann"])
     def test_no_negative_mass_prints_zero(self, tmp_path, window):
@@ -821,20 +879,33 @@ class TestReconstructCommand:
             wrap(module, name)
         return calls, seen
 
+    @staticmethod
+    def scanned_axes(seen):
+        """The (start, step, count) axes of the LatticeScan a spied
+        reconstruct_jsi last inverted."""
+        scan = seen["reconstruct_jsi"][0][0]
+        assert isinstance(scan, ifm.LatticeScan)
+        return tuple((ax.start, ax.step, ax.count) for ax in scan.axes)
+
     def test_scans_and_inverts_once(self, tmp_path, monkeypatch):
         # the scan is lazy: one LatticeScan, which reconstruct_jsi evaluates
-        calls, seen = self.spy(monkeypatch, (core, "sample_on_grid"), (ifm, "scan_2d"),
-                               (ifm, "LatticeScan"), (rec, "reconstruct_jsi"),
-                               (rec, "l2_error"))
+        calls, seen = self.spy(monkeypatch, (rec, "sample_on_grid"), (ifm, "scan_2d"),
+                               (rec, "reconstruct_jsi"), (rec, "l2_error"))
+
+        class CountedScan(ifm.LatticeScan):  # a LatticeScan still, for reconstruct_jsi
+            def __init__(self, *args):
+                calls["LatticeScan"] += 1
+                super().__init__(*args)
+        monkeypatch.setattr(rec, "LatticeScan", CountedScan)
         out = tmp_path / "o"
         assert cli.main(["--out", str(out), "reconstruct"]) == cli.EXIT_OK
         assert calls == {"sample_on_grid": 1, "LatticeScan": 1, "reconstruct_jsi": 1,
                          "l2_error": 1}
         (model, grid), sampled = seen["sample_on_grid"]
         err = seen["l2_error"][1]
-        _, _, s_axis, l_axis = seen["LatticeScan"][0]
-        expected = rec.roundtrip_error(model, grid, rec.DelayLattice(*s_axis, *l_axis),
-                                       demodulate=True)
+        s_axis, l_axis = self.scanned_axes(seen)
+        _, expected = rec.roundtrip_error(model, grid, rec.DelayLattice(*s_axis, *l_axis),
+                                          demodulate=True)
         assert err == pytest.approx(expected, rel=1e-9)
         assert read_report(out / "recon_report.txt")["roundtrip_l2_error"] == f"{err:.3g}"
         # the scan covers the a >= 0 half: first axis from 0, second symmetric
@@ -941,12 +1012,12 @@ class TestReconstructCommand:
     @pytest.mark.parametrize("demodulate", ["true", "false"])
     @pytest.mark.parametrize("window", ["none", "hann"])
     def test_half_lattice_jsi_equals_symmetric(self, tmp_path, monkeypatch, window, demodulate):
-        _, seen = self.spy(monkeypatch, (ifm, "LatticeScan"))
+        _, seen = self.spy(monkeypatch, (rec, "sample_on_grid"), (rec, "reconstruct_jsi"))
         out = tmp_path / "o"
         args = ["--set", "reconstruct.band_n=32", "--set", f"reconstruct.window={window}",
                 "--set", f"reconstruct.demodulate={demodulate}"]
         assert cli.main(["--out", str(out), *args, "reconstruct"]) == cli.EXIT_OK
-        sampled, _, _, l_axis = seen["LatticeScan"][0]
+        sampled, (_, l_axis) = seen["sample_on_grid"][1], self.scanned_axes(seen)
         grid = sampled.grid
         jsi = np.loadtxt(out / "jsi.csv", comments="#")
         full = rec.reconstruct_jsi(ifm.scan_2d(sampled, sampled, l_axis, l_axis), grid,
@@ -986,22 +1057,23 @@ class TestReconstructCommand:
     def test_round_trip_memory_does_not_grow_with_the_lattice(self, tmp_path, monkeypatch):
         # the default band; span 20 has a 4x longer lattice side than span 5.
         # No (delays x band) table exists: the peak stays below one of them
-        lattice_scan = ifm.LatticeScan
-        _, seen = self.spy(monkeypatch, (ifm, "LatticeScan"))
+        reconstruct_jsi = rec.reconstruct_jsi
+        _, seen = self.spy(monkeypatch, (rec, "sample_on_grid"), (rec, "reconstruct_jsi"))
         peaks = []
         for span in (5, 20):
             assert cli.main(["--out", str(tmp_path / str(span)), "--set",
                              f"reconstruct.span_coherence_times={span}",
                              "reconstruct"]) == cli.EXIT_OK
-            args = seen["LatticeScan"][0]
+            sampled, axes = seen["sample_on_grid"][1], self.scanned_axes(seen)
             tracemalloc.start()
             try:
-                rec.reconstruct_jsi(lattice_scan(*args), args[0].grid, demodulate=True)
+                reconstruct_jsi(ifm.LatticeScan(sampled, sampled, *axes), sampled.grid,
+                                demodulate=True)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            n_l = args[3][2]
-            assert peaks[-1] <= args[0].grid.n2 * n_l * 16, (span, peaks[-1])
+            n_l = axes[1][2]
+            assert peaks[-1] <= sampled.grid.n2 * n_l * 16, (span, peaks[-1])
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
@@ -1026,6 +1098,13 @@ class TestScan2dCommand:
         report = read_report(out / "envelope_report.txt")
         assert float(report["required_step_s"]) * core.C == pytest.approx(0.76e-6, rel=0.01)
         assert not (out / "scan2d.csv").exists()
+
+    def test_envelope_of_three_slices_has_no_stderr(self, tmp_path):
+        # 3 slices fix the 3-parameter envelope exactly: its spread is unknown
+        out = tmp_path / "o"
+        assert cli.main(["--out", str(out), "--set", "grid.n=64",
+                         "--set", "scan.x1_halfspan_mm=0.1", "scan2d"]) == cli.EXIT_OK
+        assert read_report(out / "envelope_report.txt")["envelope_fwhm_mm"].endswith("+- inf")
 
     def test_noisy_scan_fits_the_counts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -1057,7 +1136,7 @@ def test_cli_csv_reads_back(tmp_path, monkeypatch, argv, name):
     assert back.values is None and ig.values is None
     assert np.array_equal(back.counts, ig.counts)
     assert back.metadata == {key: str(value) for key, value in ig.metadata.items()}
-    assert np.array_equal(fitting.fit_data(back), fitting.fit_data(ig))
+    assert np.array_equal(detector.fit_data(back), detector.fit_data(ig))
     rows = [line for line in (tmp_path / name).read_text().splitlines()
             if not line.startswith("#")]
     assert len(rows) == ig.counts.size and not any("," in row for row in rows)

@@ -275,6 +275,24 @@ class TestCovariance:
             var = self.variance(jac)
         assert np.all(np.isfinite(var[:2])) and np.isinf(var[2])
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_residual_degree_of_freedom_is_infinite(self, n):
+        # 3 parameters fitted to n <= 3 points: the fit is exact, and its zero
+        # cost bounds no parameter's spread
+        jac = np.random.default_rng(4).normal(size=(n, 3))
+        y = np.random.default_rng(5).normal(size=n)
+        _, stderr, _ = fitting._solve(lambda p, x: (jac @ p, jac), np.zeros(3), None, y)
+        assert np.all(np.isinf(stderr))
+
+    def test_residual_within_rounding_is_zero(self):
+        # data fitted to their rounding (4 eps max |y|) leave no misfit to report
+        x = np.linspace(-3e-3, 3e-3, 301)
+        y = fitting._dip(np.array([1.0, 0.33, 0.0, 0.4e-3]), x)[0]
+        noise = 1e-12 * np.random.default_rng(7).normal(size=len(x))
+        for data, exact in ((y, True), (y + noise, False)):
+            rms = fitting._solve(fitting._dip, np.array([0.9, 0.3, 1e-5, 0.5e-3]), x, data)[2]
+            assert (rms == 0.0) == exact
+
 
 SMALL_SCAN2D = ["--set", "grid.n=64", "--set", "scan.x1_halfspan_mm=0.6",
                 "--set", "scan.x1_step_mm=0.2", "--set", "scan.fringe_halfspan_mm=0.05"]
