@@ -33,7 +33,7 @@ def main():
         cfg = load_config(overrides={("reconstruct", "rho"): str(rho),
                                      ("reconstruct", "band_n"): "64"})
         model, grid, lattice = build_reconstruct(cfg)
-        est, err = rec.roundtrip_error(model, grid, lattice, demodulate=True)
+        est, err = rec.roundtrip_error(model, grid, lattice)
         # a correlation that prints as zero is rounding noise: drop its sign
         corr = format(core.jsi_correlation(est.values, grid), "+.3f").replace("-0.000", "+0.000")
         print(f"rho = {rho:+.1f}: lattice {lattice.count1}x{lattice.count2}, "

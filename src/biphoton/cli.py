@@ -20,8 +20,8 @@ import numpy as np
 
 from . import core, detector, fitting, interferometer as ifm, reconstruction as rec
 from .config import (ConfigError, RunConfig, build_budget, build_detector, build_dip_profile,
-                     build_fringe_axis, build_jitter, build_reconstruct, build_sampled,
-                     build_scan2d_axes, load_config)
+                     build_fringe_axis, build_jitter, build_reconstruct,
+                     build_reconstruct_band, build_sampled, build_scan2d_axes, load_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,6 +49,11 @@ def _num(value: float, spec: str) -> str:
     return text.lstrip("-") if set(text) <= set("-0.") else text
 
 
+def _above_one(name: str, value: float, stderr: float) -> list[str]:
+    """The warning line, if any, for a visibility `value` above 1 by more than its stderr."""
+    return [f"warning: {name} exceeds 1 by more than its stderr"] if value - 1.0 > stderr else []
+
+
 def _fringe(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     _, sampled = build_sampled(cfg)
     ig = ifm.scan_1d(sampled, sampled, "L", 0.0, *build_fringe_axis(cfg, sampled.grid))
@@ -56,7 +61,7 @@ def _fringe(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     order = np.argsort(x)
     ig = _write_scan(cfg, args, ig, "fringe.csv")
     fit = fitting.fit_fringe(x[order], detector.fit_data(ig)[order])
-    lines = [
+    return [
         f"visibility: {fit.visibility:.6f} +- {fit.stderr['visibility']:.6f}",
         f"period_nm: {fit.period * 1e9:.4f} +- {fit.stderr['period'] * 1e9:.4f}",
         f"sigma_x_mm: {fit.sigma_x * 1e3:.6f} +- {fit.stderr['sigma_x'] * 1e3:.6f}",
@@ -64,10 +69,7 @@ def _fringe(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
         f"center_um: {_num(fit.center * 1e6, '.4f')}",
         f"phase_rad: {_num(fit.phase, '.6f')}",
         f"residual_rms: {fit.residual_rms:.6g}",
-    ]
-    if fit.visibility - 1.0 > fit.stderr["visibility"]:
-        lines.append("warning: visibility exceeds 1 by more than its stderr")
-    return lines
+    ] + _above_one("visibility", fit.visibility, fit.stderr["visibility"])
 
 
 def _hom_dip(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
@@ -99,22 +101,22 @@ def _scan2d(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
         f"ridge_slope: {_num(slope, '.4f')}",
         f"entangled_signature: {abs(slope) > 0.5}",
         f"slices_failed: {len(env.failed)}",
-    ]
+    ] + _above_one("peak_visibility", env.fit.peak_visibility, env.fit.stderr["peak_visibility"])
 
 
 def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     window = cfg.get("reconstruct", "window")
-    demod = cfg.getbool("reconstruct", "demodulate")
-    model, grid, lattice = build_reconstruct(cfg)
     if args.input is None:
-        est, err = rec.roundtrip_error(model, grid, lattice, demod, window)
+        model, grid, lattice = build_reconstruct(cfg)
+        est, err = rec.roundtrip_error(model, grid, lattice, window)
         axes = list(lattice.axes)
     else:
+        grid = build_reconstruct_band(cfg)[1]
         try:
             ig = ifm.read_interferogram_csv(args.input)
         except OSError as exc:
             raise ConfigError(f"--input: {exc}") from None
-        est, err = rec.reconstruct_jsi(ig, grid, window=window, demodulate=demod), None
+        est, err = rec.reconstruct_jsi(ig, grid, window=window), None
         axes = [(ax.start, ax.step, ax.count) for ax in ig.axes]
     ifm.write_csv(args.out / "jsi.csv",
                   [f"omega1 axis,{grid.omega1_min!r},{grid.d1!r},{grid.n1}",
@@ -125,7 +127,6 @@ def _reconstruct(cfg: RunConfig, args: argparse.Namespace) -> list[str]:
     lines = [
         f"lattice_axes: {axes}",
         f"window: {window}",
-        f"demodulated: {demod}",
         f"negativity_fraction: {_num(est.negativity_fraction, '.3g')}",
         f"correlation: {_num(corr, '.4f')}",
     ]

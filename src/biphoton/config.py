@@ -81,7 +81,6 @@ DEFAULTS: dict[str, dict[str, tuple[str, str | tuple[str, ...]]]] = {
         "span_coherence_times": ("5", "positive"),
         "step_fraction": ("0.9", "positive"),
         "window": ("none", ("none", "hann")),
-        "demodulate": ("true", "boolean"),
     },
     "run": {
         "seed": ("12345", "integer >= 0"),
@@ -317,19 +316,23 @@ def build_dip_profile(cfg: RunConfig) -> tuple[np.ndarray, float]:
     return step * np.arange(-n, n + 1), s
 
 
-def build_reconstruct(cfg: RunConfig) -> tuple[core.BiphotonAmplitude, core.FrequencyGrid,
-                                               rec.DelayLattice]:
-    """The [reconstruct] Gaussian at the [source] centres, its band, and the a >= 0
-    half lattice reconstruct scans (M = |Phi|^2 is real, so G(-a, -b) = G(a, b))."""
+def build_reconstruct_band(cfg: RunConfig) -> tuple[core.BiphotonAmplitude, core.FrequencyGrid]:
+    """The [reconstruct] Gaussian at the [source] centres, and its band."""
     src = build_source_params(cfg)
     wc1 = core.omega_from_wavelength(src.signal_center_wavelength)
     wc2 = core.omega_from_wavelength(src.idler_center_wavelength)
     sigma = cfg.getfloat("reconstruct", "sigma_rad_per_ps") * 1e12
-    rho = cfg.getfloat("reconstruct", "rho")
-    model = core.BiphotonAmplitude.gaussian(wc1, wc2, sigma, sigma, rho=rho)
-    grid = core.grid_for_gaussian(model, n=cfg.getint("reconstruct", "band_n"))
+    model = core.BiphotonAmplitude(wc1, wc2, sigma, sigma, cfg.getfloat("reconstruct", "rho"))
+    return model, core.grid_for_gaussian(model, n=cfg.getint("reconstruct", "band_n"))
+
+
+def build_reconstruct(cfg: RunConfig) -> tuple[core.BiphotonAmplitude, core.FrequencyGrid,
+                                               rec.DelayLattice]:
+    """build_reconstruct_band and the a >= 0 half lattice reconstruct scans
+    (M = |Phi|^2 is real, so G(-a, -b) = G(a, b))."""
+    model, grid = build_reconstruct_band(cfg)
     # Gamma decays slowest along the correlation ridge: span the lattice over that axis
-    coh = math.sqrt(2.0) / (sigma * math.sqrt(1.0 - abs(rho)))
+    coh = math.sqrt(2.0) / (model.sigma1 * math.sqrt(1.0 - abs(model.rho)))
     step = cfg.getfloat("reconstruct", "step_fraction") * rec.nyquist_step(grid)
     half_count = cfg.getfloat("reconstruct", "span_coherence_times") * coh / step
     if not half_count <= _MAX_HALF_COUNT:

@@ -249,10 +249,8 @@ def sample_on_grid(model: BiphotonAmplitude, grid: FrequencyGrid,
     norm = np.sum(np.square(vals)) * grid.measure
     if norm <= 0.0 or not np.isfinite(norm):
         raise EmptySupportError("filtered amplitude has no spectral support on the grid")
-    # complex only from here: numpy divides by a complex with a zero imaginary
-    # part as a product with the real reciprocal, so these are the same bits
     vals *= 1.0 / np.sqrt(norm)
-    return SampledAmplitude(vals.astype(complex), grid)
+    return SampledAmplitude(vals, grid)
 
 
 def jsi(sampled: SampledAmplitude) -> np.ndarray:

@@ -30,10 +30,9 @@ few geometric sums, taken in closed form from one reduction of the half
 phase by pi (`_lattice_sums`): the round trip's cost does not depend on
 the number of delays, and no (delays x band) array exists.
 
-`check_sampling` refuses a lattice step that aliases the band: pi / w_max
-per axis, or with `demodulate` pi over the band half-width per axis plus
-bandpass sampling on at least one axis, which keeps the mirror band at
--w_c off the band.
+`check_sampling` refuses a lattice step that aliases the band (bandpass
+sampling): on a positive band it accepts every step <= pi / w_max, and on a
+band that reaches below w = 0 no step.
 """
 
 from __future__ import annotations
@@ -117,33 +116,25 @@ def _bandpass_step(lo: float, hi: float, step: float) -> float:
     return float(min(step, (k + 1) * np.pi / hi))
 
 
-def check_sampling(band: FrequencyGrid, axes, demodulate: bool) -> None:
+def check_sampling(band: FrequencyGrid, axes) -> None:
     """Raise AliasingError unless the delay axes (axis 1, axis 2) of a lattice
-    sample `band` without aliasing.
-
-    Without demodulation every axis needs step <= pi / w_max of its band.
-    With it, every axis needs w_s = 2 pi / step >= 2 h (h the band
-    half-width), which keeps the difference frequency w - w' of the cosine
-    kernel from aliasing, and at least one axis needs
+    sample `band` without aliasing: every axis needs w_s = 2 pi / step >= 2 h
+    (h the band half-width), which keeps the difference frequency w - w' of
+    the cosine kernel from aliasing, and at least one axis needs
     min_k |2 w_c - k w_s| >= 2 h, which keeps the sum frequency w + w' (the
-    mirror band at -w_c) off the band: bandpass sampling.  The condition is
-    sufficient, not necessary.  The error's `required_step` passes when it
-    replaces the step of the axis it names.
-    """
+    mirror band at -w_c) off the band: bandpass sampling.  Sufficient, not
+    necessary: on a positive band every step <= pi / w_max passes, and no step
+    on a band that reaches below w = 0.  The error's `required_step` passes
+    when it replaces the step of the axis it names."""
     edges = ((band.omega1_min, band.omega1_max), (band.omega2_min, band.omega2_max))
     for ax, (lo, hi) in zip(axes, edges):
-        if demodulate:
-            bound = 2.0 * np.pi / (hi - lo)
-            required = _bandpass_step(lo, hi, bound)
-        else:
-            bound = required = np.pi / max(abs(lo), abs(hi))
+        bound = 2.0 * np.pi / (hi - lo)
         if ax.step > bound * (1.0 + 1e-9):
-            raise AliasingError(ax.name, ax.step, required)
-    if demodulate:
-        passing = [_bandpass_step(lo, hi, ax.step) for ax, (lo, hi) in zip(axes, edges)]
-        if all(ax.step > p * (1.0 + 1e-9) for ax, p in zip(axes, passing)):
-            i = int(np.argmax(passing))
-            raise AliasingError(axes[i].name, axes[i].step, passing[i])
+            raise AliasingError(ax.name, ax.step, _bandpass_step(lo, hi, bound))
+    passing = [_bandpass_step(lo, hi, ax.step) for ax, (lo, hi) in zip(axes, edges)]
+    if all(ax.step > p * (1.0 + 1e-9) for ax, p in zip(axes, passing)):
+        i = int(np.argmax(passing))
+        raise AliasingError(axes[i].name, axes[i].step, passing[i])
 
 
 def _window(ax, kind: str, half: bool) -> tuple[float, float, int, int, float]:
@@ -264,7 +255,7 @@ def _invert_scan(scan: LatticeScan, band: FrequencyGrid, window: str,
 
 
 def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyGrid,
-                    window: str = "none", demodulate: bool = False) -> JsiEstimate:
+                    window: str = "none", demodulate: bool = True) -> JsiEstimate:
     """Inverse cosine-kernel transform of 1 - G onto the band grid; G of an
     Interferogram with counts is their estimate (detector.estimated_g).
 
@@ -275,9 +266,10 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
 
     Returns a nonnegative, unit-integral estimate; the fraction of
     pre-clip negative mass is reported as a truncation diagnostic.
+    `demodulate` is ignored: perfbench/tracer.py reads it by name, and True keeps its GFLOP count.
     """
     half = _half_axis(interferogram.axes)
-    check_sampling(band, interferogram.axes, demodulate)
+    check_sampling(band, interferogram.axes)
     if isinstance(interferogram, LatticeScan):
         est = _invert_scan(interferogram, band, window, half)
     else:
@@ -297,13 +289,12 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
 
 
 def roundtrip_error(model: BiphotonAmplitude, grid: FrequencyGrid, lattice: DelayLattice,
-                    demodulate: bool = False, window: str = "none") -> tuple[JsiEstimate, float]:
+                    window: str = "none") -> tuple[JsiEstimate, float]:
     """The noiseless `reconstruct`: invert the LatticeScan of the unfiltered
     `model` on `lattice` on the sampling grid, and return the estimate and
     its relative L2 error against the true JSI."""
     sampled = sample_on_grid(model, grid)
-    est = reconstruct_jsi(LatticeScan(sampled, sampled, *lattice.axes), grid, window=window,
-                          demodulate=demodulate)
+    est = reconstruct_jsi(LatticeScan(sampled, sampled, *lattice.axes), grid, window=window)
     return est, l2_error(est, sampled)
 
 

@@ -168,12 +168,12 @@ def test_criterion_8_jsi_round_trip(report):
         slow = np.sqrt(2.0) / (sigma * np.sqrt(1.0 - abs(rho)))
         half = int(np.ceil(5.0 * slow / step))
         lattice = rec.DelayLattice.symmetric(step, half, step, half)
-        _, err = rec.roundtrip_error(model, grid, lattice, demodulate=True)
+        _, err = rec.roundtrip_error(model, grid, lattice)
         sampled = core.sample_on_grid(model, grid)
         ig = ifm.scan_2d(sampled, sampled,
                          (lattice.start1, lattice.step1, lattice.count1),
                          (lattice.start2, lattice.step2, lattice.count2))
-        est = rec.reconstruct_jsi(ig, grid, demodulate=True)
+        est = rec.reconstruct_jsi(ig, grid)
         results[rho] = (err, core.jsi_correlation(est.values, grid))
     elapsed = time.perf_counter() - t0
     sep_err, sep_corr = results[0.0]

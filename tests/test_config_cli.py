@@ -15,8 +15,9 @@ from biphoton import cli, config, core, detector, fitting
 from biphoton import interferometer as ifm
 from biphoton import reconstruction as rec
 from biphoton.config import (DEFAULTS, ConfigError, build_dip_profile, build_filters,
-                             build_fringe_axis, build_jitter, build_model, build_reconstruct, build_sampled,
-                             build_scan2d_axes, build_source_params, load_config)
+                             build_fringe_axis, build_jitter, build_model, build_reconstruct,
+                             build_reconstruct_band, build_sampled, build_scan2d_axes,
+                             build_source_params, load_config)
 
 # values outside each range kind of DEFAULTS; a kind missing here fails the contract test
 OUTSIDE = {
@@ -84,7 +85,7 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not a number"):
             load_config(overrides={("source", "pump_fwhm_ps"): "fast"})
         with pytest.raises(ConfigError, match="not a boolean"):
-            load_config(overrides={("reconstruct", "demodulate"): "maybe"})
+            load_config(overrides={("jitter", "include_pump"): "maybe"})
 
     def test_every_default_passes(self):
         cfg = load_config()
@@ -153,8 +154,7 @@ class TestCliExitCodes:
 
     def test_aliasing_error(self, tmp_path):
         code = cli.main(["--out", str(tmp_path / "o"),
-                         "--set", "reconstruct.step_fraction=5",
-                         "--set", "reconstruct.demodulate=false", "reconstruct"])
+                         "--set", "reconstruct.step_fraction=36", "reconstruct"])
         assert code == cli.EXIT_ALIASING
         report = read_report(tmp_path / "o" / "recon_report.txt")
         assert "required_step_s" in report
@@ -211,6 +211,7 @@ class TestCliExitCodes:
         ("jitter.v_cap=2", "budget", "[jitter] v_cap: must lie in [0, 1]"),
         ("jitter.gvd_fwhm_ps=-1", "budget", "[jitter] gvd_fwhm_ps: must lie in [0, 1000]"),
         ("detector.quantum_efficiency=0.5", "budget", "unknown key"),
+        ("reconstruct.demodulate=true", "reconstruct", "unknown key [reconstruct] demodulate"),
         ("detector.trigger_rate_mhz=0", "fringe", "[detector] trigger_rate_mhz: must be positive"),
         ("budget.singles_rate_1_khz=-5", "hom-dip",
          "[budget] singles_rate_1_khz: must be nonnegative"),
@@ -260,26 +261,38 @@ class TestCliExitCodes:
         section, key = override.split("=")[0].split(".")
         assert f"[{section}] {key}: must lie in [" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("with_input", [False, True], ids=["lattice", "input"])
-    @pytest.mark.parametrize("override", ["reconstruct.span_coherence_times=1e308",
-                                          "reconstruct.span_coherence_times=1e12",
-                                          "reconstruct.step_fraction=1e-300"])
+    LATTICE_TOO_LARGE = ["reconstruct.span_coherence_times=1e308",
+                         "reconstruct.span_coherence_times=1e12",
+                         "reconstruct.step_fraction=1e-300"]
+
+    @pytest.mark.parametrize("override", LATTICE_TOO_LARGE)
     def test_half_lattice_too_large_to_build_is_a_config_error(self, tmp_path, capsys,
-                                                               override, with_input):
+                                                               override):
         # unbounded, these overflow math.ceil or ask numpy for 2 PiB of delays
-        args = ["reconstruct"]
-        if with_input:
-            ax = ifm.Axis("delta_tau", -1e-14, 1e-15, 21)
-            ifm.write_interferogram_csv(ifm.Interferogram((ax, ax), np.ones((21, 21))),
-                                        tmp_path / "scan.csv")
-            args += ["--input", str(tmp_path / "scan.csv")]
-        code = cli.main(["--out", str(tmp_path / "o"), "--set", override, *args])
+        code = cli.main(["--out", str(tmp_path / "o"), "--set", override, "reconstruct"])
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(
             "config error: [reconstruct] span_coherence_times / step_fraction")
         assert not (tmp_path / "o" / "recon_report.txt").exists()
+
+    @pytest.mark.parametrize("override", LATTICE_TOO_LARGE)
+    def test_input_run_does_not_build_the_lattice(self, tmp_path, override):
+        # `--input` inverts the file's lattice on the built band: the keys that
+        # size reconstruct's own lattice do not reach it
+        args = ["--set", "reconstruct.band_n=16", "--set", "reconstruct.rho=0"]
+        model, grid = build_reconstruct_band(load_config(
+            overrides={("reconstruct", "band_n"): "16", ("reconstruct", "rho"): "0"}))
+        sampled = core.sample_on_grid(model, grid)
+        ifm.write_interferogram_csv(ifm.scan_2d(sampled, sampled, *rec.DelayLattice.half(
+            0.9 * rec.nyquist_step(grid), 40).axes), tmp_path / "scan.csv")
+        reports = []
+        for name, extra in (("plain", []), ("override", ["--set", override])):
+            assert cli.main(["--out", str(tmp_path / name), *args, *extra, "reconstruct",
+                             "--input", str(tmp_path / "scan.csv")]) == cli.EXIT_OK
+            reports.append((tmp_path / name / "recon_report.txt").read_text().splitlines()[1:])
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("override,command,message", [
         ("scan.fringe_halfspan_mm=1e6", "fringe", "fringe_halfspan_mm: a half-span of"),
@@ -441,8 +454,7 @@ RUNS = [
     ([*SMALL_RECON, "reconstruct"], cli.EXIT_OK, "recon_report.txt"),
     (["budget"], cli.EXIT_OK, "budget_report.txt"),
     (["--set", "scan.dip_halfspan_mm=0.02", "hom-dip"], cli.EXIT_FIT, "fit_report.txt"),
-    ([*SMALL_RECON, "--set", "reconstruct.step_fraction=5",
-      "--set", "reconstruct.demodulate=false", "reconstruct"],
+    ([*SMALL_RECON, "--set", "reconstruct.step_fraction=36", "reconstruct"],
      cli.EXIT_ALIASING, "recon_report.txt"),
 ]
 RUN_IDS = ["fringe", "hom-dip", "scan2d", "reconstruct", "budget", "fit-error", "aliasing"]
@@ -845,8 +857,7 @@ class TestReconstructCommand:
                                                    for a in ("--set", f"{sec}.{key}={v}")),
                          "reconstruct"]) == cli.EXIT_OK
         cfg = load_config(overrides=sets)
-        est, _ = rec.roundtrip_error(*build_reconstruct(cfg),
-                                     cfg.getbool("reconstruct", "demodulate"), window)
+        est, _ = rec.roundtrip_error(*build_reconstruct(cfg), window)
         rows = [line for line in (tmp_path / "jsi.csv").read_text().splitlines()
                 if not line.startswith("#")]
         assert rows == [repr(v) for v in est.values.reshape(-1).tolist()]
@@ -904,8 +915,7 @@ class TestReconstructCommand:
         (model, grid), sampled = seen["sample_on_grid"]
         err = seen["l2_error"][1]
         s_axis, l_axis = self.scanned_axes(seen)
-        _, expected = rec.roundtrip_error(model, grid, rec.DelayLattice(*s_axis, *l_axis),
-                                          demodulate=True)
+        _, expected = rec.roundtrip_error(model, grid, rec.DelayLattice(*s_axis, *l_axis))
         assert err == pytest.approx(expected, rel=1e-9)
         assert read_report(out / "recon_report.txt")["roundtrip_l2_error"] == f"{err:.3g}"
         # the scan covers the a >= 0 half: first axis from 0, second symmetric
@@ -1009,19 +1019,17 @@ class TestReconstructCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "expected a '# format=2' header" in err[0]
 
-    @pytest.mark.parametrize("demodulate", ["true", "false"])
     @pytest.mark.parametrize("window", ["none", "hann"])
-    def test_half_lattice_jsi_equals_symmetric(self, tmp_path, monkeypatch, window, demodulate):
+    def test_half_lattice_jsi_equals_symmetric(self, tmp_path, monkeypatch, window):
         _, seen = self.spy(monkeypatch, (rec, "sample_on_grid"), (rec, "reconstruct_jsi"))
         out = tmp_path / "o"
-        args = ["--set", "reconstruct.band_n=32", "--set", f"reconstruct.window={window}",
-                "--set", f"reconstruct.demodulate={demodulate}"]
+        args = ["--set", "reconstruct.band_n=32", "--set", f"reconstruct.window={window}"]
         assert cli.main(["--out", str(out), *args, "reconstruct"]) == cli.EXIT_OK
         sampled, (_, l_axis) = seen["sample_on_grid"][1], self.scanned_axes(seen)
         grid = sampled.grid
         jsi = np.loadtxt(out / "jsi.csv", comments="#")
         full = rec.reconstruct_jsi(ifm.scan_2d(sampled, sampled, l_axis, l_axis), grid,
-                                   window=window, demodulate=demodulate == "true")
+                                   window=window)
         ref = full.values.reshape(-1)
         assert np.linalg.norm(jsi - ref) / np.linalg.norm(ref) <= 1e-12
 
@@ -1067,8 +1075,7 @@ class TestReconstructCommand:
             sampled, axes = seen["sample_on_grid"][1], self.scanned_axes(seen)
             tracemalloc.start()
             try:
-                reconstruct_jsi(ifm.LatticeScan(sampled, sampled, *axes), sampled.grid,
-                                demodulate=True)
+                reconstruct_jsi(ifm.LatticeScan(sampled, sampled, *axes), sampled.grid)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1105,6 +1112,19 @@ class TestScan2dCommand:
         assert cli.main(["--out", str(out), "--set", "grid.n=64",
                          "--set", "scan.x1_halfspan_mm=0.1", "scan2d"]) == cli.EXIT_OK
         assert read_report(out / "envelope_report.txt")["envelope_fwhm_mm"].endswith("+- inf")
+
+    @pytest.mark.parametrize("argv,flagged", [
+        (["--set", "filters.bandwidth_nm=40"], True),  # peak 1.000456 +- 0.000125
+        ([], False),
+    ])
+    def test_peak_visibility_above_one_is_flagged(self, tmp_path, argv, flagged):
+        out = tmp_path / "o"
+        assert cli.main(["--out", str(out), "--noiseless", *SMALL_SCAN2D, *argv,
+                         "scan2d"]) == cli.EXIT_OK
+        report = read_report(out / "envelope_report.txt")
+        assert (float(report["peak_visibility"]) > 1.0) == flagged
+        assert report.get("warning") == (
+            "peak_visibility exceeds 1 by more than its stderr" if flagged else None)
 
     def test_noisy_scan_fits_the_counts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
