@@ -205,6 +205,11 @@ class TestSampling:
         norm = np.sum(np.abs(sampled.values) ** 2) * grid.measure
         assert abs(norm - 1.0) < 1e-10
 
+    def test_real_amplitude_samples_stay_real(self, small_gaussian, reference_sampled):
+        # every amplitude model and filter here is real: no complex copy
+        for sampled in (small_gaussian[2], reference_sampled):
+            assert sampled.values.dtype == np.float64
+
     def test_filtered_norm_and_support(self, reference_setup, reference_sampled):
         _, f1, f2, _ = reference_setup
         grid = reference_sampled.grid

@@ -293,6 +293,20 @@ def small_band(rho=-0.5):
     return grid, core.sample_on_grid(model, grid), make_lattice(grid, 0.7, rho)
 
 
+def test_complex_amplitude_scans_and_inverts_as_the_real_one():
+    # sampling keeps a real model real; an amplitude a caller builds as
+    # complex still goes through the scan, the inverse and the JSI
+    grid, sampled, lattice = small_band()
+    cplx = core.SampledAmplitude(sampled.values.astype(complex), grid)
+    assert np.array_equal(core.jsi(cplx), core.jsi(sampled))
+    real_ig = ifm.scan_2d(sampled, sampled, *lattice.axes)
+    cplx_ig = ifm.scan_2d(cplx, cplx, *lattice.axes)
+    assert np.allclose(cplx_ig.values, real_ig.values, rtol=0.0, atol=1e-12)
+    real = rec.reconstruct_jsi(ifm.LatticeScan(sampled, sampled, *lattice.axes), grid)
+    est = rec.reconstruct_jsi(ifm.LatticeScan(cplx, cplx, *lattice.axes), grid)
+    assert np.linalg.norm(est.values - real.values) <= 1e-12 * np.linalg.norm(real.values)
+
+
 def test_hann_on_half_lattice_matches_symmetric():
     # the half axis takes the right half of the window over its mirrored
     # axis, so Hann keeps the a = 0 row instead of zeroing it
@@ -632,6 +646,20 @@ def test_nyquist_step_passes(band):
     step = rec.nyquist_step(band)
     axes = (ifm.Axis("S", -step, step, 3), ifm.Axis("L", -step, step, 3))
     rec.check_sampling(band, axes)
+
+
+@pytest.mark.parametrize("band", [core.FrequencyGrid(8, 8, -1.0, 1.0, -1.0, 1.0),
+                                  core.FrequencyGrid(8, 8, -0.1, 10.0, -5.0, 0.5),
+                                  core.FrequencyGrid(8, 8, -1e13, 1.2e15, -1e12, 1.0e15)],
+                         ids=["centred", "skewed", "optical"])
+def test_band_reaching_below_zero_frequency_refuses_every_step(band):
+    # on both axes the mirror band at -w_c overlaps the band itself, so no
+    # bandpass window exists, however fine the step
+    for fraction in (1e-6, 0.1, 0.5, 1.0):
+        step = fraction * rec.nyquist_step(band)
+        axes = (ifm.Axis("S", -step, step, 3), ifm.Axis("L", -step, step, 3))
+        with pytest.raises(rec.AliasingError):
+            rec.check_sampling(band, axes)
 
 
 def test_every_step_within_pi_over_the_axis_band_top_passes():
