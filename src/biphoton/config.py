@@ -317,13 +317,18 @@ def build_dip_profile(cfg: RunConfig) -> tuple[np.ndarray, float]:
 
 
 def build_reconstruct_band(cfg: RunConfig) -> tuple[core.BiphotonAmplitude, core.FrequencyGrid]:
-    """The [reconstruct] Gaussian at the [source] centres, and its band."""
+    """The [reconstruct] Gaussian at the [source] centres, and its band, which
+    must lie above zero frequency (ConfigError otherwise)."""
     src = build_source_params(cfg)
     wc1 = core.omega_from_wavelength(src.signal_center_wavelength)
     wc2 = core.omega_from_wavelength(src.idler_center_wavelength)
     sigma = cfg.getfloat("reconstruct", "sigma_rad_per_ps") * 1e12
     model = core.BiphotonAmplitude(wc1, wc2, sigma, sigma, cfg.getfloat("reconstruct", "rho"))
-    return model, core.grid_for_gaussian(model, n=cfg.getint("reconstruct", "band_n"))
+    grid = core.grid_for_gaussian(model, n=cfg.getint("reconstruct", "band_n"))
+    if (lowest := min(grid.omega1_min, grid.omega2_min)) <= 0.0:
+        raise ConfigError(f"[reconstruct] sigma_rad_per_ps: the band reaches {lowest:.3e} rad/s, "
+                          "at or below zero frequency, which no lattice step samples")
+    return model, grid
 
 
 def build_reconstruct(cfg: RunConfig) -> tuple[core.BiphotonAmplitude, core.FrequencyGrid,

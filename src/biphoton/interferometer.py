@@ -241,7 +241,7 @@ def read_interferogram_csv(path) -> Interferogram:
 
     The headers must include '# format=2'.  A file whose headers hold
     `baseline_counts` is a seeded scan: its last column is counts, which
-    must be finite and nonnegative, and a G column before it (the
+    must be finite, nonnegative integers, and a G column before it (the
     'G,counts' rows of earlier files) is ignored.  Otherwise the one
     column is G, which must lie in [0, 2].  ValueError otherwise.
     """
@@ -275,6 +275,6 @@ def read_interferogram_csv(path) -> Interferogram:
     if not seeded:
         return Interferogram(tuple(axes), data[:, 0].reshape(shape), metadata=metadata)
     counts = data[:, -1].reshape(shape)
-    if not (counts.min() >= 0.0 and counts.max() < np.inf):
-        raise ValueError(f"{path}: counts must be finite and nonnegative")
+    if not (counts.min() >= 0.0 and counts.max() < np.inf and np.all(counts == np.floor(counts))):
+        raise ValueError(f"{path}: counts must be finite, nonnegative integers")
     return Interferogram(tuple(axes), None, counts=counts, metadata=metadata)

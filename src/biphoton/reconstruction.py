@@ -10,11 +10,11 @@ where w carries the window, half-axis weight and cell area: the adjoint of
 the forward scan M -> Re(E1 M E2^T) at the same exact delays start + k step.
 
 cos is even and the window symmetric, so the terms at (a, b) and (-a, -b)
-share one kernel value.  One rule per axis then covers every lattice: an
-axis symmetric about 0 is weighted by window * step; an axis that starts
-at 0 stands for its mirrored axis (the other half-plane is taken to be the
-point reflection of the measured one), so it takes the right half of the
-window over that axis and weight 2 off 0.
+share one kernel value.  One rule per axis then covers every lattice
+(`_weights`): an axis symmetric about 0 is weighted by numpy's window (ones
+or hanning) times the step; an axis that starts at 0 stands for its
+mirrored axis (the other half-plane is the point reflection of the measured
+one), so it takes the right half of the window over that axis, weight 2 off 0.
 
 An Interferogram goes through interferometer.gamma_lattice_adjoint, on the
 forward scan's tables and with no lattice-sized temporary; for a scan with
@@ -25,10 +25,10 @@ sampling grid, every sum over the lattice is a value of one axis's
 D(nu) = sum_t w(t) exp(i nu t) at the difference (Toeplitz) or the sum
 (Hankel) of two band frequencies, 2n - 1 values of each per axis, and
 est = Re(T1 M T2^T + H1 conj(M) H2^T) / 2 (`_invert_scan`).  The delays
-are uniform and the window is a constant plus one cosine, so each D is a
-few geometric sums, taken in closed form from one reduction of the half
-phase by pi (`_lattice_sums`): the round trip's cost does not depend on
-the number of delays, and no (delays x band) array exists.
+are uniform and each window a constant plus at most one cosine, so each D
+is one or three geometric sums, in closed form from one reduction of the
+half phase by pi (`_lattice_sums`): the round trip's cost does not depend
+on the number of delays, and no (delays x band) array exists.
 
 `check_sampling` refuses a lattice step that aliases the band (bandpass
 sampling): on a positive band it accepts every step <= pi / w_max, and on a
@@ -99,7 +99,8 @@ class JsiEstimate:
 
 
 def nyquist_step(band: FrequencyGrid) -> float:
-    """Maximal lattice step pi/omega_max for alias-free reconstruction."""
+    """pi / w_max: the unit of reconstruct.step_fraction and the fringe step's
+    bound.  check_sampling accepts every step <= it on a positive band, and some above."""
     w_max = max(abs(band.omega1_min), abs(band.omega1_max),
                 abs(band.omega2_min), abs(band.omega2_max))
     return np.pi / w_max
@@ -137,23 +138,6 @@ def check_sampling(band: FrequencyGrid, axes) -> None:
         raise AliasingError(axes[i].name, axes[i].step, passing[i])
 
 
-def _window(ax, kind: str, half: bool) -> tuple[float, float, int, int, float]:
-    """(a, b, j0, m, c) of an axis's per-delay weight
-    w_k = c (a + b cos(pi (j0 + 2 k) / (m - 1))), k < count, which is
-    halved at k = 0 on a half axis: the window times the step.  `none` is
-    a = 1, b = 0 and `hann` a = b = 1/2, numpy's hanning(m) from its sample
-    (j0 + m - 1) / 2 on.  A symmetric axis takes the window over itself
-    (m = count, j0 = 1 - count, c = step).  A half axis stands for its
-    mirrored axis, so it takes the right half of the window over that axis
-    (m = 2 count - 1, j0 = 0) and weight 2 off 0 (c = 2 step)."""
-    if kind not in ("none", "hann"):
-        raise ValueError(f"unknown window {kind!r}")
-    a, b = (1.0, 0.0) if kind == "none" else (0.5, 0.5)
-    if half:
-        return a, b, 0, 2 * ax.count - 1, 2.0 * ax.step
-    return a, b, 1 - ax.count, ax.count, ax.step
-
-
 def _half_axis(axes) -> int | None:
     """Index of the axis that starts at 0, or None when both are symmetric
     about 0 with a point at 0; ValueError for any other lattice and for other
@@ -174,12 +158,14 @@ def _half_axis(axes) -> int | None:
 
 
 def _weights(ax, window: str, half: bool) -> np.ndarray:
-    """Per-delay weight of an axis (`_window`), evaluated as numpy's hanning
-    evaluates its window."""
-    a, b, j0, m, c = _window(ax, window, half)
-    w = (a + b * np.cos(np.pi * np.arange(j0, j0 + 2 * ax.count, 2.0) / (m - 1.0))) * c
-    if half:
-        w[0] /= 2.0
+    """Per-delay weight of an axis: numpy's window (ones or hanning) times the
+    step; a half axis takes the right half of the window over its mirrored
+    axis, times 2 step, with the weight at 0 halved."""
+    window_of = np.ones if window == "none" else np.hanning
+    if not half:
+        return window_of(ax.count) * ax.step
+    w = window_of(2 * ax.count - 1)[ax.count - 1:] * (2.0 * ax.step)
+    w[0] /= 2.0
     return w
 
 
@@ -199,7 +185,7 @@ def _geometric(y, n: int, jc: int) -> np.ndarray:
 def _lattice_sums(ax, window: str, half: bool, lo: float, d: float, n: int):
     """(T, H), T[p, k] = D(w_p - w_k) and H[p, k] = D(w_p + w_k), of
     D(nu) = sum_j u_j exp(i nu t_j) over the delays t_j = t0 + j s, j < N,
-    of axis `ax` with the weights u of `window` (`_window`; `half` for a
+    of axis `ax` with the weights u of `window` (`_weights`; `half` for a
     half axis), on a band w_k = lo + (k + 1/2) d, k < n: a Toeplitz and a
     Hankel matrix, from D at the n differences m d, m < n
     (D(-nu) = conj D(nu) gives the rest), and the 2n - 1 sums 2 lo + m d,
@@ -208,17 +194,16 @@ def _lattice_sums(ax, window: str, half: bool, lo: float, d: float, n: int):
     D is a geometric sum, taken in closed form in O(n), whatever N.  Every
     axis `_half_axis` accepts has one delay at ~0, number jc: the first of
     a half axis, the middle of a symmetric one.  With its offset
-    r = t0 + jc s (|r| <= 1e-9 s, from core.two_product),
-    u_j = c (a + b cos(theta j + phi)), theta = 2 pi / (m_w - 1) and
-    phi = pi j0 / (m_w - 1) (`_window`), phi + theta jc = 0 on both kinds
-    of axis, so with G = `_geometric` of the half phase y = nu s / 2
+    r = t0 + jc s (|r| <= 1e-9 s, from core.two_product), c = s (2 s on a
+    half axis) and G = `_geometric` of the half phase y = nu s / 2, `none`
+    gives D = c exp(i nu r) G(y), and `hann`, numpy's hanning(m) with m = N
+    (2N - 1 on a half axis), u_j = c (1 + cos(2 q (j - jc))) / 2, gives
 
-        D = c exp(i nu r) [a G(y) + (b/2) (G(y + theta/2) + G(y - theta/2))]
+        D = c exp(i nu r) [G(y) / 2 + (G(y + q) + G(y - q)) / 4],  q = pi / (m - 1),
 
-    less c (a + b) / 2 exp(i nu r) on a half axis, whose u_0 is half the
-    cosine's.  nu and y are two-floats, from exact products and sums, and
+    each less c exp(i nu r) / 2 on a half axis, whose u_0 is half the
+    window's 1.  nu and y are two-floats, from exact products and sums, and
     G reduces y by pi once, so no phase nu t_j of ~1e4 rad is rounded."""
-    a, b, _, m_w, c = _window(ax, window, half)
     m = np.concatenate([np.arange(n), np.arange(1, 2 * n)]).astype(float)
     nu = add_two((np.repeat([0.0, 2.0 * lo], [n, 2 * n - 1]), 0.0), two_product(m, d))
     jc = 0 if half else (ax.count - 1) // 2
@@ -226,14 +211,14 @@ def _lattice_sums(ax, window: str, half: bool, lo: float, d: float, n: int):
     r = (ax.start + p) + e
     p, e = two_product(nu[0], ax.step)
     y = (0.5 * p, 0.5 * (e + nu[1] * ax.step))
-    inner = a * _geometric(y, ax.count, jc)
-    if b:
-        q = np.pi / (m_w - 1.0)
-        inner = inner + 0.5 * b * (_geometric(add_two(y, (q, 0.0)), ax.count, jc)
-                                   + _geometric(add_two(y, (-q, 0.0)), ax.count, jc))
+    inner = _geometric(y, ax.count, jc)
+    if window == "hann":
+        q = np.pi / ((2 * ax.count - 1 if half else ax.count) - 1.0)
+        inner = 0.5 * inner + 0.25 * (_geometric(add_two(y, (q, 0.0)), ax.count, jc)
+                                      + _geometric(add_two(y, (-q, 0.0)), ax.count, jc))
     if half:
-        inner = inner - 0.5 * (a + b)
-    sums = c * np.exp(1j * nu[0] * r) * inner
+        inner = inner - 0.5
+    sums = (2.0 * ax.step if half else ax.step) * np.exp(1j * nu[0] * r) * inner
     diff = np.concatenate([np.conj(sums[n - 1:0:-1]), sums[:n]])
     k = np.arange(n)
     return diff[n - 1 + k[:, None] - k], sums[n:][k[:, None] + k]
@@ -268,6 +253,8 @@ def reconstruct_jsi(interferogram: Interferogram | LatticeScan, band: FrequencyG
     pre-clip negative mass is reported as a truncation diagnostic.
     `demodulate` is ignored: perfbench/tracer.py reads it by name, and True keeps its GFLOP count.
     """
+    if window not in ("none", "hann"):
+        raise ValueError(f"unknown window {window!r}")
     half = _half_axis(interferogram.axes)
     check_sampling(band, interferogram.axes)
     if isinstance(interferogram, LatticeScan):

@@ -294,6 +294,24 @@ class TestCliExitCodes:
             reports.append((tmp_path / name / "recon_report.txt").read_text().splitlines()[1:])
         assert reports[0] == reports[1]
 
+    def test_band_below_zero_frequency_is_a_config_error(self, tmp_path, capsys):
+        # at sigma 1000 rad/ps the +-5 sigma band reaches -3.8e15 rad/s, which
+        # no lattice step samples, with or without --input; at 200 it stays above 0
+        path = tmp_path / "scan.csv"
+        path.write_text("# format=2\n# axis1 delta_tau_S,-1e-15,1e-15,3\n"
+                        "# axis2 delta_tau_L,-1e-15,1e-15,3\n" + "1.0\n" * 9)
+        sigma = ["--set", "reconstruct.sigma_rad_per_ps=1000", "reconstruct"]
+        for name, extra in (("noiseless", []), ("input", ["--input", str(path)])):
+            out = tmp_path / name
+            assert cli.main(["--out", str(out), *sigma, *extra]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err.splitlines()
+            assert err == ["config error: [reconstruct] sigma_rad_per_ps: the band reaches "
+                           "-3.801e+15 rad/s, at or below zero frequency, which no lattice "
+                           "step samples"]
+            assert not (out / "recon_report.txt").exists()
+        assert cli.main(["--out", str(tmp_path / "o"), "--set",
+                         "reconstruct.sigma_rad_per_ps=200", "reconstruct"]) == cli.EXIT_OK
+
     @pytest.mark.parametrize("override,command,message", [
         ("scan.fringe_halfspan_mm=1e6", "fringe", "fringe_halfspan_mm: a half-span of"),
         ("scan.dip_halfspan_mm=1e9", "hom-dip", "dip_halfspan_mm: a half-span of"),
@@ -988,6 +1006,22 @@ class TestReconstructCommand:
         assert not any(line.startswith("warning") for line in reports[1])
         jsi = [np.loadtxt(out / "jsi.csv", comments="#") for out in (g_out, counts_out)]
         assert not np.array_equal(*jsi)
+
+    def test_fractional_counts_input_is_a_config_error(self, tmp_path, capsys):
+        # a detector records whole counts: a file holding 0.5 more is refused
+        # and writes no report, where its integer twin inverts
+        _, twins = self.counts_twins(tmp_path)
+        lines = (tmp_path / "counts.csv").read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[first] = f"{int(lines[first]) + 0.5}\n"
+        (tmp_path / "half.csv").write_text("".join(lines))
+        out = tmp_path / "half"
+        assert cli.main(["--out", str(out), "--set", "reconstruct.band_n=16", "--set",
+                         "reconstruct.rho=0", "reconstruct",
+                         "--input", str(tmp_path / "half.csv")]) == cli.EXIT_CONFIG
+        assert "counts must be finite, nonnegative integers" in capsys.readouterr().err
+        assert not (out / "recon_report.txt").exists()
+        assert (twins["counts"][1] / "recon_report.txt").exists()
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="np.longdouble is plain double here")

@@ -366,6 +366,16 @@ class TestInterferogram:
         with pytest.raises(ValueError, match="columns do not match axes"):
             ifm.read_interferogram_csv(path)
 
+    def test_csv_fractional_counts_are_refused(self, tmp_path):
+        # the reader refuses what the writer refuses to write
+        path = tmp_path / "c.csv"
+        path.write_text("# format=2\n# axis1 delta_tau_L,-1e-13,1e-13,3\n"
+                        "# baseline_counts=4465.0\n4465.5\n523\n4470\n")
+        with pytest.raises(ValueError, match="counts must be finite, nonnegative integers"):
+            ifm.read_interferogram_csv(path)
+        path.write_text(path.read_text().replace("4465.5", "4465"))
+        assert ifm.read_interferogram_csv(path).counts.tolist() == [4465.0, 523.0, 4470.0]
+
     def test_csv_round_trip_2d(self, tmp_path, reference_sampled):
         ig = ifm.scan_2d(reference_sampled, reference_sampled, (-1e-13, 5e-14, 4), (-1e-13, 5e-14, 5))
         self.round_trip(ig, tmp_path / "ig2.csv")

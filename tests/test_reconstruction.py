@@ -366,6 +366,16 @@ def test_lattice_scan_sums_match_scan_2d(reference_sampled, window):
     assert np.max(np.abs(rec._invert_scan(scan, grid, window, 0) - expected)) <= 5e-15 * scale
 
 
+@pytest.mark.parametrize("kind", ["lattice-scan", "interferogram"])
+def test_unknown_window_is_refused(kind):
+    # one check in reconstruct_jsi guards both inverse branches
+    grid, sampled, lattice = small_band()
+    make = ifm.LatticeScan if kind == "lattice-scan" else ifm.scan_2d
+    scan = make(sampled, sampled, *lattice.axes)
+    with pytest.raises(ValueError, match="unknown window 'hamming'"):
+        rec.reconstruct_jsi(scan, grid, window="hamming")
+
+
 @pytest.mark.parametrize("window", ["none", "hann"])
 def test_weights_are_numpys_window(window):
     # the Interferogram branch's weights stay np.ones and np.hanning bit for bit
