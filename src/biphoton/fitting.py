@@ -227,18 +227,28 @@ def _peak(p, x):
     return vp * e, jac.T
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 5-smooth 2^a 3^b 5^c >= n: no FFT at a slow prime length."""
+    best, p5 = 1 << max(n - 1, 0).bit_length(), 1
+    while p5 < best:
+        p35, p5 = p5, 5 * p5
+        while p35 < best:
+            best, p35 = min(best, p35 << (-(-n // p35) - 1).bit_length()), 3 * p35
+    return best
+
+
 def fringe_period(x: np.ndarray, y: np.ndarray) -> float:
-    """Dominant period via windowed FFT peak with parabolic interpolation."""
+    """Dominant period via windowed FFT peak with parabolic interpolation, the n
+    points zero-padded to `_fft_length(n)`; n < 6 (4 bins) raises NoPeriodError."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     dx = np.diff(x)
-    if not np.allclose(dx, dx[0], rtol=1e-6, atol=0.0):
+    if not np.allclose(dx, dx[:1], rtol=1e-6, atol=0.0):  # no spacing below 2 points
         raise ValueError("fringe_period requires uniform spacing")
-    n = len(y)
-    z = (y - y.mean()) * np.hanning(n)
-    mag = np.abs(np.fft.rfft(z))
-    if len(mag) < 4:
+    if (n := len(y)) // 2 + 1 < 4:
         raise NoPeriodError("too few points for a period estimate")
+    z = (y - y.mean()) * np.hanning(n)
+    mag = np.abs(np.fft.rfft(z, nfft := _fft_length(n)))
     k = int(np.argmax(mag[1:]) + 1)
     floor = np.median(mag[1:])
     # data flat to within their rounding leave a peak of rounding residue only
@@ -252,7 +262,7 @@ def fringe_period(x: np.ndarray, y: np.ndarray) -> float:
         delta = float(np.clip(delta, -0.5, 0.5))
     else:
         delta = 0.0
-    freq = (k + delta) / (n * dx[0])
+    freq = (k + delta) / (nfft * dx[0])
     return float(1.0 / freq)
 
 
@@ -268,10 +278,12 @@ def _analytic_signal(x: np.ndarray) -> np.ndarray:
 
 
 def _fringe_init(x, y, lam0):
+    """Fit seeds from the analytic signal of y - a0 zero-padded to `_fft_length`."""
     a0 = float(np.median(y))
     if a0 <= 0:
         a0 = float(np.mean(y)) or 1.0
-    analytic = _analytic_signal(y - a0)
+    n = len(y)
+    analytic = _analytic_signal(np.append(y - a0, np.zeros(_fft_length(n) - n)))[:n]
     env = np.abs(analytic)
     # smooth the analytic envelope over ~one period
     w = max(3, min(len(x), int(round(lam0 / (x[1] - x[0])))))

@@ -121,10 +121,17 @@ def gamma_lattice(phi_a: SampledAmplitude, phi_b: SampledAmplitude,
     """Re(Gamma) = Re(E1 M E2^T) on the product lattice of the delay axes
     s_delays and l_delays, each a (start, step, count) triple, as a real
     (S, L) array: P = E @ M along the shorter axis (`_lattice_tables`), then
-    each row Re((P_row * A) @ F^T), one real product of (re, im) views."""
+    each row Re((P_row * A) @ F^T), one real product of (re, im) views.  A
+    real M takes P from Re(E) @ M and Im(E) @ M, with no complex copy of M."""
     m = _joint_measure(phi_a, phi_b)
     swap, e, a, f, count = _lattice_tables(phi_a.grid, s_delays, l_delays)
-    p = e @ (m.T if swap else m)
+    m = m.T if swap else m
+    if np.iscomplexobj(m):
+        p = e @ m
+    else:
+        p = np.empty((len(e), m.shape[1]), complex)
+        np.matmul(e.real, m, out=p.real)
+        np.matmul(e.imag, m, out=p.imag)
     out = np.empty((len(p), len(a), len(f)))
     f = f.view(float).T  # conj(F) as (re, im) rows: the product is Re(x conj(y)^T)
     for row, o in zip(p, out):
@@ -154,10 +161,11 @@ def gamma_lattice_adjoint(grid: FrequencyGrid, s_delays: tuple[float, float, int
 
 def _joint_measure(phi_a: SampledAmplitude, phi_b: SampledAmplitude) -> np.ndarray:
     """M = phi_a conj(phi_b) measure on the grid both are sampled on:
-    Gamma = E1 @ M @ E2^T."""
+    Gamma = E1 @ M @ E2^T; a real phi_b is not copied by conj."""
     if phi_a.grid != phi_b.grid:
         raise GridMismatchError("amplitudes sampled on different frequency grids")
-    return phi_a.values * np.conj(phi_b.values) * phi_a.grid.measure
+    b = np.conj(phi_b.values) if np.iscomplexobj(phi_b.values) else phi_b.values
+    return phi_a.values * b * phi_a.grid.measure
 
 
 def scan_1d(phi_a: SampledAmplitude, phi_b: SampledAmplitude, axis: str,

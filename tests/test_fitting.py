@@ -49,6 +49,14 @@ class TestFringePeriod:
         with pytest.raises(ValueError, match="uniform"):
             fitting.fringe_period(x, np.zeros(4))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_too_few_points_rejected(self, n):
+        # fewer than 6 points leave fewer than 4 bins before padding; 0 and
+        # 1 points have no spacing to check
+        x = 0.15e-6 * np.arange(n)
+        with pytest.raises(fitting.NoPeriodError, match="too few points"):
+            fitting.fringe_period(x, np.cos(x / 1e-6))
+
 
 class TestAnalyticSignal:
     @pytest.mark.parametrize("n", [255, 256])
@@ -372,6 +380,41 @@ class TestSolver:
             fitting._solve(model, np.array([0.0]), np.zeros(1), np.zeros(1))
         assert len(calls) == 200 * (1 + 1)
         assert err.value.last_params[0] == calls[-1]
+
+
+def is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+class TestSeedFftLengths:
+    def test_fft_length_is_next_5_smooth(self):
+        lengths = [fitting._fft_length(n) for n in range(1, 2000)]
+        assert all(is_5_smooth(m) for m in lengths)
+        assert all(m >= n and not any(is_5_smooth(k) for k in range(n, m))
+                   for n, m in enumerate(lengths, start=1))
+        assert fitting._fft_length(1733) == 1800 and fitting._fft_length(17733) == 18000
+
+    @pytest.mark.parametrize("argv", [["fringe"], [*SMALL_SCAN2D, "scan2d"]],
+                             ids=["fringe", "scan2d"])
+    def test_seed_ffts_take_no_prime_length(self, tmp_path, monkeypatch, argv):
+        # fit_fringe on the default seeded 1,733-point scan (a prime length)
+        # and visibility_envelope on the reduced scan2d lattice: every FFT
+        # of the seeds runs at a zero-padded 5-smooth length
+        lengths = []
+
+        def recording(func):
+            def call(a, n=None, *args, **kwargs):
+                lengths.append(len(a) if n is None else n)
+                return func(a, n, *args, **kwargs)
+            return call
+
+        for name in ("rfft", "fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
+        assert cli.main(["--out", str(tmp_path), "--seed", "3", *argv]) == cli.EXIT_OK
+        assert lengths and all(is_5_smooth(n) for n in lengths), sorted(set(lengths))
 
 
 class TestDelayToPosition:
