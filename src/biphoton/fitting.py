@@ -22,6 +22,7 @@ parameter of a fit with no more data than parameters, gets an infinite stderr.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,14 +228,11 @@ def _peak(p, x):
     return vp * e, jac.T
 
 
+@functools.cache
 def _fft_length(n: int) -> int:
     """The smallest 5-smooth 2^a 3^b 5^c >= n: no FFT at a slow prime length."""
-    best, p5 = 1 << max(n - 1, 0).bit_length(), 1
-    while p5 < best:
-        p35, p5 = p5, 5 * p5
-        while p35 < best:
-            best, p35 = min(best, p35 << (-(-n // p35) - 1).bit_length()), 3 * p35
-    return best
+    k = range(n.bit_length() + 1)  # 2^k >= n bounds each exponent
+    return min(m for m in (2**a * 3**b * 5**c for a in k for b in k for c in k) if m >= n)
 
 
 def fringe_period(x: np.ndarray, y: np.ndarray) -> float:

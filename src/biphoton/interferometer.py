@@ -161,11 +161,10 @@ def gamma_lattice_adjoint(grid: FrequencyGrid, s_delays: tuple[float, float, int
 
 def _joint_measure(phi_a: SampledAmplitude, phi_b: SampledAmplitude) -> np.ndarray:
     """M = phi_a conj(phi_b) measure on the grid both are sampled on:
-    Gamma = E1 @ M @ E2^T; a real phi_b is not copied by conj."""
+    Gamma = E1 @ M @ E2^T."""
     if phi_a.grid != phi_b.grid:
         raise GridMismatchError("amplitudes sampled on different frequency grids")
-    b = np.conj(phi_b.values) if np.iscomplexobj(phi_b.values) else phi_b.values
-    return phi_a.values * b * phi_a.grid.measure
+    return phi_a.values * phi_b.values.conj() * phi_a.grid.measure
 
 
 def scan_1d(phi_a: SampledAmplitude, phi_b: SampledAmplitude, axis: str,
